@@ -89,7 +89,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		cacheDir     = fs.String("cache", "", "result-cache directory (empty = caching disabled)")
 		cacheMaxMB   = fs.Int64("cache-max-mb", 256, "result-cache size bound in MiB (-1 = unbounded)")
 		journalDir   = fs.String("journal", "", "job journal directory (empty = no crash durability)")
-		chunksDir    = fs.String("chunks", "", "result-chunk directory for streaming/resumable replicates (empty = disabled)")
+		chunksDir    = fs.String("chunks", "", "result-chunk directory for streaming/resumable replicates (empty = disabled); in a cluster every worker must mount the same directory, the cluster's one shared-storage dependency")
 		workers      = fs.Int("workers", 0, "job worker goroutines (0 = GOMAXPROCS)")
 		queueDepth   = fs.Int("queue-depth", 64, "max queued jobs before 429")
 		retries      = fs.Int("retries", 2, "transient-failure retries per job")
@@ -105,9 +105,11 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 
 		// Cluster mode: register with a temprivgw gateway and heartbeat so
 		// the gateway shards jobs here by fingerprint and hands our jobs to
-		// a ring successor if this process dies. Workers in one cluster
-		// should share -chunks (crash handoff resumes from persisted
-		// replicate chunks) while keeping per-worker -cache and -journal.
+		// a ring successor if this process dies. The successor answers a
+		// finished job from the replica this worker pushed it, and an
+		// unfinished one by resuming from the shared -chunks directory,
+		// so workers in one cluster share -chunks while keeping per-worker
+		// -cache and -journal.
 		clusterRegistry  = fs.String("cluster-registry", "", "gateway base URL to register with (empty = standalone)")
 		clusterID        = fs.String("cluster-id", "", "stable worker ID within the cluster (required with -cluster-registry)")
 		clusterURL       = fs.String("cluster-url", "", "advertised base URL for this worker (default http://<listen addr>)")
@@ -296,11 +298,11 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		}
 
 		// Result peering: hold replicas peers push to us, and push every
-		// result we finish to our ring successor (write-behind, retried)
-		// so the gateway can serve our jobs from the replica — zero
-		// recompute — if this process dies. TEMPRIV_CHAOS optionally
-		// injects partitions/latency into the worker→worker replication
-		// path for fault drills.
+		// result we finish to our ring successor (write-behind, retried).
+		// If this process dies, the gateway re-dispatches our jobs to that
+		// successor, whose runner answers from the replica with zero
+		// recompute. TEMPRIV_CHAOS optionally injects partitions/latency
+		// into the worker→worker replication path for fault drills.
 		peerStore = peering.NewStore(peering.StoreOptions{})
 		peerClient := &http.Client{Timeout: 10 * time.Second}
 		if spec := os.Getenv("TEMPRIV_CHAOS"); spec != "" {
@@ -328,16 +330,17 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		go replicator.Run(ctx)
 	}
 
-	runner := server.NewRunnerConfig(server.RunnerConfig{
+	runner := server.NewRunner(server.RunnerConfig{
 		Cache:            cache,
 		Registry:         reg,
 		ReplicateWorkers: *repWorkers,
 		Chunks:           chunks,
+		Peers:            peerStore,
 		CachedResultSLO:  cachedSLO,
 	})
 	queue := jobs.New(runner, opts)
 
-	api := server.NewConfig(server.Config{
+	api := server.New(server.Config{
 		Queue:                 queue,
 		Cache:                 cache,
 		Chunks:                chunks,

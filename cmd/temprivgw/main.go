@@ -7,10 +7,12 @@
 //	temprivd -addr localhost:7082 -cluster-registry http://localhost:7070 -cluster-id w2 -chunks ./chunks &
 //
 // Workers register and heartbeat against POST /v1/cluster/register; the
-// gateway expires silent workers after the lease TTL, re-dispatches their
-// unfinished jobs to the ring successor (X-Tempriv-Origin: handoff, same
-// X-Trace-Id), and the successor resumes from whatever replicate chunks
-// the dead worker persisted when the fleet shares a -chunks directory.
+// gateway expires silent workers after the lease TTL and re-dispatches
+// every job they held, finished or not, to the ring successor
+// (X-Tempriv-Origin: handoff, same X-Trace-Id). That is the one handoff
+// path. The successor answers a finished job from the replica the dead
+// worker pushed it (zero recompute) and resumes an unfinished one from
+// the replicate chunks in the -chunks directory every worker shares.
 //
 // Endpoints: POST/GET /v1/jobs, GET /v1/jobs/{id} (+ /result with
 // ?partial=1, /events with synthetic seq:-1 handoff lines), DELETE
@@ -21,12 +23,10 @@
 //
 // Partition tolerance: the gateway scores every worker from its own
 // request outcomes, ejects a worker whose rolling error rate crosses the
-// threshold (re-admitting it through a half-open probe), hedges slow
-// full-result reads against a peer replica, and sheds submissions with
+// threshold (re-admitting it through a half-open probe), hands off the
+// routes of a worker that stays ejected, and sheds submissions with
 // 503 + Retry-After when every candidate is ejected, backpressured, or
-// saturated past its advertised capacity. Finished results are served
-// from ring-successor replicas after a crash when available (zero
-// recompute), falling back to chunk-resume re-dispatch.
+// saturated past its advertised capacity.
 //
 // -chaos (or TEMPRIV_CHAOS) arms a deterministic fault-injecting
 // transport on the gateway's worker requests for drills:
@@ -76,7 +76,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		retryAfterMax  = fs.Duration("retry-after-max", 5*time.Second, "cap on honoring a worker's Retry-After")
 		ejectThreshold = fs.Float64("eject-threshold", 0, "rolling error rate that ejects a worker (0 = default 0.5)")
 		ejectCooldown  = fs.Duration("eject-cooldown", 0, "wait before an ejected worker gets a half-open probe (0 = default 10s)")
-		hedgeDelay     = fs.Duration("hedge-delay", 0, "fixed hedged-read delay for full results (0 = auto from cluster p99; negative disables)")
 		shedFactor     = fs.Float64("shed-factor", 0, "outstanding-routes-per-worker bound as a multiple of advertised capacity (0 = default 4)")
 		chaos          = fs.String("chaos", os.Getenv("TEMPRIV_CHAOS"), "fault-injection spec for worker requests (default $TEMPRIV_CHAOS)")
 		traceCap       = fs.Int("trace-cap", obs.DefaultCapacity, "how many recent gateway traces to retain")
@@ -132,7 +131,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		ReconcileEvery: *reconcileEvery,
 		EjectThreshold: *ejectThreshold,
 		EjectCooldown:  *ejectCooldown,
-		HedgeDelay:     *hedgeDelay,
 		ShedFactor:     *shedFactor,
 	})
 

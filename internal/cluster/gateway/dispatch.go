@@ -90,11 +90,9 @@ func (g *Gateway) dispatch(ctx context.Context, specJSON []byte, fp, traceID, or
 		tried++
 		for attempts < g.submitAttempts {
 			attempts++
-			start := g.clock()
 			snap, retryAfter, err := g.postJob(ctx, worker.URL, specJSON, traceID, origin)
-			latency := g.clock().Sub(start)
 			if err == nil {
-				g.health.observe(id, latency, false)
+				g.health.observe(id, false)
 				if g.mDispatch != nil {
 					g.mDispatch.Inc()
 				}
@@ -110,7 +108,7 @@ func (g *Gateway) dispatch(ctx context.Context, specJSON []byte, fp, traceID, or
 			if errors.As(err, &we) && (we.Status == http.StatusTooManyRequests || we.Status == http.StatusServiceUnavailable) {
 				// Backpressure: the worker is alive and healthy, it just
 				// asked for breathing room — never an ejection signal.
-				g.health.observe(id, latency, false)
+				g.health.observe(id, false)
 				g.health.observeBackpressure(id, retryAfter)
 				// Wait as instructed, then retry this worker.
 				if attempts < g.submitAttempts {
@@ -124,11 +122,11 @@ func (g *Gateway) dispatch(ctx context.Context, specJSON []byte, fp, traceID, or
 			}
 			if errors.As(err, &we) && we.Status >= 400 && we.Status < 500 {
 				// The spec itself is bad; every worker will say the same.
-				g.health.observe(id, latency, false)
+				g.health.observe(id, false)
 				return dispatchResult{}, err
 			}
 			// Unreachable or 5xx: a real failure, then the next successor.
-			g.health.observe(id, latency, true)
+			g.health.observe(id, true)
 			break
 		}
 		if attempts >= g.submitAttempts {
@@ -180,7 +178,7 @@ func (g *Gateway) outstanding(workerID string) int {
 	defer g.mu.Unlock()
 	n := 0
 	for _, rt := range g.routes {
-		if rt.WorkerID == workerID && !rt.peerServed && !rt.state.Terminal() {
+		if rt.WorkerID == workerID && !rt.state.Terminal() {
 			n++
 		}
 	}

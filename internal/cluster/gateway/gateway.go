@@ -10,12 +10,15 @@
 // worker and hit its warm result cache, and membership churn only moves
 // ~1/N of the keyspace.
 //
-// Crash handoff: when a worker's lease expires, the reconcile loop
-// re-dispatches its non-terminal jobs to the ring successor with
-// X-Tempriv-Origin: handoff and the original X-Trace-Id. Workers share a
-// replicate-chunk directory, so the successor resumes from whatever
-// replicates the dead worker had already persisted instead of recomputing
-// the sweep from scratch.
+// Crash handoff has one path: when a worker's lease expires (or it stays
+// ejected past the grace window), the reconcile loop re-dispatches every
+// job stranded on it, finished or not, to the fingerprint's current ring
+// owner with X-Tempriv-Origin: handoff and the original X-Trace-Id. That
+// worker's runner answers from the cheapest source it holds: its result
+// cache, the replica the dead worker pushed it (internal/cluster/peering),
+// the replicate chunks in the directory all workers share, and only then
+// the engine. The gateway itself never serves result bytes it did not
+// proxy from the job's current worker.
 package gateway
 
 import (
@@ -83,10 +86,6 @@ type Config struct {
 	// the cure for asymmetric partitions, where the worker's heartbeats
 	// still arrive so the lease never dies (default 3×EjectCooldown).
 	EjectHandoffAfter time.Duration
-	// HedgeDelay fixes the hedged /result read delay; 0 means p99-based
-	// auto (2× the cluster-wide p99, clamped to [25ms, 2s]). Negative
-	// disables hedging.
-	HedgeDelay time.Duration
 	// ShedFactor bounds outstanding (non-terminal) routes per worker at
 	// advertised-capacity × ShedFactor (default 4). When every candidate
 	// for a submission is saturated, backpressured, or ejected, the
@@ -116,7 +115,6 @@ type Gateway struct {
 
 	health            *healthTracker
 	ejectHandoffAfter time.Duration
-	hedgeDelay        time.Duration
 	shedFactor        float64
 	eventKeepalive    time.Duration
 	failoverWait      time.Duration
@@ -129,20 +127,16 @@ type Gateway struct {
 	ringCache *ring.Ring
 
 	// Metrics (nil when no telemetry registry is configured).
-	mDispatch     *telemetry.Counter // jobs dispatched to a worker
-	mFailover     *telemetry.Counter // dispatch fell through to a successor
-	mRetryWaits   *telemetry.Counter // Retry-After waits honored
-	mHandoffs     *telemetry.Counter // crash handoffs performed
-	mHandoffFail  *telemetry.Counter // handoffs that found no live worker
-	mPeerServed   *telemetry.Counter // handoffs served from a peer replica
-	mPeerFallback *telemetry.Counter // handoffs that fell back to re-dispatch
-	mEjections    *telemetry.Counter // workers ejected by health scoring
-	mHedged       *telemetry.Counter // hedged /result reads launched
-	mHedgeWins    *telemetry.Counter // hedges that answered first
-	mSheds        *telemetry.Counter // submissions shed at the gateway
-	gWorkers      *telemetry.Gauge   // live workers
-	gRoutes       *telemetry.Gauge   // routes in the table
-	gEjected      *telemetry.Gauge   // workers currently ejected/probing
+	mDispatch    *telemetry.Counter // jobs dispatched to a worker
+	mFailover    *telemetry.Counter // dispatch fell through to a successor
+	mRetryWaits  *telemetry.Counter // Retry-After waits honored
+	mHandoffs    *telemetry.Counter // crash handoffs performed
+	mHandoffFail *telemetry.Counter // handoffs that found no live worker
+	mEjections   *telemetry.Counter // workers ejected by health scoring
+	mSheds       *telemetry.Counter // submissions shed at the gateway
+	gWorkers     *telemetry.Gauge   // live workers
+	gRoutes      *telemetry.Gauge   // routes in the table
+	gEjected     *telemetry.Gauge   // workers currently ejected/probing
 }
 
 // route is one entry in the gateway's routing table: the mapping from the
@@ -161,15 +155,11 @@ type route struct {
 	// notes are synthetic events (seq -1) the gateway prepends to the
 	// worker's event stream so a watcher sees crash handoffs inline.
 	notes []jobs.Event
-	// state is the last state observed from a worker; the reconcile loop
-	// refreshes it so handoff can skip terminal jobs.
+	// state is the last state observed from a worker (a snapshot, a
+	// listing, or a terminal event the /events proxy delivered); the
+	// reconcile loop refreshes it so handoff can skip canceled jobs and
+	// outstanding() stops counting finished ones.
 	state jobs.State
-	// peerServed marks a route whose result is served from a ring
-	// successor's replica after a crash handoff: WorkerID/WorkerURL name
-	// the replica holder, WorkerJobID is empty (no job runs anywhere),
-	// and peerSnap is the synthesized done snapshot status serves.
-	peerServed bool
-	peerSnap   map[string]any
 }
 
 // New builds a Gateway and its HTTP surface.
@@ -214,7 +204,6 @@ func New(cfg Config) *Gateway {
 	if g.ejectHandoffAfter <= 0 {
 		g.ejectHandoffAfter = 3 * g.health.cooldown
 	}
-	g.hedgeDelay = cfg.HedgeDelay
 	g.shedFactor = cfg.ShedFactor
 	if g.shedFactor <= 0 {
 		g.shedFactor = 4
@@ -233,11 +222,7 @@ func New(cfg Config) *Gateway {
 		g.mRetryWaits = cfg.Telemetry.Counter("tempriv_cluster_retry_after_waits_total")
 		g.mHandoffs = cfg.Telemetry.Counter("tempriv_cluster_handoffs_total")
 		g.mHandoffFail = cfg.Telemetry.Counter("tempriv_cluster_handoff_failures_total")
-		g.mPeerServed = cfg.Telemetry.Counter("tempriv_cluster_peer_served_total")
-		g.mPeerFallback = cfg.Telemetry.Counter("tempriv_cluster_peer_fallbacks_total")
 		g.mEjections = cfg.Telemetry.Counter("tempriv_cluster_ejections_total")
-		g.mHedged = cfg.Telemetry.Counter("tempriv_cluster_hedged_reads_total")
-		g.mHedgeWins = cfg.Telemetry.Counter("tempriv_cluster_hedge_wins_total")
 		g.mSheds = cfg.Telemetry.Counter("tempriv_sheds_total")
 		g.gWorkers = cfg.Telemetry.Gauge("tempriv_cluster_workers")
 		g.gRoutes = cfg.Telemetry.Gauge("tempriv_cluster_routes")

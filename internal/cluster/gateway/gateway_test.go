@@ -93,12 +93,12 @@ func newWorker(t *testing.T, id, chunksDir string) *worker {
 			t.Fatal(err)
 		}
 	}
-	runner := server.NewRunnerConfig(server.RunnerConfig{
-		Registry: reg, ReplicateWorkers: 1, Chunks: chunks,
+	peers := peering.NewStore(peering.StoreOptions{})
+	runner := server.NewRunner(server.RunnerConfig{
+		Registry: reg, ReplicateWorkers: 1, Chunks: chunks, Peers: peers,
 	})
 	q := jobs.New(runner, jobs.Options{Workers: 2})
-	peers := peering.NewStore(peering.StoreOptions{})
-	api := server.NewConfig(server.Config{
+	api := server.New(server.Config{
 		Queue: q, Chunks: chunks, Registry: reg,
 		Tracer: obs.New(obs.Options{}), ClusterID: id, Peers: peers,
 	})
@@ -123,7 +123,7 @@ func newCluster(t *testing.T, ttl time.Duration) *cluster {
 }
 
 // newClusterWith builds the gateway with an optional Config mutation so
-// resilience tests can pin hedge delays, cooldowns, and shed factors.
+// resilience tests can pin cooldowns, shed factors, and stream timings.
 func newClusterWith(t *testing.T, ttl time.Duration, mut func(*Config)) *cluster {
 	t.Helper()
 	c := &cluster{clk: newFakeClock(), tel: telemetry.NewRegistry()}

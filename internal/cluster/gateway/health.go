@@ -1,15 +1,14 @@
 package gateway
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
 
 // Per-worker health scoring: every worker request the gateway makes
-// feeds a rolling window of (latency, failed) samples. A worker whose
-// window crosses the error-rate threshold is ejected — dispatch and
-// hedging route around it — and re-admitted through a half-open probe
+// feeds a rolling window of success/failure outcomes. A worker whose
+// window crosses the error-rate threshold is ejected — dispatch routes
+// around it — and re-admitted through a half-open probe
 // after a cooldown, exactly like the result cache's circuit breaker but
 // keyed per worker. Backpressure (Retry-After on 429/503) is tracked
 // separately: a shedding worker is alive and healthy, it just asked for
@@ -29,15 +28,9 @@ const (
 	healthProbing
 )
 
-// healthSample is one observed worker request.
-type healthSample struct {
-	latency time.Duration
-	failed  bool
-}
-
 // workerHealth is one worker's rolling window plus breaker state.
 type workerHealth struct {
-	window      []healthSample // ring buffer
+	window      []bool // ring buffer of outcomes; true = failed
 	next, count int
 	consecOK    int
 	state       healthState
@@ -53,13 +46,13 @@ type workerHealth struct {
 	backoffUntil time.Time
 }
 
-func (wh *workerHealth) push(s healthSample, window int) {
+func (wh *workerHealth) push(failed bool, window int) {
 	if len(wh.window) < window {
-		wh.window = append(wh.window, s)
+		wh.window = append(wh.window, failed)
 		wh.count++
 		return
 	}
-	wh.window[wh.next] = s
+	wh.window[wh.next] = failed
 	wh.next = (wh.next + 1) % window
 }
 
@@ -68,8 +61,8 @@ func (wh *workerHealth) errorRate() float64 {
 		return 0
 	}
 	failed := 0
-	for _, s := range wh.window {
-		if s.failed {
+	for _, f := range wh.window {
+		if f {
 			failed++
 		}
 	}
@@ -133,10 +126,10 @@ func (h *healthTracker) get(id string) *workerHealth {
 // observe records one request outcome and drives the breaker. A success
 // against an ejected or probing worker restores it (the half-open probe
 // succeeded); a failure while probing re-ejects with a fresh cooldown.
-func (h *healthTracker) observe(id string, latency time.Duration, failed bool) {
+func (h *healthTracker) observe(id string, failed bool) {
 	h.mu.Lock()
 	wh := h.get(id)
-	wh.push(healthSample{latency: latency, failed: failed}, h.window)
+	wh.push(failed, h.window)
 	var ejected, restored bool
 	switch wh.state {
 	case healthOK:
@@ -260,32 +253,6 @@ func (h *healthTracker) ejectedCount() int {
 		}
 	}
 	return n
-}
-
-// p99 returns the 99th-percentile latency across every worker's current
-// window of successful requests (0 when no samples exist). The hedged
-// /result read uses this as its baseline delay: a read noticeably slower
-// than the cluster's own p99 is worth racing against a peer replica.
-func (h *healthTracker) p99() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var lat []time.Duration
-	for _, wh := range h.workers {
-		for _, s := range wh.window {
-			if !s.failed {
-				lat = append(lat, s.latency)
-			}
-		}
-	}
-	if len(lat) == 0 {
-		return 0
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	idx := len(lat) * 99 / 100
-	if idx >= len(lat) {
-		idx = len(lat) - 1
-	}
-	return lat[idx]
 }
 
 // healthView is one worker's row in the GET /v1/cluster document.

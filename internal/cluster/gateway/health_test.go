@@ -16,12 +16,12 @@ func TestHealthEjectsOnErrorRate(t *testing.T) {
 	var ejected []string
 	h.onEject = func(id string) { ejected = append(ejected, id) }
 
-	h.observe("w1", time.Millisecond, true)
-	h.observe("w1", time.Millisecond, true)
+	h.observe("w1", true)
+	h.observe("w1", true)
 	if !h.allow("w1") {
 		t.Fatal("w1 ejected below minSamples")
 	}
-	h.observe("w1", time.Millisecond, true)
+	h.observe("w1", true)
 	if h.allow("w1") {
 		t.Fatal("w1 still allowed after 3/3 failures")
 	}
@@ -39,7 +39,7 @@ func TestHealthHalfOpenProbeRestores(t *testing.T) {
 	var restored []string
 	h.onRestore = func(id string) { restored = append(restored, id) }
 	for i := 0; i < 3; i++ {
-		h.observe("w1", time.Millisecond, true)
+		h.observe("w1", true)
 	}
 	if h.allow("w1") {
 		t.Fatal("not ejected")
@@ -55,7 +55,7 @@ func TestHealthHalfOpenProbeRestores(t *testing.T) {
 	}
 
 	// The probe succeeds: worker restored, window reset.
-	h.observe("w1", time.Millisecond, false)
+	h.observe("w1", false)
 	if !h.allow("w1") {
 		t.Fatal("not restored after successful probe")
 	}
@@ -71,7 +71,7 @@ func TestHealthFailedProbeKeepsDownSince(t *testing.T) {
 	clk := newFakeClock()
 	h := newTestTracker(clk)
 	for i := 0; i < 3; i++ {
-		h.observe("w1", time.Millisecond, true)
+		h.observe("w1", true)
 	}
 	firstDown, down := h.ejectedSince("w1")
 	if !down {
@@ -85,7 +85,7 @@ func TestHealthFailedProbeKeepsDownSince(t *testing.T) {
 	if !h.allow("w1") {
 		t.Fatal("probe not admitted")
 	}
-	h.observe("w1", time.Millisecond, true)
+	h.observe("w1", true)
 	if h.allow("w1") {
 		t.Fatal("allowed right after failed probe")
 	}
@@ -102,7 +102,7 @@ func TestHealthBackpressureIsNotFailure(t *testing.T) {
 	clk := newFakeClock()
 	h := newTestTracker(clk)
 	for i := 0; i < 10; i++ {
-		h.observe("w1", time.Millisecond, false)
+		h.observe("w1", false)
 		h.observeBackpressure("w1", 2*time.Second)
 	}
 	if !h.allow("w1") {
@@ -115,21 +115,5 @@ func TestHealthBackpressureIsNotFailure(t *testing.T) {
 	clk.Advance(3 * time.Second)
 	if _, busy := h.backpressured("w1"); busy {
 		t.Fatal("backpressure window did not expire")
-	}
-}
-
-func TestHealthP99(t *testing.T) {
-	clk := newFakeClock()
-	h := newTestTracker(clk)
-	if h.p99() != 0 {
-		t.Fatal("p99 of no samples should be 0")
-	}
-	for i := 1; i <= 8; i++ {
-		h.observe("w1", time.Duration(i)*time.Millisecond, false)
-	}
-	// Failures are excluded from the latency population.
-	h.observe("w2", time.Hour, true)
-	if got := h.p99(); got != 8*time.Millisecond {
-		t.Fatalf("p99 = %v, want 8ms", got)
 	}
 }

@@ -126,38 +126,10 @@ func (g *Gateway) proxyJSON(w http.ResponseWriter, r *http.Request, rt *route, m
 	writeJSON(w, resp.StatusCode, rewriteSnapshot(snap, rt))
 }
 
-// peerSnapshot renders a peer-served route's synthesized done snapshot
-// under the gateway's public framing.
-func (g *Gateway) peerSnapshot(rt *route) map[string]any {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make(map[string]any, len(rt.peerSnap)+3)
-	for k, v := range rt.peerSnap {
-		out[k] = v
-	}
-	out["id"] = rt.ID
-	out["worker"] = rt.WorkerID
-	if rt.Handoffs > 0 {
-		out["handoffs"] = rt.Handoffs
-	}
-	return out
-}
-
-// isPeerServed snapshots the flag under the gateway lock.
-func (g *Gateway) isPeerServed(rt *route) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return rt.peerServed
-}
-
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	rt, ok := g.lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("no such job"))
-		return
-	}
-	if g.isPeerServed(rt) {
-		writeJSON(w, http.StatusOK, g.peerSnapshot(rt))
 		return
 	}
 	g.proxyJSON(w, r, rt, http.MethodGet, "/v1/jobs/"+rt.WorkerJobID)
@@ -169,11 +141,6 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
-	if g.isPeerServed(rt) {
-		// Already done; canceling a finished job is a no-op everywhere.
-		writeJSON(w, http.StatusOK, g.peerSnapshot(rt))
-		return
-	}
 	g.proxyJSON(w, r, rt, http.MethodDelete, "/v1/jobs/"+rt.WorkerJobID)
 }
 
@@ -181,199 +148,17 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 // ?partial=1 JSONL replicate stream — byte-for-byte. Result documents are
 // content-addressed by fingerprint and carry no job ID, so no rewriting
 // is needed; status, Content-Type and Retry-After pass through.
-//
-// Peer-served routes proxy the replica holder's /v1/peer/results/{fp}
-// document instead — the identical bytes, no job required. Full-document
-// reads on ordinary routes are hedged: if the owner has not answered
-// within the hedge delay (2× the cluster's observed p99 by default), the
-// gateway races a peer-replica read against it and serves whichever
-// succeeds first.
 func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
 	rt, ok := g.lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
-	if g.isPeerServed(rt) {
-		g.mu.Lock()
-		path := "/v1/peer/results/" + rt.Fingerprint
-		g.mu.Unlock()
-		g.proxyStream(w, r, rt, path, nil)
-		return
-	}
 	path := "/v1/jobs/" + rt.WorkerJobID + "/result"
 	if q := r.URL.RawQuery; q != "" {
 		path += "?" + q
 	}
-	if r.URL.Query().Get("partial") == "" && g.hedgeDelay >= 0 {
-		g.hedgedResult(w, r, rt, path)
-		return
-	}
-	g.proxyStream(w, r, rt, path, nil)
-}
-
-// bufferedFetch is one buffered HTTP response in a hedged race.
-type bufferedFetch struct {
-	status int
-	header http.Header
-	body   []byte
-	err    error
-	hedge  bool
-}
-
-// fetchBuffered performs one GET and buffers the whole body (bounded).
-func (g *Gateway) fetchBuffered(ctx context.Context, url, traceID string, hedge bool) bufferedFetch {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return bufferedFetch{err: err, hedge: hedge}
-	}
-	if traceID != "" {
-		req.Header.Set("X-Trace-Id", traceID)
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return bufferedFetch{err: err, hedge: hedge}
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return bufferedFetch{err: err, hedge: hedge}
-	}
-	return bufferedFetch{status: resp.StatusCode, header: resp.Header, body: body, hedge: hedge}
-}
-
-// hedgeTarget picks the peer endpoint to race against a slow owner: the
-// first live, allowed ring candidate other than the owner itself.
-func (g *Gateway) hedgeTarget(rt *route) (string, bool) {
-	g.mu.Lock()
-	fp, owner := rt.Fingerprint, rt.WorkerID
-	g.mu.Unlock()
-	rg, alive, _ := g.currentRing()
-	for _, id := range rg.Successors(fp, 0) {
-		if id == owner {
-			continue
-		}
-		worker, ok := workerByID(alive, id)
-		if !ok || !g.health.allow(id) {
-			continue
-		}
-		return worker.URL + "/v1/peer/results/" + fp, true
-	}
-	return "", false
-}
-
-// resolveHedgeDelay turns the configured delay into a concrete wait:
-// fixed when set, else 2× the cluster-wide p99 clamped to [25ms, 2s].
-func (g *Gateway) resolveHedgeDelay() time.Duration {
-	if g.hedgeDelay > 0 {
-		return g.hedgeDelay
-	}
-	d := 2 * g.health.p99()
-	if d < 25*time.Millisecond {
-		d = 25 * time.Millisecond
-	}
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	return d
-}
-
-// hedgedResult races the owner's full result document against a peer
-// replica: the owner gets a head start of the hedge delay, then the first
-// 200 wins. The documents are content-addressed and byte-identical, so
-// the race can never serve divergent answers. Failures fall back to
-// whatever the owner said — the hedge only ever improves latency.
-func (g *Gateway) hedgedResult(w http.ResponseWriter, r *http.Request, rt *route, path string) {
-	g.mu.Lock()
-	ownerURL, traceID, ownerID := rt.WorkerURL, rt.TraceID, rt.WorkerID
-	g.mu.Unlock()
-
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	results := make(chan bufferedFetch, 2)
-	inFlight := 1
-	go func() { results <- g.fetchBuffered(ctx, ownerURL+path, traceID, false) }()
-
-	timer := time.NewTimer(g.resolveHedgeDelay())
-	defer timer.Stop()
-	hedgeLaunched := false
-	launchHedge := func() bool {
-		if hedgeLaunched {
-			return false
-		}
-		hedgeLaunched = true
-		url, ok := g.hedgeTarget(rt)
-		if !ok {
-			return false
-		}
-		if g.mHedged != nil {
-			g.mHedged.Inc()
-		}
-		go func() { results <- g.fetchBuffered(ctx, url, traceID, true) }()
-		return true
-	}
-	var ownerRes *bufferedFetch
-	for {
-		select {
-		case <-timer.C:
-			if launchHedge() {
-				inFlight++
-			}
-		case res := <-results:
-			inFlight--
-			if res.err == nil && res.status == http.StatusOK {
-				if res.hedge {
-					if g.mHedgeWins != nil {
-						g.mHedgeWins.Inc()
-					}
-					if g.log != nil {
-						g.log.Info("hedged read won", "job", rt.ID, "owner", ownerID)
-					}
-				}
-				g.serveBuffered(w, rt, res)
-				return
-			}
-			if !res.hedge {
-				if res.err == nil && res.status >= 400 && res.status < 500 {
-					// The owner answered authoritatively (result not ready,
-					// job failed, ...): forward it, don't second-guess.
-					g.serveBuffered(w, rt, res)
-					return
-				}
-				// Owner unreachable or 5xx: make sure a hedge is racing.
-				ownerRes = &res
-				if launchHedge() {
-					inFlight++
-				}
-			}
-			if inFlight == 0 {
-				// Every leg failed; the owner's answer is the honest one.
-				if ownerRes != nil {
-					res = *ownerRes
-				}
-				g.serveBuffered(w, rt, res)
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// serveBuffered writes one buffered leg of a hedged race to the client.
-func (g *Gateway) serveBuffered(w http.ResponseWriter, rt *route, res bufferedFetch) {
-	if res.err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("worker %s unreachable: %w", rt.WorkerID, res.err))
-		return
-	}
-	if ct := res.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if ra := res.header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
+	g.proxyStream(w, r, rt, path)
 }
 
 // handleEvents streams the worker's JSONL event feed, prefixed with any
@@ -423,17 +208,19 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		g.mu.Lock()
 		workerURL, workerJobID := rt.WorkerURL, rt.WorkerJobID
 		gen := rt.Handoffs
-		peer := rt.peerServed
 		traceID := rt.TraceID
 		g.mu.Unlock()
-		if peer {
-			// The peer-served note (just emitted) is the end of the story:
-			// the result exists, no job runs anywhere.
-			return
-		}
 
 		last, err := g.streamWorkerEvents(r.Context(), w, flusher, workerURL, workerJobID, traceID)
 		if err == nil && last.Terminal() {
+			// Record what the stream delivered, so a client that follows
+			// /events instead of polling status frees the worker's share
+			// of outstanding() — unless a handoff moved the route meanwhile.
+			g.mu.Lock()
+			if rt.Handoffs == gen {
+				rt.state = last
+			}
+			g.mu.Unlock()
 			emitNotes()
 			return
 		}
@@ -464,7 +251,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			g.mu.Lock()
-			moved := rt.Handoffs != gen || rt.peerServed
+			moved := rt.Handoffs != gen
 			terminal := rt.state.Terminal()
 			g.mu.Unlock()
 			if moved {
@@ -525,9 +312,9 @@ func (g *Gateway) streamWorkerEvents(ctx context.Context, w io.Writer, flusher h
 }
 
 // proxyStream forwards a streaming worker response. Headers and status
-// land first, then optional prologue events, then the worker's bytes as
-// they arrive (flushed per read so live JSONL stays live).
-func (g *Gateway) proxyStream(w http.ResponseWriter, r *http.Request, rt *route, path string, prologue []jobs.Event) {
+// land first, then the worker's bytes as they arrive (flushed per read so
+// live JSONL stays live).
+func (g *Gateway) proxyStream(w http.ResponseWriter, r *http.Request, rt *route, path string) {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rt.WorkerURL+path, nil)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -550,15 +337,6 @@ func (g *Gateway) proxyStream(w http.ResponseWriter, r *http.Request, rt *route,
 	}
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
-	if resp.StatusCode < 400 && len(prologue) > 0 {
-		enc := json.NewEncoder(w)
-		for _, ev := range prologue {
-			_ = enc.Encode(ev)
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
 	buf := make([]byte, 32<<10)
 	for {
 		n, rerr := resp.Body.Read(buf)
@@ -594,12 +372,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 
 	routes := g.snapshotRoutes()
 	byWorker := make(map[string][]*route)
-	peerRoutes := make([]*route, 0)
 	for _, rt := range routes {
-		if g.isPeerServed(rt) {
-			peerRoutes = append(peerRoutes, rt)
-			continue
-		}
 		byWorker[rt.WorkerID] = append(byWorker[rt.WorkerID], rt)
 	}
 
@@ -623,23 +396,6 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 				g.noteState(rt, snap)
 				merged[rt.ID] = rewriteSnapshot(snap, rt)
 			}
-		}
-	}
-
-	// Peer-served routes have no worker-side job to list; they are done
-	// by construction and appear whenever the filter admits done jobs.
-	admitsDone := stateQ == ""
-	if !admitsDone {
-		for _, part := range strings.Split(stateQ, ",") {
-			if jobs.State(strings.TrimSpace(part)) == jobs.StateDone {
-				admitsDone = true
-				break
-			}
-		}
-	}
-	if admitsDone {
-		for _, rt := range peerRoutes {
-			merged[rt.ID] = g.peerSnapshot(rt)
 		}
 	}
 

@@ -3,8 +3,6 @@ package gateway
 import (
 	"context"
 	"fmt"
-	"io"
-	"net/http"
 	"time"
 
 	"tempriv/internal/jobs"
@@ -50,9 +48,10 @@ func (g *Gateway) ReconcileOnce(ctx context.Context) int {
 
 	// Every route stranded on a dead worker moves — including jobs that
 	// had already finished there: their result bytes lived in the dead
-	// worker's cache, and determinism (plus the shared chunk directory)
-	// makes the successor's re-run cheap and byte-identical. Only a
-	// canceled job stays dead; reviving it would undo the user's cancel.
+	// worker's cache, and the successor answers them from the replica the
+	// dead worker pushed it (or, failing that, from the shared chunks and
+	// a byte-identical re-run). Only a canceled job stays dead; reviving
+	// it would undo the user's cancel.
 	//
 	// A worker the health tracker has kept ejected past the grace window
 	// is treated the same even while its lease survives: under an
@@ -62,7 +61,7 @@ func (g *Gateway) ReconcileOnce(ctx context.Context) int {
 	handed := 0
 	for _, rt := range g.snapshotRoutes() {
 		g.mu.Lock()
-		needsHome := !rt.peerServed && rt.state != jobs.StateCanceled &&
+		needsHome := rt.state != jobs.StateCanceled &&
 			(!live[rt.WorkerID] || g.ejectedTooLong(rt.WorkerID))
 		g.mu.Unlock()
 		if !needsHome {
@@ -82,26 +81,17 @@ func (g *Gateway) ejectedTooLong(workerID string) bool {
 	return down && g.clock().Sub(since) >= g.ejectHandoffAfter
 }
 
-// handoff finds an orphaned route a new home. The cheapest home wins: if
-// any live worker holds a peer replica of the finished result (the dead
-// worker replicated it to its ring successor before dying), the route is
-// marked peer-served and no job runs anywhere — zero recompute. Otherwise
-// it re-dispatches to the ring's current owner for the fingerprint, which
-// resumes from the replicate chunks the dead worker already persisted
-// (workers share the chunk directory), recomputing only the missing
-// replicates. Reports success.
+// handoff re-dispatches an orphaned route to the ring's current owner for
+// its fingerprint — the dead worker's ring successor, which holds the
+// replica of any result the dead worker finished and replicated. That
+// worker's runner answers from the replica (zero recompute) or resumes
+// from the replicate chunks the dead worker persisted, recomputing only
+// what is missing. Reports success.
 func (g *Gateway) handoff(ctx context.Context, rt *route) bool {
 	g.mu.Lock()
 	from := rt.WorkerID
 	spec, fp, traceID := rt.SpecJSON, rt.Fingerprint, rt.TraceID
 	g.mu.Unlock()
-
-	if g.serveFromPeer(ctx, rt, from) {
-		return true
-	}
-	if g.mPeerFallback != nil {
-		g.mPeerFallback.Inc()
-	}
 
 	res, err := g.dispatch(ctx, spec, fp, traceID, jobs.OriginHandoff)
 	if err != nil {
@@ -136,80 +126,6 @@ func (g *Gateway) handoff(ctx context.Context, rt *route) bool {
 		g.log.Info("handed off job", "job", rt.ID, "from", from, "to", res.WorkerID, "worker_job", res.WorkerJobID)
 	}
 	return true
-}
-
-// serveFromPeer tries to settle an orphaned route from a peer replica:
-// it probes the live, allowed ring candidates (the dead worker's
-// successors hold its replicated results) for GET /v1/peer/results/{fp}
-// and, on a hit, rewires the route to serve straight from that holder —
-// state done, no worker-side job at all. The replica document is the
-// same content-addressed bytes the original /result served, so clients
-// cannot tell the difference.
-func (g *Gateway) serveFromPeer(ctx context.Context, rt *route, from string) bool {
-	g.mu.Lock()
-	fp := rt.Fingerprint
-	g.mu.Unlock()
-	rg, alive, _ := g.currentRing()
-	for _, id := range rg.Successors(fp, 0) {
-		if id == from {
-			continue
-		}
-		worker, ok := workerByID(alive, id)
-		if !ok || !g.health.allow(id) {
-			continue
-		}
-		if !g.peerHas(ctx, worker.URL, fp) {
-			continue
-		}
-		g.mu.Lock()
-		rt.WorkerID = worker.ID
-		rt.WorkerURL = worker.URL
-		rt.WorkerJobID = ""
-		rt.Handoffs++
-		rt.state = jobs.StateDone
-		rt.peerServed = true
-		rt.peerSnap = map[string]any{
-			"state":       string(jobs.StateDone),
-			"fingerprint": fp,
-			"origin":      jobs.OriginHandoff,
-			"peer_served": true,
-		}
-		rt.notes = append(rt.notes, jobs.Event{
-			Seq:     -1,
-			State:   jobs.StateDone,
-			Stage:   "handoff",
-			Message: fmt.Sprintf("worker %s lost; result served from peer replica on %s (attempt %d)", from, worker.ID, rt.Handoffs),
-		})
-		g.mu.Unlock()
-		if g.mPeerServed != nil {
-			g.mPeerServed.Inc()
-		}
-		if g.mHandoffs != nil {
-			g.mHandoffs.Inc()
-		}
-		if g.log != nil {
-			g.log.Info("serving job from peer replica", "job", rt.ID, "from", from, "peer", worker.ID, "fingerprint", fp)
-		}
-		return true
-	}
-	return false
-}
-
-// peerHas probes one worker's peer-replica surface for a fingerprint.
-func (g *Gateway) peerHas(ctx context.Context, baseURL, fp string) bool {
-	ctx, cancel := context.WithTimeout(ctx, 3*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/peer/results/"+fp, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	return resp.StatusCode == http.StatusOK
 }
 
 // refreshTerminalStates asks each live worker which of the gateway's

@@ -1,7 +1,7 @@
 package gateway
 
-// Round-2 resilience e2e: serve-from-peer handoff, health-based worker
-// ejection with gateway-side load shedding, hedged result reads, and the
+// Resilience e2e: crash handoff answered from the successor's replica,
+// health-based worker ejection with gateway-side load shedding, and the
 // /events stream surviving a failover behind keepalives.
 
 import (
@@ -75,11 +75,32 @@ func gatewayMetrics(t *testing.T, c *cluster) string {
 	return string(body)
 }
 
-// TestPeerServedHandoff: the owner finishes a job, replicates the result
-// to its ring successor, and dies. The reconcile loop serves the route
-// straight from the peer replica — byte-identical result, no job
-// re-dispatched, zero recompute on the survivor.
-func TestPeerServedHandoff(t *testing.T) {
+// assertReplicaServed checks that a handed-off job finished on the
+// successor without an engine run: answered from the replica.
+func assertReplicaServed(t *testing.T, status map[string]any, successor *worker) {
+	t.Helper()
+	if got := stringField(status, "worker"); got != successor.id {
+		t.Fatalf("handed-off job finished on %s, want %s", got, successor.id)
+	}
+	if h, _ := status["handoffs"].(float64); h != 1 {
+		t.Fatalf("snapshot handoffs = %v, want 1", status["handoffs"])
+	}
+	if status["cache_hit"] == true {
+		t.Fatal("replica-served job reports cache_hit:true")
+	}
+	if got := successor.reg.Counter("temprivd_runs_total").Value(); got != 0 {
+		t.Fatalf("successor ran the engine %d times, want 0 (replica should answer)", got)
+	}
+	if got := successor.reg.Counter("tempriv_cluster_peer_served_total").Value(); got != 1 {
+		t.Fatalf("successor peer_served_total = %d, want 1", got)
+	}
+}
+
+// TestHandoffServedFromReplica: the owner finishes a job, replicates the
+// result to its ring successor, and dies. The reconcile loop re-dispatches
+// the route to that successor, whose runner answers from the replica —
+// byte-identical result, zero recompute.
+func TestHandoffServedFromReplica(t *testing.T) {
 	ttl := time.Minute
 	c := newCluster(t, ttl)
 	wa := newWorker(t, "wa", "")
@@ -98,8 +119,7 @@ func TestPeerServedHandoff(t *testing.T) {
 
 	replicateResult(t, origResult, wb)
 
-	// The owner dies; its lease expires (wb keeps heartbeating);
-	// reconcile finds the replica.
+	// The owner dies; its lease expires (wb keeps heartbeating).
 	wa.ts.Close()
 	c.clk.Advance(2 * ttl)
 	c.register(t, "wb", wb.ts.URL) // heartbeat
@@ -107,46 +127,22 @@ func TestPeerServedHandoff(t *testing.T) {
 		t.Fatalf("ReconcileOnce handed off %d routes, want 1", handed)
 	}
 
-	status := gwWait(t, c, id)
-	if status["peer_served"] != true {
-		t.Fatalf("status after handoff = %v, want peer_served", status)
-	}
-	if got := stringField(status, "worker"); got != "wb" {
-		t.Fatalf("peer-served route names worker %s, want wb", got)
-	}
-
+	assertReplicaServed(t, gwWait(t, c, id), wb)
 	code, body := getBody(t, c.ts.URL+"/v1/jobs/"+id+"/result")
 	if code != http.StatusOK {
-		t.Fatalf("result after peer handoff: HTTP %d: %s", code, body)
+		t.Fatalf("result after handoff: HTTP %d: %s", code, body)
 	}
 	if !bytes.Equal(body, origResult) {
-		t.Fatal("peer-served result differs from the original bytes")
+		t.Fatal("replica-served result differs from the original bytes")
+	}
+	if !strings.Contains(gatewayMetrics(t, c), "tempriv_cluster_handoffs_total 1") {
+		t.Fatal("gateway did not count the handoff")
 	}
 
-	// Zero recompute: the survivor never ran a job.
-	_, listBody := getBody(t, wb.ts.URL+"/v1/jobs")
-	var listing struct {
-		Jobs []map[string]any `json:"jobs"`
-	}
-	if err := json.Unmarshal(listBody, &listing); err != nil {
-		t.Fatal(err)
-	}
-	if len(listing.Jobs) != 0 {
-		t.Fatalf("survivor ran %d jobs, want 0 (peer replica should serve)", len(listing.Jobs))
-	}
-
-	metrics := gatewayMetrics(t, c)
-	if !strings.Contains(metrics, "tempriv_cluster_peer_served_total 1") {
-		t.Fatalf("metrics missing peer_served count:\n%s", metrics)
-	}
-	if !strings.Contains(metrics, "tempriv_cluster_peer_fallbacks_total 0") {
-		t.Fatalf("metrics show a peer fallback:\n%s", metrics)
-	}
-
-	// The merged listing still includes the peer-served job.
+	// The merged listing still includes the handed-off job.
 	_, gwList := getBody(t, c.ts.URL+"/v1/jobs?state=done")
 	if !strings.Contains(string(gwList), `"`+id+`"`) {
-		t.Fatalf("gateway listing dropped peer-served job:\n%s", gwList)
+		t.Fatalf("gateway listing dropped handed-off job:\n%s", gwList)
 	}
 }
 
@@ -236,7 +232,7 @@ func TestEjectedWorkerRoutesHandOff(t *testing.T) {
 	// lease (fake registry clock, 1h TTL) stays alive the whole time.
 	wa.ts.Close()
 	for i := 0; i < 3; i++ {
-		c.gw.health.observe("wa", time.Millisecond, true)
+		c.gw.health.observe("wa", true)
 	}
 	if _, down := c.gw.health.ejectedSince("wa"); !down {
 		t.Fatal("wa not ejected")
@@ -251,46 +247,10 @@ func TestEjectedWorkerRoutesHandOff(t *testing.T) {
 	if handed := c.gw.ReconcileOnce(context.Background()); handed != 1 {
 		t.Fatalf("ReconcileOnce handed off %d routes, want 1", handed)
 	}
-	status := gwWait(t, c, id)
-	if status["peer_served"] != true {
-		t.Fatalf("status = %v, want peer_served from wb", status)
-	}
+	assertReplicaServed(t, gwWait(t, c, id), wb)
 	code, body := getBody(t, c.ts.URL+"/v1/jobs/"+id+"/result")
 	if code != http.StatusOK || !bytes.Equal(body, origResult) {
 		t.Fatalf("result after ejection handoff: HTTP %d, identical=%v", code, bytes.Equal(body, origResult))
-	}
-}
-
-// TestHedgedResultWinsOnDeadOwner: the owner stops answering result
-// reads (lease still live), so the hedged read races a peer replica and
-// serves the identical bytes.
-func TestHedgedResultWinsOnDeadOwner(t *testing.T) {
-	c := newClusterWith(t, time.Hour, func(cfg *Config) {
-		cfg.HedgeDelay = 25 * time.Millisecond
-	})
-	wa := newWorker(t, "wa", "")
-	wb := newWorker(t, "wb", "")
-	c.register(t, "wa", wa.ts.URL)
-	c.register(t, "wb", wb.ts.URL)
-
-	doc, _ := seedOwnedBy(t, "wa", []string{"wa", "wb"})
-	snap, _ := gwSubmit(t, c, doc, nil)
-	id := stringField(snap, "id")
-	gwWait(t, c, id)
-	_, origResult := getBody(t, c.ts.URL+"/v1/jobs/"+id+"/result")
-	replicateResult(t, origResult, wb)
-
-	wa.ts.Close()
-	code, body := getBody(t, c.ts.URL+"/v1/jobs/"+id+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("hedged result: HTTP %d: %s", code, body)
-	}
-	if !bytes.Equal(body, origResult) {
-		t.Fatal("hedge-served result differs from the original bytes")
-	}
-	metrics := gatewayMetrics(t, c)
-	if !strings.Contains(metrics, "tempriv_cluster_hedge_wins_total 1") {
-		t.Fatalf("metrics missing hedge win:\n%s", metrics)
 	}
 }
 
@@ -335,7 +295,8 @@ func TestSaturationShed(t *testing.T) {
 
 // TestEventsKeepaliveAcrossFailover: a watcher attached to /events rides
 // out a worker death — keepalive lines while the reconcile loop works,
-// then the handoff note, then the stream's end.
+// then the handoff note, then the successor's replica-served history to
+// its end.
 func TestEventsKeepaliveAcrossFailover(t *testing.T) {
 	ttl := time.Minute
 	c := newClusterWith(t, ttl, func(cfg *Config) {
@@ -410,14 +371,50 @@ func TestEventsKeepaliveAcrossFailover(t *testing.T) {
 		}
 		found := false
 		for _, msg := range out.notes {
-			if strings.Contains(msg, "peer replica") {
+			if strings.Contains(msg, "re-dispatched to wb") {
 				found = true
 			}
 		}
 		if !found {
-			t.Fatalf("no peer-handoff note in stream; notes = %q", out.notes)
+			t.Fatalf("no handoff note in stream; notes = %q", out.notes)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("events stream never ended after failover")
+	}
+	assertReplicaServed(t, gwWait(t, c, id), wb)
+}
+
+// TestEventsFollowersFreeOutstanding: a client that follows /events to
+// the end and then reads /result — never polling status — must not leave
+// its finished jobs counted as outstanding, or later submissions to a
+// worker at its shed limit are refused.
+func TestEventsFollowersFreeOutstanding(t *testing.T) {
+	c := newClusterWith(t, time.Minute, func(cfg *Config) {
+		cfg.ShedFactor = 1 // limit = advertised capacity (2 in register)
+	})
+	w := newWorker(t, "w1", "")
+	c.register(t, "w1", w.ts.URL)
+
+	for seed := 1; seed <= 3; seed++ {
+		resp, err := http.Post(c.ts.URL+"/v1/jobs", "application/json", strings.NewReader(specDoc(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&snap)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("round %d: submit HTTP %d (%v), want 202", seed, resp.StatusCode, snap["error"])
+		}
+		id := stringField(snap, "id")
+		if code, events := getBody(t, c.ts.URL+"/v1/jobs/"+id+"/events"); code != http.StatusOK || !strings.Contains(string(events), `"state":"done"`) {
+			t.Fatalf("round %d: events HTTP %d without a done event:\n%s", seed, code, events)
+		}
+		if code, body := getBody(t, c.ts.URL+"/v1/jobs/"+id+"/result"); code != http.StatusOK {
+			t.Fatalf("round %d: result HTTP %d: %s", seed, code, body)
+		}
 	}
 }

@@ -1,13 +1,15 @@
 // Package peering replicates finished result bytes between cluster
-// workers so a crash handoff can serve the completed job from the ring
+// workers so a crash handoff can answer the completed job from the ring
 // successor's replica instead of recomputing it from chunks.
 //
 // Two halves:
 //
 //   - Store: a bounded in-memory replica store each worker keeps for its
-//     ring predecessors. The server mounts it at POST/GET
-//     /v1/peer/results; the gateway's handoff (and hedged reads) fetch
-//     from it. Replicas are a durability *bonus* on top of the shared
+//     ring predecessors. The server fills it from POST /v1/peer/results,
+//     and the worker's job runner reads it: when the gateway re-dispatches
+//     a dead worker's job to its ring successor, the runner answers from
+//     the replica after a cache miss and before touching chunks or the
+//     engine. Replicas are a durability *bonus* on top of the shared
 //     chunk directory — losing one only costs a resume-from-chunks — so
 //     memory-bounded LRU is the right shape: no disk, no fsync, evict
 //     the coldest when full.

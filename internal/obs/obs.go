@@ -75,15 +75,15 @@ type Options struct {
 // *Tracer is the disabled state — StartTrace returns the zero SpanRef and
 // costs nothing.
 type Tracer struct {
-	mu     sync.Mutex
-	cap    int
-	now    func() time.Time
-	order  []*Trace // start order; order[0] is evicted first
-	byID   map[string]*Trace
-	byJob  map[string]*Trace
-	sink   io.Writer
+	mu      sync.Mutex
+	cap     int
+	now     func() time.Time
+	order   []*Trace // start order; order[0] is evicted first
+	byID    map[string]*Trace
+	byJob   map[string]*Trace
+	sink    io.Writer
 	sinkErr error
-	minted atomic.Uint64 // fallback ID counter if crypto/rand fails
+	minted  atomic.Uint64 // fallback ID counter if crypto/rand fails
 }
 
 // New returns a Tracer with the given options.

@@ -56,7 +56,7 @@ func TestTraceTreeStructure(t *testing.T) {
 	if !ok {
 		t.Fatal("ByJob miss after BindJob")
 	}
-	if !tree.Complete || tree.DurationNS != (6 * time.Millisecond).Nanoseconds() {
+	if !tree.Complete || tree.DurationNS != (6*time.Millisecond).Nanoseconds() {
 		t.Fatalf("tree complete=%v duration=%d, want complete 6ms", tree.Complete, tree.DurationNS)
 	}
 	if tree.SpanCount != 3 || tree.Root.Name != "job" || len(tree.Root.Children) != 1 {

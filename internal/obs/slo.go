@@ -37,8 +37,8 @@ type SLO struct {
 	slow      time.Duration
 	now       func() time.Time
 
-	good *telemetry.Counter
-	bad  *telemetry.Counter
+	good  *telemetry.Counter
+	bad   *telemetry.Counter
 	bFast *telemetry.Gauge
 	bSlow *telemetry.Gauge
 

@@ -123,11 +123,11 @@ func TestSLOSyncExportsGauges(t *testing.T) {
 func TestSLOOptionValidation(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	bad := []SLOOptions{
-		{Objective: 0.99, Threshold: time.Second},                             // no name
-		{Name: "Bad-Name", Objective: 0.99, Threshold: time.Second},           // name chars
-		{Name: "x", Objective: 0, Threshold: time.Second},                     // objective low
-		{Name: "x", Objective: 1, Threshold: time.Second},                     // objective high
-		{Name: "x", Objective: 0.9, Threshold: 0},                             // no threshold
+		{Objective: 0.99, Threshold: time.Second},                                                           // no name
+		{Name: "Bad-Name", Objective: 0.99, Threshold: time.Second},                                         // name chars
+		{Name: "x", Objective: 0, Threshold: time.Second},                                                   // objective low
+		{Name: "x", Objective: 1, Threshold: time.Second},                                                   // objective high
+		{Name: "x", Objective: 0.9, Threshold: 0},                                                           // no threshold
 		{Name: "x", Objective: 0.9, Threshold: time.Second, FastWindow: time.Hour, SlowWindow: time.Minute}, // inverted windows
 	}
 	for i, o := range bad {

@@ -73,11 +73,11 @@ func TestListStateFilter(t *testing.T) {
 // owner in X-Tempriv-Owner, and stays silent for jobs it owns.
 func TestOwnershipCheck(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	q := jobs.New(NewRunner(nil, reg, 1, nil), jobs.Options{Workers: 1})
+	q := jobs.New(NewRunner(RunnerConfig{Registry: reg, ReplicateWorkers: 1}), jobs.Options{Workers: 1})
 	defer drainQueue(t, q)
 
 	owner := "w-self"
-	srv := NewConfig(Config{
+	srv := New(Config{
 		Queue:     q,
 		Registry:  reg,
 		ClusterID: "w-self",

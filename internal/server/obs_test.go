@@ -41,12 +41,12 @@ func newTracedServer(t *testing.T) (*httptest.Server, *obs.Tracer, *telemetry.Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := NewRunnerConfig(RunnerConfig{
+	runner := NewRunner(RunnerConfig{
 		Cache: cache, Registry: reg, ReplicateWorkers: 1, Chunks: chunks,
 		CachedResultSLO: cachedSLO,
 	})
 	q := jobs.New(runner, jobs.Options{Workers: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
-	ts := httptest.NewServer(NewConfig(Config{
+	ts := httptest.NewServer(New(Config{
 		Queue: q, Cache: cache, Chunks: chunks, Registry: reg,
 		Tracer: tracer, SLOs: obs.SLOSet{requestSLO, cachedSLO}, RequestSLO: requestSLO,
 	}))
@@ -254,7 +254,7 @@ func TestDebugEndpointsGate(t *testing.T) {
 		q := jobs.New(func(ctx context.Context, job *jobs.Job, progress func(string, string)) (*jobs.Result, error) {
 			return &jobs.Result{}, nil
 		}, jobs.Options{Workers: 1})
-		srv := httptest.NewServer(NewConfig(Config{Queue: q, DisableDebugEndpoints: disabled}))
+		srv := httptest.NewServer(New(Config{Queue: q, DisableDebugEndpoints: disabled}))
 		for _, path := range paths {
 			resp, err := http.Get(srv.URL + path)
 			if err != nil {

@@ -94,7 +94,7 @@ func TestPartialResultStreamsPersistedReplicates(t *testing.T) {
 	seedChunks(t, store, replicatedScenario, 0, 2)
 
 	q, release := blockedQueue(t, 1, 4)
-	ts := httptest.NewServer(New(q, nil, store, nil))
+	ts := httptest.NewServer(New(Config{Queue: q, Chunks: store}))
 	defer ts.Close()
 
 	snap := submit(t, ts, replicatedScenario)
@@ -210,8 +210,8 @@ func TestRunnerResumesFromChunksAndCleansUp(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	q := jobs.New(NewRunner(cache, reg, 1, store), jobs.Options{Workers: 1})
-	ts := httptest.NewServer(New(q, cache, store, reg))
+	q := jobs.New(NewRunner(RunnerConfig{Cache: cache, Registry: reg, ReplicateWorkers: 1, Chunks: store}), jobs.Options{Workers: 1})
+	ts := httptest.NewServer(New(Config{Queue: q, Cache: cache, Chunks: store, Registry: reg}))
 	defer func() {
 		ts.Close()
 		q.Drain(t.Context())
@@ -241,7 +241,7 @@ func TestRunnerResumesFromChunksAndCleansUp(t *testing.T) {
 
 func TestEventsKeepaliveOnIdleStream(t *testing.T) {
 	q, release := blockedQueue(t, 1, 4)
-	srv := New(q, nil, nil, nil)
+	srv := New(Config{Queue: q})
 	srv.EventKeepalive = 5 * time.Millisecond
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

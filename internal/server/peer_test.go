@@ -1,17 +1,19 @@
 package server
 
-// The worker-side peering surface: POST /v1/peer/results accepts a ring
-// predecessor's finished result, GET /v1/peer/results/{fp} serves it
-// back byte-identical to the job's own /result document — the contract
-// the gateway's serve-from-peer handoff and hedged reads depend on.
+// The worker side of crash handoff: POST /v1/peer/results accepts a ring
+// predecessor's finished result, and the runner answers a job for that
+// fingerprint from the replica — no engine run, byte-identical to the
+// owner's own /result document. The gateway relies on exactly this when
+// it re-dispatches a dead worker's jobs to the ring successor.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -19,57 +21,50 @@ import (
 	"tempriv/internal/cluster/peering"
 	"tempriv/internal/jobs"
 	"tempriv/internal/resultcache"
+	"tempriv/internal/resultstream"
 	"tempriv/internal/telemetry"
 )
 
-func newPeerServer(t *testing.T) (*httptest.Server, *jobs.Queue, *peering.Store, *telemetry.Registry) {
+// peerServer is one cluster worker's API: a peer replica store shared by
+// the server (which accepts replicas) and the runner (which answers from
+// them).
+type peerServer struct {
+	ts    *httptest.Server
+	q     *jobs.Queue
+	store *peering.Store
+	reg   *telemetry.Registry
+}
+
+func newPeerServer(t *testing.T, cache *resultcache.Cache, chunks *resultstream.Store) *peerServer {
 	t.Helper()
-	reg := telemetry.NewRegistry()
-	q := jobs.New(NewRunner(nil, reg, 1, nil), jobs.Options{Workers: 1})
-	store := peering.NewStore(peering.StoreOptions{})
-	ts := httptest.NewServer(NewConfig(Config{Queue: q, Registry: reg, Peers: store}))
+	p := &peerServer{store: peering.NewStore(peering.StoreOptions{}), reg: telemetry.NewRegistry()}
+	p.q = jobs.New(NewRunner(RunnerConfig{
+		Cache: cache, Registry: p.reg, ReplicateWorkers: 1, Chunks: chunks, Peers: p.store,
+	}), jobs.Options{Workers: 1})
+	p.ts = httptest.NewServer(New(Config{
+		Queue: p.q, Cache: cache, Chunks: chunks, Registry: p.reg, Peers: p.store,
+	}))
 	t.Cleanup(func() {
-		ts.Close()
+		p.ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		q.Drain(ctx)
+		p.q.Drain(ctx)
 	})
-	return ts, q, store, reg
+	return p
 }
 
-func getBodyStatus(t *testing.T, url string) (int, []byte) {
+func getMetrics(t *testing.T, reg *telemetry.Registry) string {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, body
+	rec := httptest.NewRecorder()
+	reg.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	return rec.Body.String()
 }
 
-// TestPeerRoundTripByteIdentical replicates a real finished result into a
-// second worker's store and asserts the peer serves the same bytes the
-// owner's /result endpoint does.
-func TestPeerRoundTripByteIdentical(t *testing.T) {
-	owner, qOwner, _, _ := newPeerServer(t)
-	peer, _, peerStore, peerReg := newPeerServer(t)
-
-	snap := submit(t, owner, smallScenario)
-	waitState(t, qOwner, snap.ID, jobs.StateDone)
-	_, ownerResult := getBodyStatus(t, owner.URL+"/v1/jobs/"+snap.ID+"/result")
-
-	// Replicate the finished result the way the write-behind replicator
-	// does: decode the owner's result document, POST it to the peer.
-	var res struct {
-		Fingerprint string          `json:"fingerprint"`
-		TableText   string          `json:"table_text"`
-		TableCSV    string          `json:"table_csv"`
-		Manifest    json.RawMessage `json:"manifest"`
-	}
+// replicate posts the owner's finished result document to the peer the
+// way the write-behind replicator does.
+func replicate(t *testing.T, ownerResult []byte, peer *peerServer) {
+	t.Helper()
+	var res resultBody
 	if err := json.Unmarshal(ownerResult, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +78,7 @@ func TestPeerRoundTripByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(peer.URL+"/v1/peer/results", "application/json", bytes.NewReader(doc))
+	resp, err := http.Post(peer.ts.URL+"/v1/peer/results", "application/json", bytes.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,68 +86,102 @@ func TestPeerRoundTripByteIdentical(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("peer put: HTTP %d", resp.StatusCode)
 	}
-	if peerStore.Len() != 1 {
-		t.Fatalf("peer store holds %d replicas, want 1", peerStore.Len())
+}
+
+// TestPeerRoundTripByteIdentical replicates a real finished result into a
+// second worker, then submits the same spec there: the job is answered
+// from the replica with no engine run, reports cache_hit:false, and its
+// /result is byte-identical to the owner's.
+func TestPeerRoundTripByteIdentical(t *testing.T) {
+	owner := newPeerServer(t, nil, nil)
+	peer := newPeerServer(t, nil, nil)
+
+	snap := submit(t, owner.ts, smallScenario)
+	waitState(t, owner.q, snap.ID, jobs.StateDone)
+	ownerResult := fetchResult(t, owner.ts, snap.ID)
+
+	replicate(t, ownerResult, peer)
+	if peer.store.Len() != 1 {
+		t.Fatalf("peer store holds %d replicas, want 1", peer.store.Len())
 	}
 
-	status, peerBody := getBodyStatus(t, peer.URL+"/v1/peer/results/"+res.Fingerprint)
-	if status != http.StatusOK {
-		t.Fatalf("peer get: HTTP %d: %s", status, peerBody)
+	handed := submit(t, peer.ts, smallScenario)
+	if final := waitDone(t, peer.ts, handed.ID); final.State != jobs.StateDone || final.CacheHit {
+		t.Fatalf("replica-served job ended %s with cache_hit=%v, want done and false", final.State, final.CacheHit)
 	}
-	if !bytes.Equal(peerBody, ownerResult) {
-		t.Fatalf("peer-served result differs from owner's:\nowner: %s\npeer:  %s", ownerResult, peerBody)
+	if got := fetchResult(t, peer.ts, handed.ID); !bytes.Equal(got, ownerResult) {
+		t.Fatalf("replica-served result differs from owner's:\nowner: %s\npeer:  %s", ownerResult, got)
 	}
 
-	metrics := getMetrics(t, peerReg)
-	if !strings.Contains(metrics, "tempriv_cluster_peer_received_total 1") {
-		t.Fatalf("metrics missing peer received count:\n%s", metrics)
-	}
-	if !strings.Contains(metrics, "tempriv_cluster_peer_replicas_held 1") {
-		t.Fatalf("metrics missing replicas-held gauge:\n%s", metrics)
+	metrics := getMetrics(t, peer.reg)
+	for _, want := range []string{
+		"temprivd_runs_total 0",
+		"tempriv_cluster_peer_served_total 1",
+		"tempriv_cluster_peer_received_total 1",
+		"tempriv_cluster_peer_replicas_held 1",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("peer metrics missing %q:\n%s", want, metrics)
+		}
 	}
 }
 
-func getMetrics(t *testing.T, reg *telemetry.Registry) string {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	reg.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	return rec.Body.String()
-}
+// TestReplicaTierFillsCacheAndDropsChunks: with a cache attached, a
+// replica-served job is a cache miss that fills the cache (so the next
+// submission hits) and removes the fingerprint's leftover chunks — the
+// same tail as a computed result.
+func TestReplicaTierFillsCacheAndDropsChunks(t *testing.T) {
+	owner := newPeerServer(t, nil, nil)
+	snap := submit(t, owner.ts, replicatedScenario)
+	waitState(t, owner.q, snap.ID, jobs.StateDone)
+	ownerResult := fetchResult(t, owner.ts, snap.ID)
 
-// TestPeerGetFallsBackToOwnWork: a worker that computed a result itself
-// answers a peer GET for it even without a replica — hedged reads can
-// target any node that finished the job.
-func TestPeerGetFallsBackToOwnWork(t *testing.T) {
-	reg := telemetry.NewRegistry()
 	cache, err := resultcache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := jobs.New(NewRunner(cache, reg, 1, nil), jobs.Options{Workers: 1})
-	store := peering.NewStore(peering.StoreOptions{})
-	ts := httptest.NewServer(NewConfig(Config{Queue: q, Cache: cache, Registry: reg, Peers: store}))
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		q.Drain(ctx)
-	})
-
-	snap := submit(t, ts, smallScenario)
-	waitState(t, q, snap.ID, jobs.StateDone)
-	_, ownResult := getBodyStatus(t, ts.URL+"/v1/jobs/"+snap.ID+"/result")
-
-	status, body := getBodyStatus(t, ts.URL+"/v1/peer/results/"+snap.Fingerprint)
-	if status != http.StatusOK {
-		t.Fatalf("peer get via cache fallback: HTTP %d: %s", status, body)
+	dir := t.TempDir()
+	chunks, err := resultstream.Open(dir, resultstream.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(body, ownResult) {
-		t.Fatal("cache-fallback peer result differs from /result")
+	// Leftovers of the dead owner's run in the shared chunk directory.
+	fp := seedChunks(t, chunks, replicatedScenario, 0, 1)
+	peer := newPeerServer(t, cache, chunks)
+	replicate(t, ownerResult, peer)
+
+	handed := submit(t, peer.ts, replicatedScenario)
+	if final := waitDone(t, peer.ts, handed.ID); final.State != jobs.StateDone || final.CacheHit {
+		t.Fatalf("replica-served job ended %s with cache_hit=%v, want done and false", final.State, final.CacheHit)
+	}
+	if got := fetchResult(t, peer.ts, handed.ID); !bytes.Equal(got, ownerResult) {
+		t.Fatal("replica-served result differs from owner's")
+	}
+	if _, err := os.Stat(filepath.Join(dir, fp+".chunks.jsonl")); !os.IsNotExist(err) {
+		t.Fatalf("leftover chunks survive the replica-served cache fill: %v", err)
+	}
+
+	again := submit(t, peer.ts, replicatedScenario)
+	if final := waitDone(t, peer.ts, again.ID); !final.CacheHit {
+		t.Fatal("resubmission after a replica-served job missed the cache")
+	}
+	if got := fetchResult(t, peer.ts, again.ID); !bytes.Equal(got, ownerResult) {
+		t.Fatal("cache-hit result differs from owner's")
+	}
+	for name, want := range map[string]uint64{
+		"temprivd_runs_total":               0,
+		"temprivd_cache_misses_total":       1,
+		"temprivd_cache_hits_total":         1,
+		"tempriv_cluster_peer_served_total": 1,
+	} {
+		if got := peer.reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 
 func TestPeerPutRejectsBadDocuments(t *testing.T) {
-	ts, _, store, _ := newPeerServer(t)
+	p := newPeerServer(t, nil, nil)
 	fp := strings.Repeat("ab", 32)
 	for name, doc := range map[string]string{
 		"not json":        "{",
@@ -160,7 +189,7 @@ func TestPeerPutRejectsBadDocuments(t *testing.T) {
 		"bad fingerprint": `{"fingerprint":"zz","table_text":"t","complete":true}`,
 		"empty replica":   `{"fingerprint":"` + fp + `","complete":true}`,
 	} {
-		resp, err := http.Post(ts.URL+"/v1/peer/results", "application/json", strings.NewReader(doc))
+		resp, err := http.Post(p.ts.URL+"/v1/peer/results", "application/json", strings.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,16 +198,8 @@ func TestPeerPutRejectsBadDocuments(t *testing.T) {
 			t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
 		}
 	}
-	if store.Len() != 0 {
-		t.Fatalf("store accepted %d bad replicas", store.Len())
-	}
-}
-
-func TestPeerGetUnknownFingerprintIs404(t *testing.T) {
-	ts, _, _, _ := newPeerServer(t)
-	status, _ := getBodyStatus(t, ts.URL+"/v1/peer/results/"+strings.Repeat("00", 32))
-	if status != http.StatusNotFound {
-		t.Fatalf("HTTP %d, want 404", status)
+	if p.store.Len() != 0 {
+		t.Fatalf("store accepted %d bad replicas", p.store.Len())
 	}
 }
 
@@ -186,10 +207,6 @@ func TestPeerGetUnknownFingerprintIs404(t *testing.T) {
 // configured) does not expose the replication surface.
 func TestPeerEndpointsAbsentWithoutStore(t *testing.T) {
 	ts, _, _ := newTestServer(t, false)
-	status, _ := getBodyStatus(t, ts.URL+"/v1/peer/results/"+strings.Repeat("00", 32))
-	if status != http.StatusNotFound {
-		t.Fatalf("HTTP %d, want 404", status)
-	}
 	resp, err := http.Post(ts.URL+"/v1/peer/results", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)

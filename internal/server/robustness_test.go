@@ -65,7 +65,7 @@ func waitState(t *testing.T, q *jobs.Queue, id string, want jobs.State) {
 
 func TestReadyzLifecycle(t *testing.T) {
 	q, _ := blockedQueue(t, 1, 4)
-	srv := New(q, nil, nil, nil)
+	srv := New(Config{Queue: q})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -119,7 +119,7 @@ func TestErrorContract(t *testing.T) {
 	// submission sheds.
 	q, _ := blockedQueue(t, 1, 1)
 	reg := telemetry.NewRegistry()
-	srv := New(q, nil, nil, reg)
+	srv := New(Config{Queue: q, Registry: reg})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -142,7 +142,7 @@ func TestErrorContract(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	qDrained.Drain(ctx)
 	cancel()
-	tsDrained := httptest.NewServer(New(qDrained, nil, nil, nil))
+	tsDrained := httptest.NewServer(New(Config{Queue: qDrained}))
 	defer tsDrained.Close()
 
 	shed := strings.Replace(smallScenario, `"seed":1`, `"seed":3`, 1)
@@ -211,12 +211,8 @@ func TestErrorContract(t *testing.T) {
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	// The unified name and its deprecated pre-rename alias move together.
 	if !strings.Contains(string(metrics), "tempriv_sheds_total 1") {
-		t.Fatalf("metrics missing unified shed count:\n%s", metrics)
-	}
-	if !strings.Contains(string(metrics), "temprivd_sheds_total 1") {
-		t.Fatalf("metrics missing deprecated shed alias:\n%s", metrics)
+		t.Fatalf("metrics missing shed count:\n%s", metrics)
 	}
 }
 
@@ -247,12 +243,12 @@ func TestRestoredDoneJobServesResultFromCache(t *testing.T) {
 		State: jobs.StateDone, Attempts: 1,
 		Submitted: time.Now().Add(-time.Hour), Finished: time.Now().Add(-time.Hour),
 	}
-	q := jobs.New(NewRunner(cache, nil, 1, nil), jobs.Options{
+	q := jobs.New(NewRunner(RunnerConfig{Cache: cache, ReplicateWorkers: 1}), jobs.Options{
 		Workers: 1, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
 		Restore: []jobs.RestoredJob{restored},
 	})
 	defer q.Drain(context.Background())
-	ts := httptest.NewServer(New(q, cache, nil, nil))
+	ts := httptest.NewServer(New(Config{Queue: q, Cache: cache}))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/job-000042/result")
@@ -282,14 +278,14 @@ func TestRestoredDoneJobWithLostCacheEntryIsGone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := jobs.New(NewRunner(cache, nil, 1, nil), jobs.Options{
+	q := jobs.New(NewRunner(RunnerConfig{Cache: cache, ReplicateWorkers: 1}), jobs.Options{
 		Workers: 1, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
 		Restore: []jobs.RestoredJob{{
 			ID: "job-000007", Spec: spec, Fingerprint: fp, State: jobs.StateDone, Attempts: 1,
 		}},
 	})
 	defer q.Drain(context.Background())
-	ts := httptest.NewServer(New(q, cache, nil, nil))
+	ts := httptest.NewServer(New(Config{Queue: q, Cache: cache}))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/job-000007/result")
@@ -317,12 +313,12 @@ func TestChaosSickDiskKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	q := jobs.New(NewRunner(cache, reg, 1, nil), jobs.Options{
+	q := jobs.New(NewRunner(RunnerConfig{Cache: cache, Registry: reg, ReplicateWorkers: 1}), jobs.Options{
 		Workers: 2, QueueDepth: 16,
 		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
 	})
 	defer q.Drain(context.Background())
-	ts := httptest.NewServer(New(q, cache, nil, reg))
+	ts := httptest.NewServer(New(Config{Queue: q, Cache: cache, Registry: reg}))
 	defer ts.Close()
 
 	// Disk goes fully sick: reads EIO, writes ENOSPC.
@@ -387,7 +383,7 @@ func TestChaosSickDiskKeepsServing(t *testing.T) {
 // no handler goroutines are left behind.
 func TestShutdownTerminatesEventStreams(t *testing.T) {
 	q, _ := blockedQueue(t, 1, 8)
-	srv := New(q, nil, nil, nil)
+	srv := New(Config{Queue: q})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

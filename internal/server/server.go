@@ -10,6 +10,8 @@
 //	GET  /v1/jobs/{id}/events progress stream, one JSON object per line
 //	GET  /v1/traces/{jobID}   the job's end-to-end trace as a JSON span tree
 //	GET  /v1/cache            result-cache effectiveness counters
+//	POST /v1/peer/results     accept a ring predecessor's finished result
+//	                          (cluster workers only; see Config.Peers)
 //	GET  /healthz             liveness probe (always 200 while the process serves)
 //	GET  /readyz              readiness probe (503 during journal replay and drain)
 //	GET  /metrics             Prometheus text format (telemetry registry)
@@ -17,9 +19,12 @@
 //
 // The server owns no execution logic: submissions validate through
 // internal/scenario and execute through the internal/jobs queue, whose
-// Runner (built here) consults the internal/resultcache first — so a
-// repeated scenario answers from the cache with byte-identical result
-// tables instead of re-simulating.
+// Runner (built here) answers from the cheapest source it holds: the
+// internal/resultcache, then a replica a ring predecessor pushed
+// (internal/cluster/peering), then the persisted replicate chunks
+// (internal/resultstream), and only then the engine. Every source yields
+// the same bytes, because every result is keyed by its seed-inclusive
+// spec fingerprint.
 //
 // Tracing contract: when a Tracer is configured (internal/obs), every
 // accepted submission mints a trace whose span tree follows the job
@@ -109,13 +114,10 @@ type Config struct {
 	// that front temprivd to untrusted networks turn them off
 	// (temprivd -debug-endpoints=false).
 	DisableDebugEndpoints bool
-	// Peers, when non-nil, mounts the node-to-node result replication
-	// surface (POST /v1/peer/results to accept a ring predecessor's
-	// finished result, GET /v1/peer/results/{fingerprint} to serve a
-	// replica back — byte-identical to the job's own /result document).
-	// The GET side also falls back to this worker's result cache, so a
-	// peer (or the gateway's hedged read) can fetch any finished result
-	// this node knows about, replicated or computed.
+	// Peers, when non-nil, mounts POST /v1/peer/results, which stores a
+	// ring predecessor's finished result. The runner reads the same store
+	// (RunnerConfig.Peers), so a job handed here after that predecessor
+	// dies is answered from the replica instead of recomputed.
 	Peers *peering.Store
 	// ClusterID and ClusterOwns give a cluster-member worker its
 	// ownership check: when both are set, every submission's fingerprint
@@ -134,20 +136,16 @@ type Config struct {
 
 // Server routes the HTTP API onto a job queue and an optional result cache.
 type Server struct {
-	queue   *jobs.Queue
-	cache   *resultcache.Cache
-	chunks  *resultstream.Store
-	reg     *telemetry.Registry
-	tracer  *obs.Tracer
-	slos    obs.SLOSet
-	reqSLO  *obs.SLO
-	log     *slog.Logger
-	mux     *http.ServeMux
-	// sheds counts load-shedding rejections under the unified tempriv_
-	// prefix; shedsDeprecated keeps the pre-rename temprivd_sheds_total
-	// series alive for one release so dashboards migrate without a gap.
-	sheds           *telemetry.Counter
-	shedsDeprecated *telemetry.Counter
+	queue  *jobs.Queue
+	cache  *resultcache.Cache
+	chunks *resultstream.Store
+	reg    *telemetry.Registry
+	tracer *obs.Tracer
+	slos   obs.SLOSet
+	reqSLO *obs.SLO
+	log    *slog.Logger
+	mux    *http.ServeMux
+	sheds  *telemetry.Counter // load-shedding rejections (429/503)
 
 	peers        *peering.Store
 	peerReceived *telemetry.Counter
@@ -169,16 +167,9 @@ type Server struct {
 	readiness string
 }
 
-// New assembles the API from the positional essentials — the pre-tracing
-// constructor, kept for callers that need none of the observability
-// wiring. Equivalent to NewConfig with only those fields set.
-func New(queue *jobs.Queue, cache *resultcache.Cache, chunks *resultstream.Store, reg *telemetry.Registry) *Server {
-	return NewConfig(Config{Queue: queue, Cache: cache, Chunks: chunks, Registry: reg})
-}
-
-// NewConfig assembles the API. The server starts in the ReadyStarting
-// state; the daemon advances it via SetReady as boot proceeds.
-func NewConfig(cfg Config) *Server {
+// New assembles the API. The server starts in the ReadyStarting state;
+// the daemon advances it via SetReady as boot proceeds.
+func New(cfg Config) *Server {
 	s := &Server{
 		queue:     cfg.Queue,
 		cache:     cfg.Cache,
@@ -197,7 +188,6 @@ func NewConfig(cfg Config) *Server {
 	s.peers = cfg.Peers
 	if s.reg != nil {
 		s.sheds = s.reg.Counter("tempriv_sheds_total")
-		s.shedsDeprecated = s.reg.Counter("temprivd_sheds_total")
 		if s.clusterOwns != nil {
 			s.misdirected = s.reg.Counter("tempriv_cluster_misdirected_total")
 		}
@@ -216,7 +206,6 @@ func NewConfig(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/cache", s.handleCacheStats)
 	if s.peers != nil {
 		s.mux.HandleFunc("POST /v1/peer/results", s.handlePeerPut)
-		s.mux.HandleFunc("GET /v1/peer/results/{fingerprint}", s.handlePeerGet)
 	}
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -289,49 +278,48 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// NewRunner builds the queue Runner that gives the server (and anything
-// else sharing the queue) its cache-first execution path: consult the
-// result cache by spec fingerprint, re-simulate only on a miss, and store
-// the fresh artifacts for the next identical submission.
-//
-// When chunks is non-nil, every fresh run additionally streams each
-// replicate's table into the chunk store (internal/resultstream) as it
-// completes: a SIGKILL mid-run loses only the replicate in flight, and the
-// re-run (same fingerprint) resumes from the surviving chunks instead of
-// recomputing them — with the final artifacts byte-identical either way,
-// because the chunks feed the same reduction in the same order. Finished
-// chunks are removed once the result is safely in the cache.
-//
-// Storage sickness never fails a job here: the cache converts corrupt
-// entries and I/O errors into misses (quarantining / breaker-bypassing
-// internally), a failed Put costs only the cache fill, and a sick chunk
-// store degrades to a plain non-resumable run.
-func NewRunner(cache *resultcache.Cache, reg *telemetry.Registry, replicateWorkers int, chunks *resultstream.Store) jobs.Runner {
-	return NewRunnerConfig(RunnerConfig{
-		Cache:            cache,
-		Registry:         reg,
-		ReplicateWorkers: replicateWorkers,
-		Chunks:           chunks,
-	})
-}
-
-// RunnerConfig parameterises NewRunnerConfig. Cache, Registry, Chunks and
-// CachedResultSLO are all optional; their zero values disable the
-// corresponding feature.
+// RunnerConfig parameterises NewRunner. Every field is optional; the zero
+// value of each disables the corresponding feature.
 type RunnerConfig struct {
 	Cache            *resultcache.Cache
 	Registry         *telemetry.Registry
 	ReplicateWorkers int
 	Chunks           *resultstream.Store
+	// Peers holds the finished results ring predecessors replicated here
+	// (the store behind POST /v1/peer/results). A fingerprint found in it
+	// is answered from the replica with no engine run.
+	Peers *peering.Store
 	// CachedResultSLO observes the latency of every cache-hit answer (the
 	// "cached results are fast" objective). Fresh runs don't feed it — their
 	// latency is governed by replicate count, not by serving health.
 	CachedResultSLO *obs.SLO
 }
 
-// NewRunnerConfig is NewRunner with the full option set.
-func NewRunnerConfig(cfg RunnerConfig) jobs.Runner {
-	cache, reg, chunks := cfg.Cache, cfg.Registry, cfg.Chunks
+// NewRunner builds the queue Runner that gives the server (and anything
+// else sharing the queue) its cheapest-source-first execution path. For
+// each job's fingerprint it answers from, in order:
+//
+//  1. the result cache (a hit: CacheHit set, nothing else runs);
+//  2. the peer replica store, which after a crash handoff holds the dead
+//     ring predecessor's finished result (no engine run; counted in
+//     tempriv_cluster_peer_served_total, not temprivd_runs_total);
+//  3. the chunk store: every fresh run streams each replicate's table
+//     into it as it completes, so a SIGKILL loses only the replicate in
+//     flight and the re-run (same fingerprint, any worker sharing the
+//     directory) resumes from the surviving chunks;
+//  4. the engine, for whatever replicates are still missing.
+//
+// The artifacts are byte-identical whichever source answers, because the
+// chunks feed the same reduction in the same order and a replica is the
+// finished document itself. A result from tiers 2–4 is stored in the
+// cache, after which that fingerprint's chunks are removed.
+//
+// Storage sickness never fails a job here: the cache converts corrupt
+// entries and I/O errors into misses (quarantining / breaker-bypassing
+// internally), a failed Put costs only the cache fill, and a sick chunk
+// store degrades to a plain non-resumable run.
+func NewRunner(cfg RunnerConfig) jobs.Runner {
+	cache, reg, chunks, peers := cfg.Cache, cfg.Registry, cfg.Chunks, cfg.Peers
 	replicateWorkers := cfg.ReplicateWorkers
 	counter := func(name string) *telemetry.Counter {
 		if reg == nil {
@@ -350,11 +338,40 @@ func NewRunnerConfig(cfg RunnerConfig) jobs.Runner {
 	chunksWritten := counter("tempriv_chunks_written_total")
 	chunksQuarantined := counter("tempriv_chunks_quarantined_total")
 	replicatesSkipped := counter("tempriv_replicates_skipped_on_resume_total")
+	var peerServed *telemetry.Counter
+	if peers != nil {
+		peerServed = counter("tempriv_cluster_peer_served_total")
+	}
 	return func(ctx context.Context, job *jobs.Job, progress func(stage, message string)) (*jobs.Result, error) {
 		fp := job.Fingerprint
 		// The attempt span arrives via ctx (zero when tracing is off); the
 		// cache and chunk stages hang off it.
 		attempt := obs.SpanFromContext(ctx)
+		// fill stores a result the cache did not answer, then drops that
+		// fingerprint's chunks: the assembled artifact is durable, so the
+		// per-replicate chunks have served their purpose.
+		fill := func(res *jobs.Result) *jobs.Result {
+			if cache == nil {
+				return res
+			}
+			putSpan := attempt.Child("cache")
+			putSpan.Annotate("op", "put")
+			err := cache.Put(&resultcache.Entry{
+				Fingerprint: res.Fingerprint,
+				TableText:   res.TableText,
+				TableCSV:    res.TableCSV,
+				Manifest:    res.Manifest,
+			})
+			putSpan.EndErr(err)
+			if err != nil {
+				// The result is in hand; failing to cache it must not fail
+				// the job. Surface the problem as a progress event instead.
+				progress("cache", "store failed: "+err.Error())
+			} else if chunks != nil {
+				_ = chunks.Remove(res.Fingerprint)
+			}
+			return res
+		}
 		if cache != nil {
 			lookupStart := time.Now()
 			cacheSpan := attempt.Child("cache")
@@ -388,6 +405,20 @@ func NewRunnerConfig(cfg RunnerConfig) jobs.Runner {
 			cacheSpan.Annotate("outcome", "miss")
 			cacheSpan.EndErr(err)
 			inc(misses)
+		}
+		if peers != nil {
+			if rep, ok := peers.Get(fp); ok {
+				// A crash handoff brought the job to the worker holding the
+				// dead owner's replica: the finished document is already here.
+				inc(peerServed)
+				progress("replica", "served from peer replica "+fp[:12])
+				return fill(&jobs.Result{
+					Fingerprint: fp,
+					TableText:   rep.TableText,
+					TableCSV:    rep.TableCSV,
+					Manifest:    rep.Manifest,
+				}), nil
+			}
 		}
 		inc(runs)
 		opts := scenario.Options{
@@ -443,32 +474,12 @@ func NewRunnerConfig(cfg RunnerConfig) jobs.Runner {
 		if err != nil {
 			return nil, err
 		}
-		if cache != nil {
-			putSpan := attempt.Child("cache")
-			putSpan.Annotate("op", "put")
-			err := cache.Put(&resultcache.Entry{
-				Fingerprint: fp,
-				TableText:   out.TableText,
-				TableCSV:    out.TableCSV,
-				Manifest:    manifest,
-			})
-			putSpan.EndErr(err)
-			if err != nil {
-				// The result is in hand; failing to cache it must not fail
-				// the job. Surface the problem as a progress event instead.
-				progress("cache", "store failed: "+err.Error())
-			} else if chunks != nil {
-				// The assembled artifact is durable; the per-replicate chunks
-				// have served their purpose.
-				_ = chunks.Remove(fp)
-			}
-		}
-		return &jobs.Result{
+		return fill(&jobs.Result{
 			Fingerprint: fp,
 			TableText:   out.TableText,
 			TableCSV:    out.TableCSV,
 			Manifest:    manifest,
-		}, nil
+		}), nil
 	}
 }
 
@@ -580,15 +591,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // shed rejects a submission with backpressure semantics: counted in
-// telemetry, answered with Retry-After (writeError adds it for 429/503).
-// Both the unified tempriv_sheds_total and the deprecated
-// temprivd_sheds_total alias move together until the alias retires.
+// tempriv_sheds_total, answered with Retry-After (writeError adds it for
+// 429/503).
 func (s *Server) shed(w http.ResponseWriter, status int, err error) {
 	if s.sheds != nil {
 		s.sheds.Inc()
-	}
-	if s.shedsDeprecated != nil {
-		s.shedsDeprecated.Inc()
 	}
 	writeError(w, status, err)
 }
@@ -870,36 +877,6 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		s.peerHeld.Set(float64(s.peers.Len()))
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// handlePeerGet serves a replicated result by fingerprint, falling back
-// to this worker's own result cache — a hedged read or a handoff probe
-// is satisfied by any node that holds the finished bytes, replicated or
-// computed. The body is the same resultBody document /result serves, so
-// a peer-served result is byte-identical to the owner's.
-func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
-	fp := r.PathValue("fingerprint")
-	if rep, ok := s.peers.Get(fp); ok {
-		writeJSON(w, http.StatusOK, resultBody{
-			Fingerprint: rep.Fingerprint,
-			TableText:   string(rep.TableText),
-			TableCSV:    string(rep.TableCSV),
-			Manifest:    json.RawMessage(rep.Manifest),
-		})
-		return
-	}
-	if s.cache != nil && len(fp) == 64 {
-		if entry, hit, err := s.cache.Get(fp); err == nil && hit {
-			writeJSON(w, http.StatusOK, resultBody{
-				Fingerprint: entry.Fingerprint,
-				TableText:   string(entry.TableText),
-				TableCSV:    string(entry.TableCSV),
-				Manifest:    json.RawMessage(entry.Manifest),
-			})
-			return
-		}
-	}
-	writeError(w, http.StatusNotFound, errors.New("no replica for this fingerprint"))
 }
 
 func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {

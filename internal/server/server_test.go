@@ -29,8 +29,8 @@ func newTestServer(t *testing.T, withCache bool) (*httptest.Server, *jobs.Queue,
 		}
 	}
 	reg := telemetry.NewRegistry()
-	q := jobs.New(NewRunner(cache, reg, 1, nil), jobs.Options{Workers: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
-	ts := httptest.NewServer(New(q, cache, nil, reg))
+	q := jobs.New(NewRunner(RunnerConfig{Cache: cache, Registry: reg, ReplicateWorkers: 1}), jobs.Options{Workers: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
+	ts := httptest.NewServer(New(Config{Queue: q, Cache: cache, Registry: reg}))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -347,7 +347,7 @@ func TestListAndAuxEndpoints(t *testing.T) {
 
 func TestRunnerWithoutCacheRunsFresh(t *testing.T) {
 	// The runner works with no cache at all: every submission simulates.
-	runner := NewRunner(nil, nil, 1, nil)
+	runner := NewRunner(RunnerConfig{ReplicateWorkers: 1})
 	q := jobs.New(runner, jobs.Options{Workers: 1, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
 	defer q.Drain(context.Background())
 	spec, err := scenario.Parse([]byte(smallScenario))
