@@ -12,7 +12,7 @@
 // (Prometheus text), /debug/pprof (disable with -debug-endpoints=false).
 //
 // Observability: every accepted job is traced end to end (ingress → queue →
-// attempts/backoff → cache → engine replicates → chunk persistence); the
+// attempt → cache → engine replicates → chunk persistence); the
 // most recent traces stay queryable at /v1/traces/{jobID} and, with
 // -trace-dir set, every finished trace appends to trace-dir/traces.jsonl.
 // Logs are structured (log/slog; -log-format text|json, -log-level) and
@@ -29,9 +29,14 @@
 // /readyz answers 503 until replay finishes, then flips to 200; /healthz
 // is pure liveness and stays 200 throughout.
 //
+// Jobs are not retried: each accepted job runs once, bounded by
+// -run-timeout, and a failed run stays failed.
+//
 // SIGTERM/SIGINT drains gracefully: /readyz goes not-ready, no new
-// submissions, in-flight jobs finish (up to -drain-timeout, then they are
-// canceled), live /events streams are closed, then the listener closes.
+// submissions, in-flight jobs finish (up to -drain-timeout), live /events
+// streams are closed, then the listener closes. Jobs still unfinished at
+// -drain-timeout are stopped without a terminal journal record, so with
+// -journal set the next boot re-enqueues them and they run then.
 package main
 
 import (
@@ -92,10 +97,9 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		chunksDir    = fs.String("chunks", "", "result-chunk directory for streaming/resumable replicates (empty = disabled); in a cluster every worker must mount the same directory, the cluster's one shared-storage dependency")
 		workers      = fs.Int("workers", 0, "job worker goroutines (0 = GOMAXPROCS)")
 		queueDepth   = fs.Int("queue-depth", 64, "max queued jobs before 429")
-		retries      = fs.Int("retries", 2, "transient-failure retries per job")
-		runTimeout   = fs.Duration("run-timeout", 10*time.Minute, "per-job wall-clock deadline across all attempts (0 = none)")
+		runTimeout   = fs.Duration("run-timeout", 10*time.Minute, "per-job wall-clock deadline (0 = none)")
 		repWorkers   = fs.Int("j", 1, "replication worker goroutines per job (0 = one per CPU)")
-		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
+		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs; unfinished ones run after the next boot (with -journal)")
 		traceDir     = fs.String("trace-dir", "", "directory for the finished-trace JSONL stream (empty = ring buffer only)")
 		traceCap     = fs.Int("trace-cap", obs.DefaultCapacity, "how many recent traces /v1/traces retains")
 		logFormat    = fs.String("log-format", "text", "log output format: text or json")
@@ -138,9 +142,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	}
 	if *workers < 1 || *queueDepth < 1 || *repWorkers < 0 {
 		return fmt.Errorf("-workers, -queue-depth and -j must be >= 1 (or 0 for auto)")
-	}
-	if *retries < 0 {
-		return fmt.Errorf("-retries must be >= 0, got %d", *retries)
 	}
 	if *runTimeout < 0 {
 		return fmt.Errorf("-run-timeout must be >= 0, got %v", *runTimeout)
@@ -262,7 +263,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	opts := jobs.Options{
 		Workers:    *workers,
 		QueueDepth: *queueDepth,
-		MaxRetries: *retries,
 		RunTimeout: *runTimeout,
 		Restore:    restored,
 		Log:        log,

@@ -206,7 +206,6 @@ func TestRejectsBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-workers", "-1"},
 		{"-queue-depth", "0"},
-		{"-retries", "-1"},
 		{"-j", "-1"},
 		{"-run-timeout", "-1s"},
 		{"-drain-timeout", "0s"},

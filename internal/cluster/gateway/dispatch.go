@@ -93,9 +93,7 @@ func (g *Gateway) dispatch(ctx context.Context, specJSON []byte, fp, traceID, or
 			snap, retryAfter, err := g.postJob(ctx, worker.URL, specJSON, traceID, origin)
 			if err == nil {
 				g.health.observe(id, false)
-				if g.mDispatch != nil {
-					g.mDispatch.Inc()
-				}
+				g.mDispatch.Inc()
 				return dispatchResult{
 					WorkerID:    id,
 					WorkerURL:   worker.URL,
@@ -112,9 +110,7 @@ func (g *Gateway) dispatch(ctx context.Context, specJSON []byte, fp, traceID, or
 				g.health.observeBackpressure(id, retryAfter)
 				// Wait as instructed, then retry this worker.
 				if attempts < g.submitAttempts {
-					if g.mRetryWaits != nil {
-						g.mRetryWaits.Inc()
-					}
+					g.mRetryWaits.Inc()
 					g.sleep(retryAfter)
 					continue
 				}
@@ -136,9 +132,7 @@ func (g *Gateway) dispatch(ctx context.Context, specJSON []byte, fp, traceID, or
 	if tried == 0 && skipped > 0 {
 		// Every live candidate is ejected, backpressured, or saturated:
 		// shed at the gateway before spending a single worker round-trip.
-		if g.mSheds != nil {
-			g.mSheds.Inc()
-		}
+		g.mSheds.Inc()
 		if shedWait <= 0 {
 			shedWait = time.Second
 		}

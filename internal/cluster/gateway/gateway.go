@@ -229,20 +229,14 @@ func New(cfg Config) *Gateway {
 		g.gEjected = cfg.Telemetry.Gauge("tempriv_cluster_ejected_workers")
 	}
 	g.health.onEject = func(id string) {
-		if g.mEjections != nil {
-			g.mEjections.Inc()
-		}
-		if g.gEjected != nil {
-			g.gEjected.Set(float64(g.health.ejectedCount()))
-		}
+		g.mEjections.Inc()
+		g.gEjected.Set(float64(g.health.ejectedCount()))
 		if g.log != nil {
 			g.log.Warn("worker ejected by health scoring", "worker", id)
 		}
 	}
 	g.health.onRestore = func(id string) {
-		if g.gEjected != nil {
-			g.gEjected.Set(float64(g.health.ejectedCount()))
-		}
+		g.gEjected.Set(float64(g.health.ejectedCount()))
 		if g.log != nil {
 			g.log.Info("worker restored after half-open probe", "worker", id)
 		}
@@ -284,9 +278,7 @@ func (g *Gateway) currentRing() (*ring.Ring, []registry.Worker, uint64) {
 		g.ringCache = ring.New(registry.IDs(alive), g.vnodes)
 		g.ringEpoch = epoch
 	}
-	if g.gWorkers != nil {
-		g.gWorkers.Set(float64(len(alive)))
-	}
+	g.gWorkers.Set(float64(len(alive)))
 	return g.ringCache, alive, epoch
 }
 
@@ -320,9 +312,7 @@ func (g *Gateway) insertRoute(rt *route) {
 	defer g.mu.Unlock()
 	g.routes[rt.ID] = rt
 	g.order = append(g.order, rt.ID)
-	if g.gRoutes != nil {
-		g.gRoutes.Set(float64(len(g.routes)))
-	}
+	g.gRoutes.Set(float64(len(g.routes)))
 }
 
 // snapshotRoutes returns the routing table in insertion order.

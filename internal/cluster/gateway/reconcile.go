@@ -95,17 +95,13 @@ func (g *Gateway) handoff(ctx context.Context, rt *route) bool {
 
 	res, err := g.dispatch(ctx, spec, fp, traceID, jobs.OriginHandoff)
 	if err != nil {
-		if g.mHandoffFail != nil {
-			g.mHandoffFail.Inc()
-		}
+		g.mHandoffFail.Inc()
 		if g.log != nil {
 			g.log.Error("handoff failed", "job", rt.ID, "from", from, "err", err)
 		}
 		return false
 	}
-	if g.mHandoffs != nil {
-		g.mHandoffs.Inc()
-	}
+	g.mHandoffs.Inc()
 
 	g.mu.Lock()
 	rt.WorkerID = res.WorkerID

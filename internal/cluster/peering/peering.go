@@ -335,9 +335,7 @@ func (r *Replicator) Offer(rep Replica) {
 }
 
 func (r *Replicator) drop(rep Replica, err error) {
-	if r.mDropped != nil {
-		r.mDropped.Inc()
-	}
+	r.mDropped.Inc()
 	if r.log != nil {
 		r.log.Warn("dropping result replica", "fingerprint", rep.Fingerprint, "error", err)
 	}
@@ -383,18 +381,14 @@ func (r *Replicator) send(ctx context.Context, rep Replica) {
 		}
 		if err := r.post(ctx, peerURL, rep); err != nil {
 			lastErr = err
-			if r.mErrors != nil {
-				r.mErrors.Inc()
-			}
+			r.mErrors.Inc()
 			if r.log != nil {
 				r.log.Warn("replicating result to peer failed",
 					"fingerprint", rep.Fingerprint[:12], "peer", peerID, "attempt", attempt+1, "error", err)
 			}
 			continue
 		}
-		if r.mReplicated != nil {
-			r.mReplicated.Inc()
-		}
+		r.mReplicated.Inc()
 		if r.log != nil {
 			r.log.Debug("replicated result to peer", "fingerprint", rep.Fingerprint[:12], "peer", peerID)
 		}

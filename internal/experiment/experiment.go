@@ -51,8 +51,8 @@ type Params struct {
 	// simulations then share routes, pools and the packet arena instead of
 	// rebuilding them per run. Execution-only — engine reuse never affects
 	// result bytes — and safe to share across parallel sweep workers (the
-	// cache checks engines out). Replication installs per-worker caches
-	// automatically; see ReplicateRun.
+	// cache checks engines out). When it is nil, ReplicateRun gives each
+	// replication worker a cache of its own.
 	Engines *network.EngineCache
 }
 

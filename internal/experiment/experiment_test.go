@@ -446,7 +446,7 @@ func TestOccupancyShape(t *testing.T) {
 		t.Fatal("no sample shows a saturated trunk buffer at peak load")
 	}
 	// Replication must work: the row labels (sample times) are seed-independent.
-	if _, err := Replicate(Experiment{ID: "occupancy", Title: "t", Paper: "p", Run: Occupancy}, p, 2); err != nil {
+	if _, err := ReplicateRun(Experiment{ID: "occupancy", Title: "t", Paper: "p", Run: Occupancy}, p, 2, ReplicateConfig{Workers: 1}); err != nil {
 		t.Fatalf("occupancy not replicable: %v", err)
 	}
 }

@@ -31,26 +31,6 @@ type ReplicateSink interface {
 	Emit(rep int, fresh bool, tab *report.Table) error
 }
 
-// Replicate runs an experiment n times under seeds p.Seed … p.Seed+n−1 and
-// aggregates the runs into one table: every value column C of the
-// underlying experiment becomes two columns, C (the across-seed mean) and
-// "C ±" (the half-width of a normal-approximation 95 % confidence interval,
-// 1.96·s/√n). The paper reports single runs; replication quantifies how
-// much of each curve is signal.
-func Replicate(e Experiment, p Params, n int) (*report.Table, error) {
-	return ReplicateParallel(e, p, n, 1)
-}
-
-// ReplicateParallel is Replicate with the n replications spread over up to
-// workers goroutines. Each replication's seed is derived from its index
-// (p.Seed+rep), not from scheduling, and the per-replication tables are
-// reduced in replication order via Welford.Merge — the same reduction the
-// serial path uses — so the output is byte-identical for every worker
-// count.
-func ReplicateParallel(e Experiment, p Params, n, workers int) (*report.Table, error) {
-	return ReplicateStream(e, p, n, workers, nil)
-}
-
 // ReplicateConfig tunes how ReplicateRun executes. Every field is
 // execution-only: the output table is byte-identical for any setting.
 type ReplicateConfig struct {
@@ -61,20 +41,28 @@ type ReplicateConfig struct {
 	// Sink, when set, streams per-replicate tables and answers resume
 	// queries; see ReplicateSink.
 	Sink ReplicateSink
-	// FreshEngines disables per-worker engine reuse: every replicate builds
-	// its simulations from scratch, exactly as a plain run does. The knob
+	// FreshEngines disables engine reuse: every replicate builds its
+	// simulations from scratch, exactly as a plain run does. The knob
 	// exists for the differential tests and for debugging; results are
 	// byte-identical either way.
 	FreshEngines bool
 }
 
-// ReplicateRun is the full-control replication entry point: n replicates of
-// e under seeds p.Seed … p.Seed+n−1, partitioned over rc.Workers goroutines
-// (defaulting to one per CPU), each worker reusing its own pool of
-// arena-backed simulation engines across the replicates it draws, with the
-// per-replicate tables merged into the Welford reduction — and streamed to
-// rc.Sink — in strict replicate order. The deterministic seq-ordered merge
-// makes the output byte-identical to the serial, fresh-engine path.
+// ReplicateRun is the replication entry point: it runs e n times under
+// seeds p.Seed … p.Seed+n−1 and aggregates the runs into one table. Every
+// value column C of the underlying experiment becomes two columns, C (the
+// across-seed mean) and "C ±" (the half-width of a normal-approximation
+// 95 % confidence interval, 1.96·s/√n). The paper reports single runs;
+// replication quantifies how much of each curve is signal.
+//
+// The replicates are partitioned over rc.Workers goroutines (defaulting to
+// one per CPU) and reuse arena-backed simulation engines: every worker
+// shares p.Engines when the caller set it (scenario.Run does), and
+// otherwise each worker builds its own cache. The per-replicate tables are
+// merged into the Welford reduction — and streamed to rc.Sink — in strict
+// replicate order, each seed derived from its replicate index, so the
+// output is byte-identical to the serial, fresh-engine path for every
+// worker count.
 func ReplicateRun(e Experiment, p Params, n int, rc ReplicateConfig) (*report.Table, error) {
 	workers := rc.Workers
 	if workers <= 0 {
@@ -83,20 +71,12 @@ func ReplicateRun(e Experiment, p Params, n int, rc ReplicateConfig) (*report.Ta
 	return replicateStream(e, p, n, workers, rc.Sink, rc.FreshEngines)
 }
 
-// ReplicateStream is the streaming execution path every replicated run now
-// flows through: replicate tables are folded into the running Welford
-// reduction (and handed to sink) in replicate-index order as they
-// complete, instead of accumulating the whole run in memory first. With a
-// nil sink it is exactly ReplicateParallel; with a sink it additionally
-// supports resume — replicates the sink already holds (Have) are not
-// recomputed, and the reduction stays byte-identical because the same
-// tables enter it in the same order either way.
-func ReplicateStream(e Experiment, p Params, n, workers int, sink ReplicateSink) (*report.Table, error) {
-	return replicateStream(e, p, n, workers, sink, false)
-}
-
-// replicateStream is the one replication engine behind Replicate,
-// ReplicateParallel, ReplicateStream and ReplicateRun.
+// replicateStream is the replication engine behind ReplicateRun. It folds
+// replicate tables into the running Welford reduction (and hands them to
+// sink) in replicate-index order as they complete, instead of
+// accumulating the whole run in memory first. Replicates the sink already
+// holds (Have) are not recomputed; the reduction stays byte-identical
+// because the same tables enter it in the same order either way.
 func replicateStream(e Experiment, p Params, n, workers int, sink ReplicateSink, freshEngines bool) (*report.Table, error) {
 	if e.Run == nil {
 		return nil, errors.New("experiment: replicate of experiment without Run")
@@ -142,10 +122,13 @@ func replicateStream(e Experiment, p Params, n, workers int, sink ReplicateSink,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns a private engine cache: the replicates it
-			// draws reuse one arena-backed engine per simulation structure
-			// instead of rebuilding it per seed. Reuse is byte-invisible
-			// (the engine rearm contract), so this changes wall-clock only.
+			// The replicates a worker draws reuse arena-backed engines
+			// instead of rebuilding them per seed. p.Engines, when set, is
+			// shared by every worker: it keeps one engine per key, and a
+			// worker that finds its key checked out builds a fresh one.
+			// Otherwise the worker uses a cache of its own. Reuse is
+			// byte-invisible (the engine rearm contract), so this changes
+			// wall-clock only.
 			cache := p.Engines
 			if freshEngines {
 				cache = nil

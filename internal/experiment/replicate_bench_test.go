@@ -31,7 +31,7 @@ func BenchmarkReplicateStreamNilSink(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReplicateStream(e, p, 4, 1, nil); err != nil {
+		if _, err := ReplicateRun(e, p, 4, ReplicateConfig{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func BenchmarkReplicateStreamChunkSink(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReplicateStream(e, p, 4, 1, sink); err != nil {
+		if _, err := ReplicateRun(e, p, 4, ReplicateConfig{Workers: 1, Sink: sink}); err != nil {
 			b.Fatal(err)
 		}
 		if err := sink.Close(); err != nil {

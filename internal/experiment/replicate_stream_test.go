@@ -47,7 +47,7 @@ func TestReplicateStreamSinkSeesOrderedProtocol(t *testing.T) {
 	const n = 6
 	// Workers > 1 so completions genuinely race; the reorder buffer must
 	// still deliver Emit in replicate order.
-	tab, err := ReplicateStream(e, Params{Seed: 3}, n, 4, sink)
+	tab, err := ReplicateRun(e, Params{Seed: 3}, n, ReplicateConfig{Workers: 4, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +85,13 @@ func TestReplicateStreamWithSinkMatchesMonolithicByteForByte(t *testing.T) {
 	p := testParams()
 	p.Packets = 120
 	p.Interarrivals = []float64{2, 10}
-	baseline, err := ReplicateStream(e, p, 4, 1, nil)
+	baseline, err := ReplicateRun(e, p, 4, ReplicateConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := render(t, baseline)
 	for _, workers := range []int{1, 3} {
-		got, err := ReplicateStream(e, p, 4, workers, newRecordingSink())
+		got, err := ReplicateRun(e, p, 4, ReplicateConfig{Workers: workers, Sink: newRecordingSink()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestReplicateStreamResumeIsByteIdentical(t *testing.T) {
 	p.Packets = 120
 	p.Interarrivals = []float64{2, 10}
 	const n = 4
-	baseline, err := ReplicateStream(e, p, n, 2, nil)
+	baseline, err := ReplicateRun(e, p, n, ReplicateConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestReplicateStreamResumeIsByteIdentical(t *testing.T) {
 		sink.have[rep] = tab
 	}
 
-	resumed, err := ReplicateStream(e, p, n, 2, sink)
+	resumed, err := ReplicateRun(e, p, n, ReplicateConfig{Workers: 2, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestReplicateStreamAllResumedRunsNothing(t *testing.T) {
 		tab.AddRow("only", float64(1+rep))
 		sink.have[rep] = tab
 	}
-	tab, err := ReplicateStream(e, Params{Seed: 1}, n, 2, sink)
+	tab, err := ReplicateRun(e, Params{Seed: 1}, n, ReplicateConfig{Workers: 2, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestReplicateStreamSinkErrorAborts(t *testing.T) {
 	e := syntheticExperiment(func(seed uint64) float64 { return float64(seed) })
 	sink := newRecordingSink()
 	sink.fail = errors.New("disk gone")
-	_, err := ReplicateStream(e, Params{Seed: 1}, 3, 2, sink)
+	_, err := ReplicateRun(e, Params{Seed: 1}, 3, ReplicateConfig{Workers: 2, Sink: sink})
 	if err == nil || !strings.Contains(err.Error(), "sink") {
 		t.Fatalf("err = %v, want sink failure", err)
 	}
@@ -213,7 +213,7 @@ func TestReplicateStreamErrorMessagesMatchLegacy(t *testing.T) {
 			return tab, nil
 		},
 	}
-	_, err := ReplicateStream(fail, Params{Seed: 1}, 3, 2, nil)
+	_, err := ReplicateRun(fail, Params{Seed: 1}, 3, ReplicateConfig{Workers: 2})
 	if err == nil || !strings.Contains(err.Error(), "experiment: replication 1: kaput") {
 		t.Fatalf("err = %v, want legacy replication-error format", err)
 	}

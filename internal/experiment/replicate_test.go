@@ -32,7 +32,7 @@ func TestReplicateExactStatistics(t *testing.T) {
 	// Seeds 10..14 → values 10..14: mean 12, sample std sqrt(2.5).
 	e := syntheticExperiment(func(seed uint64) float64 { return float64(seed) })
 	p := Params{Seed: 10}
-	tab, err := Replicate(e, p, 5)
+	tab, err := ReplicateRun(e, p, 5, ReplicateConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestReplicateExactStatistics(t *testing.T) {
 
 func TestReplicateConstantExperimentHasZeroCI(t *testing.T) {
 	e := syntheticExperiment(func(uint64) float64 { return 7 })
-	tab, err := Replicate(e, Params{Seed: 1}, 3)
+	tab, err := ReplicateRun(e, Params{Seed: 1}, 3, ReplicateConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,10 @@ func TestReplicateConstantExperimentHasZeroCI(t *testing.T) {
 
 func TestReplicateValidation(t *testing.T) {
 	e := syntheticExperiment(func(uint64) float64 { return 0 })
-	if _, err := Replicate(e, Params{}, 1); err == nil {
+	if _, err := ReplicateRun(e, Params{}, 1, ReplicateConfig{Workers: 1}); err == nil {
 		t.Fatal("n=1 accepted")
 	}
-	if _, err := Replicate(Experiment{}, Params{}, 3); err == nil {
+	if _, err := ReplicateRun(Experiment{}, Params{}, 3, ReplicateConfig{Workers: 1}); err == nil {
 		t.Fatal("nil Run accepted")
 	}
 }
@@ -83,7 +83,7 @@ func TestReplicateRejectsShapeChange(t *testing.T) {
 			return tab, nil
 		},
 	}
-	if _, err := Replicate(e, Params{Seed: 1}, 2); err == nil {
+	if _, err := ReplicateRun(e, Params{Seed: 1}, 2, ReplicateConfig{Workers: 1}); err == nil {
 		t.Fatal("label change across replications accepted")
 	}
 }
@@ -101,7 +101,7 @@ func TestReplicateSkipsNaNCells(t *testing.T) {
 			return tab, nil
 		},
 	}
-	tab, err := Replicate(e, Params{Seed: 2}, 3) // seeds 2,3,4 → values 4, NaN, 4
+	tab, err := ReplicateRun(e, Params{Seed: 2}, 3, ReplicateConfig{Workers: 1}) // seeds 2,3,4 → values 4, NaN, 4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +128,12 @@ func TestReplicateParallelMatchesSerialByteForByte(t *testing.T) {
 	p := testParams()
 	p.Packets = 120
 	p.Interarrivals = []float64{2, 10}
-	serial, err := ReplicateParallel(e, p, 4, 1)
+	serial, err := ReplicateRun(e, p, 4, ReplicateConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16} {
-		parallel, err := ReplicateParallel(e, p, 4, workers)
+		parallel, err := ReplicateRun(e, p, 4, ReplicateConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestReplicateParallelSeedDerivationIsByIndex(t *testing.T) {
 	// With many workers the completion order is nondeterministic, but each
 	// replication's value must still be folded in by its index-derived seed.
 	e := syntheticExperiment(func(seed uint64) float64 { return float64(seed) })
-	tab, err := ReplicateParallel(e, Params{Seed: 100}, 8, 8)
+	tab, err := ReplicateRun(e, Params{Seed: 100}, 8, ReplicateConfig{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestReplicateParallelPropagatesRunError(t *testing.T) {
 			return tab, nil
 		},
 	}
-	_, err := ReplicateParallel(e, Params{Seed: 1}, 4, 4)
+	_, err := ReplicateRun(e, Params{Seed: 1}, 4, ReplicateConfig{Workers: 4})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -188,7 +188,7 @@ func TestReplicateRealExperiment(t *testing.T) {
 	p := testParams()
 	p.Packets = 150
 	p.Interarrivals = []float64{2}
-	tab, err := Replicate(e, p, 3)
+	tab, err := ReplicateRun(e, p, 3, ReplicateConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestNoteChunksEventsSnapshotAndJournal(t *testing.T) {
 	}
 	q := New(runner, Options{Workers: 1, Journal: sink})
 	defer q.Drain(context.Background())
-	s, err := q.Submit(testSpec(t, 90))
+	s, err := q.Submit(context.Background(), testSpec(t, 90), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestNoteChunksEventsSnapshotAndJournal(t *testing.T) {
 func TestNoteChunksIgnoredAfterTerminal(t *testing.T) {
 	q := New(okRunner(&Result{}), Options{Workers: 1})
 	defer q.Drain(context.Background())
-	s, err := q.Submit(testSpec(t, 91))
+	s, err := q.Submit(context.Background(), testSpec(t, 91), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,20 @@
 // Package jobs is the serving subsystem's execution queue: a bounded
 // worker pool that runs scenario specs (internal/scenario) through a
 // pluggable Runner, with per-job context cancellation and run deadlines,
-// jittered-exponential retry of transient failures, ordered progress events
-// that clients can stream, graceful draining for shutdown, and an optional
-// write-ahead journal sink (internal/jobstore) plus restore path that make
-// the queue survive a crash.
+// ordered progress events that clients can stream, graceful draining for
+// shutdown, and an optional write-ahead journal sink (internal/jobstore)
+// plus restore path that make the queue survive a crash.
+//
+// Each accepted job runs at most once per process life. Jobs are
+// seed-deterministic simulations, so a failed run would fail the same way
+// again: the queue does not retry. Recovery is journal replay — a job the
+// process did not finish, whether it crashed or its shutdown drain timed
+// out, is re-enqueued on the next boot, and the Runner resumes it from
+// whatever result chunks it persisted.
 //
 // The queue knows nothing about HTTP or caching — the Runner closure wires
-// those in (see internal/server) — which keeps cancellation, retry and
-// drain logic testable with a stub runner.
+// those in (see internal/server) — which keeps cancellation and drain
+// logic testable with a stub runner.
 package jobs
 
 import (
@@ -16,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -34,7 +39,7 @@ const (
 	StateRunning State = "running"
 	// StateDone: finished successfully; Result is set.
 	StateDone State = "done"
-	// StateFailed: finished with a permanent error (after any retries).
+	// StateFailed: the run returned an error or exceeded its deadline.
 	StateFailed State = "failed"
 	// StateCanceled: canceled before or during execution.
 	StateCanceled State = "canceled"
@@ -44,11 +49,6 @@ const (
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
-
-// ErrTransient marks an error worth retrying (wrap it with fmt.Errorf and
-// %w). Anything else — scenario errors are deterministic — fails the job
-// permanently.
-var ErrTransient = errors.New("transient failure")
 
 // OriginHandoff marks a submission that the cluster gateway re-dispatched
 // from a dead worker (internal/cluster/gateway): the job is not a new
@@ -90,8 +90,8 @@ type JournalSink interface {
 	// the submission's provenance ("" for a direct client submission,
 	// OriginHandoff for a cluster crash handoff).
 	Submitted(id, fingerprint string, spec scenario.Spec, origin string, at time.Time)
-	// Transition records a state change. attempt is the attempt count so
-	// far; cacheHit and errMsg qualify terminal states.
+	// Transition records a state change. attempt is 1 once the job has
+	// started, else 0; cacheHit and errMsg qualify terminal states.
 	Transition(id string, state State, attempt int, cacheHit bool, errMsg string, at time.Time)
 	// Chunk records that a running job's persisted result-chunk high-water
 	// mark reached hwm replicates (see internal/resultstream), so a
@@ -107,10 +107,6 @@ type Event struct {
 	State   State  `json:"state"`
 	Stage   string `json:"stage,omitempty"`
 	Message string `json:"message,omitempty"`
-	// Attempt and BackoffMS annotate retry events: which attempt just
-	// failed and how long the queue backs off before the next one.
-	Attempt   int   `json:"attempt,omitempty"`
-	BackoffMS int64 `json:"backoff_ms,omitempty"`
 	// Chunks annotates chunk-progress events: how many replicate result
 	// chunks are durably persisted so far.
 	Chunks int `json:"chunks,omitempty"`
@@ -240,18 +236,8 @@ type Options struct {
 	// a worker picks them up, so a deep crash backlog sheds new load
 	// instead of compounding.
 	QueueDepth int
-	// MaxRetries is how many times a transient failure re-runs before the
-	// job fails (default 2).
-	MaxRetries int
-	// RetryBase and RetryMax shape the jittered exponential backoff
-	// between attempts: attempt n sleeps a uniformly jittered duration in
-	// [d/2, d] where d = min(RetryBase·2ⁿ, RetryMax). Defaults 100ms / 5s.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// RetrySeed seeds the backoff jitter RNG (deterministic; default 1).
-	RetrySeed uint64
-	// RunTimeout bounds one job's total execution (all attempts) via
-	// context.WithTimeout; 0 means no deadline.
+	// RunTimeout bounds a job's run via context.WithTimeout; 0 means no
+	// deadline.
 	RunTimeout time.Duration
 	// Journal, when non-nil, durably records submissions and transitions.
 	Journal JournalSink
@@ -261,7 +247,7 @@ type Options struct {
 	// the highest restored ID.
 	Restore []RestoredJob
 	// Log, when non-nil, receives structured lifecycle records (accepted,
-	// started, retrying, finished) with trace/job IDs attached via the
+	// started, finished) with trace/job IDs attached via the
 	// record context (see internal/obs.ContextHandler).
 	Log *slog.Logger
 	// OnDone, when non-nil, fires after a job reaches StateDone — from the
@@ -279,21 +265,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth < 1 {
 		o.QueueDepth = 64
-	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 100 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 5 * time.Second
-	}
-	if o.RetryMax < o.RetryBase {
-		o.RetryMax = o.RetryBase
-	}
-	if o.RetrySeed == 0 {
-		o.RetrySeed = 1
 	}
 	return o
 }
@@ -314,7 +285,6 @@ type Queue struct {
 	nextID   int
 	queued   int // jobs accepted but not yet picked up by a worker
 	draining bool
-	rng      *rand.Rand
 }
 
 // New starts a queue with the given runner and options. Restored jobs (see
@@ -332,7 +302,6 @@ func New(runner Runner, opts Options) *Queue {
 		baseCtx:   ctx,
 		cancelAll: cancel,
 		jobs:      make(map[string]*Job),
-		rng:       rand.New(rand.NewSource(int64(opts.RetrySeed))),
 	}
 	for _, r := range opts.Restore {
 		q.restore(r)
@@ -406,19 +375,9 @@ func (q *Queue) journalTransition(id string, state State, attempt int, cacheHit 
 	}
 }
 
-// Submit is SubmitCtx with a background (untraced) context.
-func (q *Queue) Submit(spec scenario.Spec) (Snapshot, error) {
-	return q.SubmitCtx(context.Background(), spec)
-}
-
-// SubmitCtx is SubmitOrigin with an empty (direct-submission) origin.
-func (q *Queue) SubmitCtx(ctx context.Context, spec scenario.Spec) (Snapshot, error) {
-	return q.SubmitOrigin(ctx, spec, "")
-}
-
-// SubmitOrigin validates nothing — the caller passes an already-normalized
+// Submit validates nothing — the caller passes an already-normalized
 // spec — and enqueues it, returning the job's initial snapshot. The
-// submission is journaled (when a sink is configured) before SubmitOrigin
+// submission is journaled (when a sink is configured) before Submit
 // returns, so an accepted job survives a crash. origin tags the
 // submission's provenance ("" for a direct client submission,
 // OriginHandoff for a cluster crash handoff); it travels through the
@@ -426,10 +385,10 @@ func (q *Queue) SubmitCtx(ctx context.Context, spec scenario.Spec) (Snapshot, er
 //
 // ctx is for observability only, never cancellation: when it carries a
 // trace span (internal/obs), the job adopts it as its root span, binds the
-// trace to the job ID, and times its queue wait, attempts, backoffs and
+// trace to the job ID, and times its queue wait, its attempt and the
 // engine stages under it. The job's execution context stays derived from
 // the queue, so an HTTP client disconnecting does not cancel its job.
-func (q *Queue) SubmitOrigin(ctx context.Context, spec scenario.Spec, origin string) (Snapshot, error) {
+func (q *Queue) Submit(ctx context.Context, spec scenario.Spec, origin string) (Snapshot, error) {
 	fp, err := spec.Fingerprint()
 	if err != nil {
 		return Snapshot{}, err
@@ -620,9 +579,11 @@ func (q *Queue) Watch(id string) (history []Event, live <-chan Event, stop func(
 }
 
 // Drain stops accepting submissions and waits for in-flight jobs to finish.
-// If ctx expires first, every remaining job's context is canceled and Drain
-// waits (briefly) for the workers to acknowledge. Queue resources —
-// including the worker goroutines — are fully released when Drain returns.
+// If ctx expires first, the running jobs' contexts are canceled, queued
+// jobs are not started, and Drain waits (briefly) for the workers to
+// acknowledge. Neither kind gets a terminal journal record, so the next
+// boot's replay re-enqueues them. Queue resources — including the worker
+// goroutines — are fully released when Drain returns.
 func (q *Queue) Drain(ctx context.Context) error {
 	q.mu.Lock()
 	already := q.draining
@@ -654,38 +615,25 @@ func (q *Queue) worker() {
 	}
 }
 
-// nextBackoff returns the jittered exponential delay before retrying after
-// attempt (0-based): uniform in [d/2, d] with d = min(RetryBase·2ᵃ,
-// RetryMax). Called with q.mu held (the RNG is lock-guarded).
-func (q *Queue) nextBackoff(attempt int) time.Duration {
-	d := q.opts.RetryMax
-	if attempt < 30 { // past 2³⁰·base the cap has long since won
-		if exp := q.opts.RetryBase << attempt; exp > 0 && exp < d {
-			d = exp
-		}
-	}
-	half := d / 2
-	return half + time.Duration(q.rng.Int63n(int64(half)+1))
-}
-
 func (q *Queue) runOne(j *Job) {
 	q.mu.Lock()
 	q.queued--
-	if j.state != StateQueued { // canceled while queued
+	// Skip a job canceled while queued, and every queued job once a hard
+	// drain has canceled the queue: those stay queued in the journal.
+	if j.state != StateQueued || q.baseCtx.Err() != nil {
 		q.mu.Unlock()
 		return
 	}
 	j.state = StateRunning
 	j.started = time.Now()
+	j.attempts = 1
 	q.appendEventLocked(j, Event{State: StateRunning, Stage: "started"})
-	q.journalTransition(j.ID, StateRunning, j.attempts+1, false, "")
+	q.journalTransition(j.ID, StateRunning, j.attempts, false, "")
 	ctx := j.ctx
 	q.mu.Unlock()
 	j.queueSpan.End()
 	q.logJob(j, slog.LevelDebug, "job started")
 
-	// The run deadline spans every attempt: a job cannot occupy a worker
-	// past RunTimeout no matter how its retries interleave.
 	if q.opts.RunTimeout > 0 {
 		var cancelRun context.CancelFunc
 		ctx, cancelRun = context.WithTimeout(ctx, q.opts.RunTimeout)
@@ -698,51 +646,16 @@ func (q *Queue) runOne(j *Job) {
 		q.mu.Unlock()
 	}
 
-	var res *Result
-	var err error
-	for attempt := 0; ; attempt++ {
-		q.mu.Lock()
-		j.attempts = attempt + 1
-		q.mu.Unlock()
-		// Each attempt gets its own span; the runner's stage spans (cache,
-		// engine, chunks) hang off it through the context.
-		attSpan := j.span.Child("attempt")
-		attSpan.AnnotateInt("attempt", int64(attempt+1))
-		res, err = q.runner(obs.ContextWithSpan(ctx, attSpan), j, progress)
-		attSpan.EndErr(err)
-		if err == nil || ctx.Err() != nil || !errors.Is(err, ErrTransient) || attempt >= q.opts.MaxRetries {
-			break
-		}
-		q.mu.Lock()
-		delay := q.nextBackoff(attempt)
-		q.appendEventLocked(j, Event{
-			State:     StateRunning,
-			Stage:     "retry",
-			Message:   fmt.Sprintf("attempt %d failed transiently: %v", attempt+1, err),
-			Attempt:   attempt + 1,
-			BackoffMS: delay.Milliseconds(),
-		})
-		q.mu.Unlock()
-		q.logJob(j, slog.LevelWarn, "job retrying after transient failure",
-			slog.Int("attempt", attempt+1), slog.Int64("backoff_ms", delay.Milliseconds()),
-			slog.String("error", err.Error()))
-		backoffSpan := j.span.Child("backoff")
-		backoffSpan.AnnotateInt("attempt", int64(attempt+1))
-		backoffSpan.AnnotateInt("backoff_ms", delay.Milliseconds())
-		select {
-		case <-ctx.Done():
-		case <-time.After(delay):
-		}
-		backoffSpan.End()
-		if ctx.Err() != nil {
-			break
-		}
-	}
+	// The runner's stage spans (cache, engine, chunks) hang off the attempt
+	// span through the context.
+	attSpan := j.span.Child("attempt")
+	res, err := q.runner(obs.ContextWithSpan(ctx, attSpan), j, progress)
+	attSpan.EndErr(err)
 
 	q.mu.Lock()
 	j.finished = time.Now()
 	if err != nil && !j.canceled && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		err = fmt.Errorf("run deadline %v exceeded after %d attempt(s): %w", q.opts.RunTimeout, j.attempts, err)
+		err = fmt.Errorf("run deadline %v exceeded: %w", q.opts.RunTimeout, err)
 	}
 	switch {
 	case ctx.Err() != nil && j.canceled:
@@ -753,8 +666,13 @@ func (q *Queue) runOne(j *Job) {
 	case err != nil:
 		j.state = StateFailed
 		j.err = err
-		q.appendEventLocked(j, Event{State: StateFailed, Stage: "failed", Message: err.Error(), Attempt: j.attempts})
-		q.journalTransition(j.ID, StateFailed, j.attempts, false, err.Error())
+		q.appendEventLocked(j, Event{State: StateFailed, Stage: "failed", Message: err.Error()})
+		// A run cut short by a hard drain did not fail on its own, so it
+		// gets no terminal journal record: the next boot's replay
+		// re-enqueues the job, as after a crash.
+		if q.baseCtx.Err() == nil {
+			q.journalTransition(j.ID, StateFailed, j.attempts, false, err.Error())
+		}
 	default:
 		j.state = StateDone
 		j.result = res
@@ -762,11 +680,10 @@ func (q *Queue) runOne(j *Job) {
 		if res.CacheHit {
 			msg = "result cache hit"
 		}
-		q.appendEventLocked(j, Event{State: StateDone, Stage: "done", Message: msg, Attempt: j.attempts})
+		q.appendEventLocked(j, Event{State: StateDone, Stage: "done", Message: msg})
 		q.journalTransition(j.ID, StateDone, j.attempts, res.CacheHit, "")
 	}
 	state := j.state
-	attempts := j.attempts
 	elapsed := j.finished.Sub(j.started)
 	var doneSnap Snapshot
 	if state == StateDone && q.opts.OnDone != nil {
@@ -779,15 +696,13 @@ func (q *Queue) runOne(j *Job) {
 	case StateDone:
 		j.span.Annotate("cache_hit", fmt.Sprintf("%t", res.CacheHit))
 		q.logJob(j, slog.LevelInfo, "job done",
-			slog.Bool("cache_hit", res.CacheHit), slog.Int("attempts", attempts),
-			slog.Duration("elapsed", elapsed))
+			slog.Bool("cache_hit", res.CacheHit), slog.Duration("elapsed", elapsed))
 		if q.opts.OnDone != nil {
 			q.opts.OnDone(doneSnap, res)
 		}
 	case StateFailed:
 		q.logJob(j, slog.LevelError, "job failed",
-			slog.Int("attempts", attempts), slog.String("error", err.Error()),
-			slog.Duration("elapsed", elapsed))
+			slog.String("error", err.Error()), slog.Duration("elapsed", elapsed))
 	default:
 		q.logJob(j, slog.LevelInfo, "job canceled while running",
 			slog.Duration("elapsed", elapsed))

@@ -54,7 +54,7 @@ func TestSubmitRunsToDone(t *testing.T) {
 	q := New(okRunner(&Result{TableText: []byte("table")}), Options{Workers: 2})
 	defer q.Drain(context.Background())
 
-	s, err := q.Submit(testSpec(t, 1))
+	s, err := q.Submit(context.Background(), testSpec(t, 1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,77 +82,38 @@ func TestSubmitRunsToDone(t *testing.T) {
 	}
 }
 
-func TestTransientErrorRetries(t *testing.T) {
-	var attempts atomic.Int32
-	runner := func(ctx context.Context, job *Job, progress func(string, string)) (*Result, error) {
-		if attempts.Add(1) < 3 {
-			return nil, fmt.Errorf("%w: flaky backend", ErrTransient)
-		}
-		return &Result{Fingerprint: job.Fingerprint}, nil
-	}
-	q := New(runner, Options{Workers: 1, MaxRetries: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
-	defer q.Drain(context.Background())
-
-	s, err := q.Submit(testSpec(t, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitTerminal(t, q, s.ID)
-	if final.State != StateDone {
-		t.Fatalf("state = %q after retries, want done (error %q)", final.State, final.Error)
-	}
-	if n := attempts.Load(); n != 3 {
-		t.Fatalf("runner ran %d times, want 3", n)
-	}
-	if final.Attempts != 3 {
-		t.Fatalf("snapshot attempts = %d, want 3", final.Attempts)
-	}
-}
-
-func TestTransientErrorExhaustsRetries(t *testing.T) {
-	var attempts atomic.Int32
-	runner := func(ctx context.Context, job *Job, progress func(string, string)) (*Result, error) {
-		attempts.Add(1)
-		return nil, fmt.Errorf("%w: always down", ErrTransient)
-	}
-	q := New(runner, Options{Workers: 1, MaxRetries: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
-	defer q.Drain(context.Background())
-
-	s, err := q.Submit(testSpec(t, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitTerminal(t, q, s.ID)
-	if final.State != StateFailed {
-		t.Fatalf("state = %q, want failed", final.State)
-	}
-	if n := attempts.Load(); n != 3 { // initial + 2 retries
-		t.Fatalf("runner ran %d times, want 3", n)
-	}
-	if _, ok := q.Result(s.ID); ok {
-		t.Fatal("Result succeeded for a failed job")
-	}
-}
-
-func TestPermanentErrorDoesNotRetry(t *testing.T) {
+func TestRunnerErrorFailsAfterOneAttempt(t *testing.T) {
 	var attempts atomic.Int32
 	runner := func(ctx context.Context, job *Job, progress func(string, string)) (*Result, error) {
 		attempts.Add(1)
 		return nil, errors.New("bad scenario")
 	}
-	q := New(runner, Options{Workers: 1, MaxRetries: 5, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
+	q := New(runner, Options{Workers: 1})
 	defer q.Drain(context.Background())
 
-	s, err := q.Submit(testSpec(t, 4))
+	s, err := q.Submit(context.Background(), testSpec(t, 4), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	final := waitTerminal(t, q, s.ID)
-	if final.State != StateFailed {
-		t.Fatalf("state = %q, want failed", final.State)
+	if final.State != StateFailed || final.Error != "bad scenario" {
+		t.Fatalf("state = %q (error %q), want failed with the runner's error", final.State, final.Error)
 	}
 	if n := attempts.Load(); n != 1 {
-		t.Fatalf("permanent error retried: %d attempts", n)
+		t.Fatalf("runner ran %d times, want 1", n)
+	}
+	if final.Attempts != 1 {
+		t.Fatalf("snapshot attempts = %d, want 1", final.Attempts)
+	}
+	if _, ok := q.Result(s.ID); ok {
+		t.Fatal("Result succeeded for a failed job")
+	}
+	history, _, stop, _ := q.Watch(s.ID)
+	stop()
+	for _, ev := range history {
+		if ev.Stage == "retry" {
+			t.Fatalf("retry event after a runner error: %+v", history)
+		}
 	}
 }
 
@@ -166,7 +127,7 @@ func TestCancelRunningJob(t *testing.T) {
 	q := New(runner, Options{Workers: 1})
 	defer q.Drain(context.Background())
 
-	s, err := q.Submit(testSpec(t, 5))
+	s, err := q.Submit(context.Background(), testSpec(t, 5), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +159,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	}()
 
 	// First job occupies the only worker; second stays queued.
-	if _, err := q.Submit(testSpec(t, 6)); err != nil {
+	if _, err := q.Submit(context.Background(), testSpec(t, 6), ""); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	queued, err := q.Submit(testSpec(t, 7))
+	queued, err := q.Submit(context.Background(), testSpec(t, 7), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,14 +193,14 @@ func TestQueueFull(t *testing.T) {
 		q.Drain(context.Background())
 	}()
 
-	if _, err := q.Submit(testSpec(t, 8)); err != nil { // running
+	if _, err := q.Submit(context.Background(), testSpec(t, 8), ""); err != nil { // running
 		t.Fatal(err)
 	}
 	<-started
-	if _, err := q.Submit(testSpec(t, 9)); err != nil { // fills the queue
+	if _, err := q.Submit(context.Background(), testSpec(t, 9), ""); err != nil { // fills the queue
 		t.Fatal(err)
 	}
-	if _, err := q.Submit(testSpec(t, 10)); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.Submit(context.Background(), testSpec(t, 10), ""); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 }
@@ -261,7 +222,7 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 	}
 	q := New(runner, Options{Workers: 1})
 
-	s, err := q.Submit(testSpec(t, 11))
+	s, err := q.Submit(context.Background(), testSpec(t, 11), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +234,7 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 	// Submissions are refused once the drain begins.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, err := q.Submit(testSpec(t, 12)); errors.Is(err, ErrDraining) {
+		if _, err := q.Submit(context.Background(), testSpec(t, 12), ""); errors.Is(err, ErrDraining) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -312,7 +273,7 @@ func TestDrainTimeoutCancelsJobs(t *testing.T) {
 	}
 	q := New(runner, Options{Workers: 1})
 
-	s, err := q.Submit(testSpec(t, 13))
+	s, err := q.Submit(context.Background(), testSpec(t, 13), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,11 +290,49 @@ func TestDrainTimeoutCancelsJobs(t *testing.T) {
 	}
 }
 
+// TestDrainTimeoutJournalsNothingTerminal: a hard drain is a shutdown, not
+// an outcome. Neither the interrupted running job nor the queued job behind
+// it may be journaled terminal, and the queued job must not start, so the
+// next boot's replay re-enqueues both, exactly as after a crash.
+func TestDrainTimeoutJournalsNothingTerminal(t *testing.T) {
+	sink := &recordingSink{}
+	started := make(chan struct{}, 2)
+	runner := func(ctx context.Context, job *Job, progress func(string, string)) (*Result, error) {
+		started <- struct{}{}
+		<-ctx.Done() // never finishes voluntarily
+		return nil, ctx.Err()
+	}
+	q := New(runner, Options{Workers: 1, Journal: sink})
+
+	running, err := q.Submit(context.Background(), testSpec(t, 52), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := q.Submit(context.Background(), testSpec(t, 53), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if err := q.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain err = %v, want deadline exceeded", err)
+	}
+	_, trns := sink.snapshot()
+	if got, want := strings.Join(trns, " "), running.ID+":running"; got != want {
+		t.Fatalf("transitions journaled: %q, want only %q", got, want)
+	}
+	if s, _ := q.Get(queued.ID); s.State != StateQueued {
+		t.Fatalf("queued job state %q after the hard drain, want queued", s.State)
+	}
+}
+
 func TestWatchReplaysOrderedHistory(t *testing.T) {
 	q := New(okRunner(&Result{}), Options{Workers: 1})
 	defer q.Drain(context.Background())
 
-	s, err := q.Submit(testSpec(t, 14))
+	s, err := q.Submit(context.Background(), testSpec(t, 14), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +374,7 @@ func TestWatchStreamsLiveEvents(t *testing.T) {
 	q := New(runner, Options{Workers: 1})
 	defer q.Drain(context.Background())
 
-	s, err := q.Submit(testSpec(t, 15))
+	s, err := q.Submit(context.Background(), testSpec(t, 15), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +423,7 @@ func TestListOrdering(t *testing.T) {
 	defer q.Drain(context.Background())
 	var ids []string
 	for i := 0; i < 3; i++ {
-		s, err := q.Submit(testSpec(t, uint64(20+i)))
+		s, err := q.Submit(context.Background(), testSpec(t, uint64(20+i)), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +452,7 @@ func TestDrainLeavesNoGoroutines(t *testing.T) {
 	q := New(okRunner(&Result{}), Options{Workers: 4})
 	var ids []string
 	for i := 0; i < 8; i++ {
-		s, err := q.Submit(testSpec(t, uint64(30+i)))
+		s, err := q.Submit(context.Background(), testSpec(t, uint64(30+i)), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,79 +502,7 @@ func TestDrainLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// --- PR 5 additions: backoff, deadlines, restore, admission, journal ---
-
-func TestBackoffJitteredExponentialDeterministic(t *testing.T) {
-	q := New(okRunner(&Result{}), Options{RetryBase: 100 * time.Millisecond, RetryMax: time.Second, RetrySeed: 42})
-	defer q.Drain(context.Background())
-	q2 := New(okRunner(&Result{}), Options{RetryBase: 100 * time.Millisecond, RetryMax: time.Second, RetrySeed: 42})
-	defer q2.Drain(context.Background())
-
-	var seq []time.Duration
-	for attempt := 0; attempt < 8; attempt++ {
-		d := q.nextBackoff(attempt)
-		// d must lie in [cap/2, cap] for cap = min(base<<attempt, max).
-		capd := 100 * time.Millisecond << attempt
-		if capd > time.Second || capd <= 0 {
-			capd = time.Second
-		}
-		if d < capd/2 || d > capd {
-			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, capd/2, capd)
-		}
-		seq = append(seq, d)
-	}
-	// Same seed, same sequence: the jitter is deterministic.
-	for attempt := 0; attempt < 8; attempt++ {
-		if d := q2.nextBackoff(attempt); d != seq[attempt] {
-			t.Fatalf("attempt %d: seeded backoff diverged: %v vs %v", attempt, d, seq[attempt])
-		}
-	}
-	// Huge attempt numbers must not overflow past the cap.
-	if d := q.nextBackoff(200); d > time.Second {
-		t.Fatalf("attempt 200: backoff %v exceeds cap", d)
-	}
-}
-
-func TestRetryEventsCarryAttemptAndBackoff(t *testing.T) {
-	var attempts atomic.Int32
-	runner := func(ctx context.Context, job *Job, progress func(string, string)) (*Result, error) {
-		if attempts.Add(1) < 3 {
-			return nil, fmt.Errorf("%w: flaky", ErrTransient)
-		}
-		return &Result{Fingerprint: job.Fingerprint}, nil
-	}
-	q := New(runner, Options{Workers: 1, MaxRetries: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
-	defer q.Drain(context.Background())
-	s, err := q.Submit(testSpec(t, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, q, s.ID)
-	history, _, stop, _ := q.Watch(s.ID)
-	stop()
-	var retries []Event
-	for _, ev := range history {
-		if ev.Stage == "retry" {
-			retries = append(retries, ev)
-		}
-	}
-	if len(retries) != 2 {
-		t.Fatalf("retry events = %d, want 2: %+v", len(retries), history)
-	}
-	for i, ev := range retries {
-		if ev.Attempt != i+1 {
-			t.Errorf("retry %d: attempt = %d, want %d", i, ev.Attempt, i+1)
-		}
-		if ev.BackoffMS < 0 {
-			t.Errorf("retry %d: negative backoff %d", i, ev.BackoffMS)
-		}
-	}
-	// The terminal event carries the final attempt count.
-	last := history[len(history)-1]
-	if last.State != StateDone || last.Attempt != 3 {
-		t.Fatalf("terminal event = %+v, want done on attempt 3", last)
-	}
-}
+// --- deadlines, restore, admission, journal ---
 
 func TestRunTimeoutFailsJob(t *testing.T) {
 	runner := func(ctx context.Context, job *Job, progress func(string, string)) (*Result, error) {
@@ -584,7 +511,7 @@ func TestRunTimeoutFailsJob(t *testing.T) {
 	}
 	q := New(runner, Options{Workers: 1, RunTimeout: 30 * time.Millisecond})
 	defer q.Drain(context.Background())
-	s, err := q.Submit(testSpec(t, 41))
+	s, err := q.Submit(context.Background(), testSpec(t, 41), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,28 +521,6 @@ func TestRunTimeoutFailsJob(t *testing.T) {
 	}
 	if !strings.Contains(final.Error, "run deadline") {
 		t.Fatalf("error %q does not mention the run deadline", final.Error)
-	}
-}
-
-func TestRunTimeoutSpansRetries(t *testing.T) {
-	// Every attempt fails transiently; the per-job deadline must cut the
-	// retry loop short rather than letting MaxRetries prolong it.
-	runner := func(ctx context.Context, job *Job, progress func(string, string)) (*Result, error) {
-		return nil, fmt.Errorf("%w: down", ErrTransient)
-	}
-	q := New(runner, Options{Workers: 1, MaxRetries: 1000, RetryBase: 5 * time.Millisecond, RetryMax: 5 * time.Millisecond, RunTimeout: 50 * time.Millisecond})
-	defer q.Drain(context.Background())
-	s, err := q.Submit(testSpec(t, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	final := waitTerminal(t, q, s.ID)
-	if final.State != StateFailed {
-		t.Fatalf("state = %q, want failed", final.State)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("deadline did not bound the retry loop: %v", elapsed)
 	}
 }
 
@@ -649,7 +554,7 @@ func TestRestoreTerminalJobQueryable(t *testing.T) {
 		t.Fatal("terminal restored job delivered live events")
 	}
 	// The ID sequence continues past the restored IDs.
-	snap, err := q.Submit(spec)
+	snap, err := q.Submit(context.Background(), spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,11 +617,11 @@ func TestAdmissionBoundCountsBacklog(t *testing.T) {
 		close(block)
 		q.Drain(context.Background())
 	}()
-	<-started                                            // worker picked up the restored job; backlog is empty again
-	if _, err := q.Submit(testSpec(t, 47)); err != nil { // fills the queue
+	<-started                                                                      // worker picked up the restored job; backlog is empty again
+	if _, err := q.Submit(context.Background(), testSpec(t, 47), ""); err != nil { // fills the queue
 		t.Fatal(err)
 	}
-	if _, err := q.Submit(testSpec(t, 48)); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.Submit(context.Background(), testSpec(t, 48), ""); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	if b := q.Backlog(); b != 1 {
@@ -763,7 +668,7 @@ func TestJournalSinkSeesLifecycle(t *testing.T) {
 	sink := &recordingSink{}
 	q := New(okRunner(&Result{}), Options{Workers: 1, Journal: sink})
 	defer q.Drain(context.Background())
-	s, err := q.Submit(testSpec(t, 49))
+	s, err := q.Submit(context.Background(), testSpec(t, 49), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -800,11 +705,11 @@ func TestJournalSinkSeesQueuedCancel(t *testing.T) {
 		close(block)
 		q.Drain(context.Background())
 	}()
-	if _, err := q.Submit(testSpec(t, 50)); err != nil {
+	if _, err := q.Submit(context.Background(), testSpec(t, 50), ""); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	queued, err := q.Submit(testSpec(t, 51))
+	queued, err := q.Submit(context.Background(), testSpec(t, 51), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -833,7 +738,7 @@ func TestOnDoneFiresWithSnapshotAndResult(t *testing.T) {
 	})
 	defer q.Drain(context.Background())
 
-	s, err := q.Submit(testSpec(t, 91))
+	s, err := q.Submit(context.Background(), testSpec(t, 91), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -862,7 +767,7 @@ func TestOnDoneDoesNotFireOnFailure(t *testing.T) {
 	})
 	defer q.Drain(context.Background())
 
-	s, err := q.Submit(testSpec(t, 92))
+	s, err := q.Submit(context.Background(), testSpec(t, 92), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,9 @@ package jobs
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"tempriv/internal/obs"
 )
@@ -27,31 +25,31 @@ func treeSpans(root *obs.SpanTree, name string) []*obs.SpanTree {
 	return out
 }
 
-func TestTraceSpansAcrossRetries(t *testing.T) {
+func TestTraceSpansForOneAttempt(t *testing.T) {
 	var attempts atomic.Int32
 	runner := func(ctx context.Context, job *Job, progress func(string, string)) (*Result, error) {
+		attempts.Add(1)
 		// The attempt span must reach the runner through its context.
 		if !obs.SpanFromContext(ctx).Enabled() {
 			t.Error("runner ctx carries no span")
 		}
-		if attempts.Add(1) < 3 {
-			return nil, fmt.Errorf("%w: flaky backend", ErrTransient)
-		}
 		return &Result{Fingerprint: job.Fingerprint}, nil
 	}
-	q := New(runner, Options{Workers: 1, MaxRetries: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
+	q := New(runner, Options{Workers: 1})
 	defer q.Drain(context.Background())
 
 	tracer := obs.New(obs.Options{})
-	ctx, root := tracer.StartTrace(context.Background(), "", "job")
-	s, err := q.SubmitCtx(ctx, testSpec(t, 2))
+	ctx, _ := tracer.StartTrace(context.Background(), "", "job")
+	s, err := q.Submit(ctx, testSpec(t, 2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = root
 	final := waitTerminal(t, q, s.ID)
 	if final.State != StateDone {
 		t.Fatalf("state = %q, want done", final.State)
+	}
+	if n := attempts.Load(); n != 1 {
+		t.Fatalf("runner ran %d times, want 1", n)
 	}
 
 	tree, ok := tracer.ByJob(s.ID)
@@ -67,27 +65,11 @@ func TestTraceSpansAcrossRetries(t *testing.T) {
 	if got := treeSpans(tree.Root, "queue"); len(got) != 1 || got[0].DurationNS < 0 {
 		t.Fatalf("queue spans: %+v", got)
 	}
-	atts := treeSpans(tree.Root, "attempt")
-	if len(atts) != 3 {
-		t.Fatalf("%d attempt spans, want 3", len(atts))
+	if atts := treeSpans(tree.Root, "attempt"); len(atts) != 1 || atts[0].DurationNS < 0 {
+		t.Fatalf("attempt spans: %+v, want exactly one closed span", atts)
 	}
-	for i, a := range atts {
-		if a.Attrs["attempt"] != fmt.Sprint(i+1) {
-			t.Errorf("attempt span %d attrs: %v", i, a.Attrs)
-		}
-		failed := i < 2
-		if _, hasErr := a.Attrs["error"]; hasErr != failed {
-			t.Errorf("attempt %d error annotation = %v, want %v", i+1, hasErr, failed)
-		}
-	}
-	backoffs := treeSpans(tree.Root, "backoff")
-	if len(backoffs) != 2 {
-		t.Fatalf("%d backoff spans, want 2", len(backoffs))
-	}
-	for _, b := range backoffs {
-		if b.Attrs["backoff_ms"] == "" {
-			t.Errorf("backoff span missing backoff_ms: %v", b.Attrs)
-		}
+	if backoffs := treeSpans(tree.Root, "backoff"); len(backoffs) != 0 {
+		t.Fatalf("%d backoff spans, want none", len(backoffs))
 	}
 }
 
@@ -104,12 +86,12 @@ func TestCancelWhileQueuedEndsTrace(t *testing.T) {
 	}()
 
 	// Occupy the only worker so the traced job stays queued.
-	if _, err := q.Submit(testSpec(t, 2)); err != nil {
+	if _, err := q.Submit(context.Background(), testSpec(t, 2), ""); err != nil {
 		t.Fatal(err)
 	}
 	tracer := obs.New(obs.Options{})
 	ctx, _ := tracer.StartTrace(context.Background(), "", "job")
-	s, err := q.SubmitCtx(ctx, testSpec(t, 4))
+	s, err := q.Submit(ctx, testSpec(t, 4), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +128,7 @@ func TestStructuredLogsCarryJobAndTraceIDs(t *testing.T) {
 
 	tracer := obs.New(obs.Options{})
 	ctx, _ := tracer.StartTrace(context.Background(), "log-trace-1", "job")
-	s, err := q.SubmitCtx(ctx, testSpec(t, 2))
+	s, err := q.Submit(ctx, testSpec(t, 2), "")
 	if err != nil {
 		t.Fatal(err)
 	}

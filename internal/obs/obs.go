@@ -8,8 +8,8 @@
 //
 // A Tracer mints one trace per submitted job at HTTP ingress (or adopts a
 // client-supplied X-Trace-Id) and records a tree of spans as the job moves
-// through the serving stack: ingress parsing, queue wait, retry attempts
-// and backoff sleeps (internal/jobs), cache consultation and fill
+// through the serving stack: ingress parsing, queue wait and the job's
+// one run attempt (internal/jobs), cache consultation and fill
 // (internal/resultcache via the server's Runner), engine execution with one
 // span per replicate (internal/scenario), and chunk persistence
 // (internal/resultstream). Finished traces land in a fixed-capacity

@@ -45,7 +45,7 @@ func newTracedServer(t *testing.T) (*httptest.Server, *obs.Tracer, *telemetry.Re
 		Cache: cache, Registry: reg, ReplicateWorkers: 1, Chunks: chunks,
 		CachedResultSLO: cachedSLO,
 	})
-	q := jobs.New(runner, jobs.Options{Workers: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
+	q := jobs.New(runner, jobs.Options{Workers: 2})
 	ts := httptest.NewServer(New(Config{
 		Queue: q, Cache: cache, Chunks: chunks, Registry: reg,
 		Tracer: tracer, SLOs: obs.SLOSet{requestSLO, cachedSLO}, RequestSLO: requestSLO,

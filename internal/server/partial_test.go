@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -250,7 +251,7 @@ func TestEventsKeepaliveOnIdleStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := q.Submit(spec)
+	snap, err := q.Submit(context.Background(), spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,10 +33,7 @@ func blockedQueue(t *testing.T, workers, depth int) (*jobs.Queue, chan struct{})
 			return nil, ctx.Err()
 		}
 	}
-	q := jobs.New(runner, jobs.Options{
-		Workers: workers, QueueDepth: depth,
-		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
-	})
+	q := jobs.New(runner, jobs.Options{Workers: workers, QueueDepth: depth})
 	t.Cleanup(func() {
 		select {
 		case <-release:
@@ -127,13 +124,13 @@ func TestErrorContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	running, err := q.Submit(spec)
+	running, err := q.Submit(context.Background(), spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, q, running.ID, jobs.StateRunning)
 	spec2, _ := scenario.Parse([]byte(strings.Replace(smallScenario, `"seed":1`, `"seed":2`, 1)))
-	if _, err := q.Submit(spec2); err != nil {
+	if _, err := q.Submit(context.Background(), spec2, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -244,7 +241,7 @@ func TestRestoredDoneJobServesResultFromCache(t *testing.T) {
 		Submitted: time.Now().Add(-time.Hour), Finished: time.Now().Add(-time.Hour),
 	}
 	q := jobs.New(NewRunner(RunnerConfig{Cache: cache, ReplicateWorkers: 1}), jobs.Options{
-		Workers: 1, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
+		Workers: 1,
 		Restore: []jobs.RestoredJob{restored},
 	})
 	defer q.Drain(context.Background())
@@ -279,7 +276,7 @@ func TestRestoredDoneJobWithLostCacheEntryIsGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := jobs.New(NewRunner(RunnerConfig{Cache: cache, ReplicateWorkers: 1}), jobs.Options{
-		Workers: 1, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
+		Workers: 1,
 		Restore: []jobs.RestoredJob{{
 			ID: "job-000007", Spec: spec, Fingerprint: fp, State: jobs.StateDone, Attempts: 1,
 		}},
@@ -313,10 +310,7 @@ func TestChaosSickDiskKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	q := jobs.New(NewRunner(RunnerConfig{Cache: cache, Registry: reg, ReplicateWorkers: 1}), jobs.Options{
-		Workers: 2, QueueDepth: 16,
-		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
-	})
+	q := jobs.New(NewRunner(RunnerConfig{Cache: cache, Registry: reg, ReplicateWorkers: 1}), jobs.Options{Workers: 2, QueueDepth: 16})
 	defer q.Drain(context.Background())
 	ts := httptest.NewServer(New(Config{Queue: q, Cache: cache, Registry: reg}))
 	defer ts.Close()
@@ -391,7 +385,7 @@ func TestShutdownTerminatesEventStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := q.Submit(spec)
+	snap, err := q.Submit(context.Background(), spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}

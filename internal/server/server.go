@@ -28,8 +28,8 @@
 //
 // Tracing contract: when a Tracer is configured (internal/obs), every
 // accepted submission mints a trace whose span tree follows the job
-// end-to-end — ingress parsing, queue wait, retry attempts and backoff
-// sleeps, cache consultation, per-replicate engine execution, chunk
+// end-to-end — ingress parsing, queue wait, the job's one run attempt,
+// cache consultation, per-replicate engine execution, chunk
 // persistence and the cache fill. Clients may supply their own trace ID in
 // an X-Trace-Id request header (8–64 chars of [A-Za-z0-9._-]; anything
 // else is replaced with a minted ID, never rejected); the effective ID is
@@ -321,26 +321,15 @@ type RunnerConfig struct {
 func NewRunner(cfg RunnerConfig) jobs.Runner {
 	cache, reg, chunks, peers := cfg.Cache, cfg.Registry, cfg.Chunks, cfg.Peers
 	replicateWorkers := cfg.ReplicateWorkers
-	counter := func(name string) *telemetry.Counter {
-		if reg == nil {
-			return nil
-		}
-		return reg.Counter(name)
-	}
-	inc := func(c *telemetry.Counter) {
-		if c != nil {
-			c.Inc()
-		}
-	}
-	hits := counter("temprivd_cache_hits_total")
-	misses := counter("temprivd_cache_misses_total")
-	runs := counter("temprivd_runs_total")
-	chunksWritten := counter("tempriv_chunks_written_total")
-	chunksQuarantined := counter("tempriv_chunks_quarantined_total")
-	replicatesSkipped := counter("tempriv_replicates_skipped_on_resume_total")
+	hits := reg.Counter("temprivd_cache_hits_total")
+	misses := reg.Counter("temprivd_cache_misses_total")
+	runs := reg.Counter("temprivd_runs_total")
+	chunksWritten := reg.Counter("tempriv_chunks_written_total")
+	chunksQuarantined := reg.Counter("tempriv_chunks_quarantined_total")
+	replicatesSkipped := reg.Counter("tempriv_replicates_skipped_on_resume_total")
 	var peerServed *telemetry.Counter
 	if peers != nil {
-		peerServed = counter("tempriv_cluster_peer_served_total")
+		peerServed = reg.Counter("tempriv_cluster_peer_served_total")
 	}
 	return func(ctx context.Context, job *jobs.Job, progress func(stage, message string)) (*jobs.Result, error) {
 		fp := job.Fingerprint
@@ -385,7 +374,7 @@ func NewRunner(cfg RunnerConfig) jobs.Runner {
 			if ok {
 				cacheSpan.Annotate("outcome", "hit")
 				cacheSpan.End()
-				inc(hits)
+				hits.Inc()
 				progress("cache", "hit "+fp[:12])
 				if chunks != nil {
 					// Any chunks for this fingerprint are leftovers from a run
@@ -404,13 +393,13 @@ func NewRunner(cfg RunnerConfig) jobs.Runner {
 			}
 			cacheSpan.Annotate("outcome", "miss")
 			cacheSpan.EndErr(err)
-			inc(misses)
+			misses.Inc()
 		}
 		if peers != nil {
 			if rep, ok := peers.Get(fp); ok {
 				// A crash handoff brought the job to the worker holding the
 				// dead owner's replica: the finished document is already here.
-				inc(peerServed)
+				peerServed.Inc()
 				progress("replica", "served from peer replica "+fp[:12])
 				return fill(&jobs.Result{
 					Fingerprint: fp,
@@ -420,7 +409,7 @@ func NewRunner(cfg RunnerConfig) jobs.Runner {
 				}), nil
 			}
 		}
-		inc(runs)
+		runs.Inc()
 		opts := scenario.Options{
 			Progress:         progress,
 			ReplicateWorkers: replicateWorkers,
@@ -430,14 +419,12 @@ func NewRunner(cfg RunnerConfig) jobs.Runner {
 			k, err := chunks.Sink(fp, job.Spec.Replicates(), resultstream.SinkHooks{
 				Span: attempt,
 				Written: func(persisted int) {
-					inc(chunksWritten)
+					chunksWritten.Inc()
 					job.NoteChunks(persisted)
 				},
-				Skipped: func(int) { inc(replicatesSkipped) },
+				Skipped: func(int) { replicatesSkipped.Inc() },
 				Quarantined: func(n int) {
-					if chunksQuarantined != nil {
-						chunksQuarantined.Add(uint64(n))
-					}
+					chunksQuarantined.Add(uint64(n))
 					progress("chunks", fmt.Sprintf("%d corrupt chunk(s) quarantined; their replicates recompute", n))
 				},
 				AppendError: func(err error) {
@@ -467,7 +454,7 @@ func NewRunner(cfg RunnerConfig) jobs.Runner {
 		}
 		if err != nil {
 			// The chunks written so far stay on disk — they are exactly what
-			// a retry or a post-crash re-run resumes from.
+			// a re-run after restart or handoff resumes from.
 			return nil, err
 		}
 		manifest, err := out.ManifestJSON()
@@ -537,9 +524,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if owner, known := s.clusterOwns(fp); known && owner != "" {
 				w.Header().Set("X-Tempriv-Owner", owner)
 				if owner != s.clusterID {
-					if s.misdirected != nil {
-						s.misdirected.Inc()
-					}
+					s.misdirected.Inc()
 					root.Annotate("misdirected_owner", owner)
 					if s.log != nil {
 						s.log.Warn("accepted a job this worker does not own",
@@ -549,7 +534,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	snap, err := s.queue.SubmitOrigin(ctx, spec, submitOrigin(r))
+	snap, err := s.queue.Submit(ctx, spec, submitOrigin(r))
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		rejected(http.StatusTooManyRequests, err)
@@ -594,9 +579,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // tempriv_sheds_total, answered with Retry-After (writeError adds it for
 // 429/503).
 func (s *Server) shed(w http.ResponseWriter, status int, err error) {
-	if s.sheds != nil {
-		s.sheds.Inc()
-	}
+	s.sheds.Inc()
 	writeError(w, status, err)
 }
 
@@ -870,12 +853,8 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.peerReceived != nil {
-		s.peerReceived.Inc()
-	}
-	if s.peerHeld != nil {
-		s.peerHeld.Set(float64(s.peers.Len()))
-	}
+	s.peerReceived.Inc()
+	s.peerHeld.Set(float64(s.peers.Len()))
 	w.WriteHeader(http.StatusNoContent)
 }
 

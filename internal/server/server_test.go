@@ -29,7 +29,7 @@ func newTestServer(t *testing.T, withCache bool) (*httptest.Server, *jobs.Queue,
 		}
 	}
 	reg := telemetry.NewRegistry()
-	q := jobs.New(NewRunner(RunnerConfig{Cache: cache, Registry: reg, ReplicateWorkers: 1}), jobs.Options{Workers: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
+	q := jobs.New(NewRunner(RunnerConfig{Cache: cache, Registry: reg, ReplicateWorkers: 1}), jobs.Options{Workers: 2})
 	ts := httptest.NewServer(New(Config{Queue: q, Cache: cache, Registry: reg}))
 	t.Cleanup(func() {
 		ts.Close()
@@ -348,13 +348,13 @@ func TestListAndAuxEndpoints(t *testing.T) {
 func TestRunnerWithoutCacheRunsFresh(t *testing.T) {
 	// The runner works with no cache at all: every submission simulates.
 	runner := NewRunner(RunnerConfig{ReplicateWorkers: 1})
-	q := jobs.New(runner, jobs.Options{Workers: 1, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
+	q := jobs.New(runner, jobs.Options{Workers: 1})
 	defer q.Drain(context.Background())
 	spec, err := scenario.Parse([]byte(smallScenario))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := q.Submit(spec)
+	snap, err := q.Submit(context.Background(), spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}

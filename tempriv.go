@@ -630,13 +630,14 @@ func DefaultParams() Params { return experiment.Defaults() }
 // returns the across-seed means with 95% confidence half-widths — the
 // replication the paper's single-run evaluation lacks.
 func ReplicateExperiment(e Experiment, p Params, n int) (*Table, error) {
-	return experiment.Replicate(e, p, n)
+	return experiment.ReplicateRun(e, p, n, experiment.ReplicateConfig{Workers: 1})
 }
 
 // ReplicateExperimentParallel is ReplicateExperiment with replications
-// spread over up to workers goroutines. Seeds derive from the replication
-// index, and reduction order is fixed, so the table is byte-identical to
-// the serial form for every worker count.
+// spread over up to workers goroutines (workers <= 0 means one per CPU).
+// Seeds derive from the replication index, and reduction order is fixed,
+// so the table is byte-identical to the serial form for every worker
+// count.
 func ReplicateExperimentParallel(e Experiment, p Params, n, workers int) (*Table, error) {
-	return experiment.ReplicateParallel(e, p, n, workers)
+	return experiment.ReplicateRun(e, p, n, experiment.ReplicateConfig{Workers: workers})
 }
