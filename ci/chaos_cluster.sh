@@ -11,7 +11,11 @@
 #   handoffs >= 1), the survivors' temprivd_runs_total unchanged (zero
 #   recompute), their tempriv_cluster_peer_served_total at least the
 #   victim's job count, and bytes identical to a standalone single-node
-#   run.
+#   run. The first submit waits until every worker has applied the
+#   gateway's membership epoch: a worker learns the membership on its
+#   next heartbeat, and a result it finishes before then is replicated
+#   under the stale ring, to a worker that may not own the job after the
+#   crash.
 #
 # Part 2 — partition + latency: a fresh cluster where the gateway's
 #   transport cannot reach one worker at all (partition) and sees 200ms
@@ -73,6 +77,19 @@ wait_workers() { # $1 = gateway URL, $2 = expected count
 metric() { # $1 = base URL, $2 = metric name -> value (0 when absent)
   curl -sf "$1/metrics" | awk -v m="$2" '$1 == m {print $2; found=1} END {if (!found) print 0}'
 }
+wait_epoch() { # $1 = gateway URL, $2... = worker URLs
+  local GW=$1 EPOCH
+  shift
+  EPOCH=$(curl -sf "$GW/v1/cluster" | python3 -c 'import sys,json; print(json.load(sys.stdin)["epoch"])')
+  for u in "$@"; do
+    for i in $(seq 1 100); do
+      [ "$(metric "$u" tempriv_cluster_epoch)" -ge "$EPOCH" ] && continue 2
+      sleep 0.1
+    done
+    echo "$u never applied membership epoch $EPOCH" >&2
+    return 1
+  done
+}
 spec() { echo '{"version":1,"experiment":{"id":"fig2a","packets":200,"interarrivals":[2,10,20],"seed":'"$1"'}}'; }
 
 echo "=== part 1: kill -9, handoff answered from the replica ==="
@@ -90,6 +107,7 @@ done
 SOLO=$!
 PIDS+=("$SOLO")
 wait_workers $GW1 3
+wait_epoch $GW1 http://localhost:7371 http://localhost:7372 http://localhost:7373
 for i in $(seq 1 50); do curl -sf localhost:7399/readyz >/dev/null && break; sleep 0.2; done
 
 declare -A OWNER SEEDOF

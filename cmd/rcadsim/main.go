@@ -250,23 +250,18 @@ func run(args []string) (err error) {
 		fmt.Printf("debug server listening on http://%s (pprof, /debug/vars, /metrics)\n", srv.Addr())
 	}
 
-	// With -replicate, all seeds run through one reused engine: topology,
-	// routes, buffers, scheduler and packet arena are built once. Engine
-	// reuse is byte-identical to fresh runs, so the base seed's report is
-	// unchanged; the extra seeds only feed the replicate summary.
-	var eng *tempriv.Engine
-	if *replicate > 1 {
-		if eng, err = tempriv.NewEngine(cfg); err != nil {
-			return err
-		}
+	// All seeds run through one engine: topology, routes, buffers,
+	// scheduler and packet arena are built once. Engine reuse is
+	// byte-identical to fresh runs, so the base seed's report does not
+	// depend on -replicate; the extra seeds only feed the replicate summary.
+	eng, err := tempriv.NewEngine(cfg)
+	if err != nil {
+		return err
 	}
 	runOnce := func(s uint64) (*tempriv.Result, error) {
 		c := cfg
 		c.Seed = s
-		if eng != nil {
-			return eng.Run(c)
-		}
-		return tempriv.Run(c)
+		return eng.Run(c)
 	}
 	res, err := runOnce(*seed)
 	if err != nil {

@@ -15,7 +15,7 @@
 // Replication across seeds is partitioned over worker goroutines — one per
 // CPU by default — each reusing a pool of arena-backed simulation engines,
 // with a deterministic merge so the output is byte-identical to the serial
-// -j 1 form (and to -fresh-engines, which disables engine reuse):
+// -j 1 form:
 //
 //	sweep -exp fig2b -replicate 8        # -j defaults to all CPUs
 //	sweep -exp fig2b -replicate 8 -j 1   # force the serial path
@@ -82,7 +82,6 @@ func run(args []string) (err error) {
 		workers       = fs.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 		replicate     = fs.Int("replicate", 1, "run each experiment under N consecutive seeds and report mean ± 95% CI")
 		repWorkers    = fs.Int("j", 0, "replication worker goroutines (0 = one per CPU; output stays byte-identical to -j 1)")
-		freshEngines  = fs.Bool("fresh-engines", false, "build every simulation engine from scratch instead of reusing pooled engines (slower; bytes identical)")
 		keepChunks    = fs.Bool("keep-chunks", false, "with -resume, keep each experiment's replicate chunks after it completes instead of removing them")
 		cpuProfile    = fs.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
 		memProfile    = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -245,9 +244,8 @@ func run(args []string) (err error) {
 		}
 		if text == nil {
 			runOpts := scenario.Options{
-				ReplicateWorkers:   *repWorkers,
-				SweepWorkers:       *workers,
-				DisableEngineReuse: *freshEngines,
+				ReplicateWorkers: *repWorkers,
+				SweepWorkers:     *workers,
 			}
 			var sink *resultstream.Sink
 			if chunks != nil {

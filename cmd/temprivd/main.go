@@ -394,7 +394,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		}, registry.ClientOptions{
 			Interval: *clusterHeartbeat,
 			OnMembers: func(ws []registry.Worker, epoch uint64) {
-				clusterRing.Store(ring.New(registry.IDs(ws), 0))
+				clusterRing.Store(ring.New(registry.IDs(ws)))
 				epochGauge.Set(float64(epoch))
 				if replicator != nil {
 					replicator.SetMembers(ws)

@@ -70,7 +70,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	var (
 		addr           = fs.String("addr", "localhost:7070", "listen address (port 0 picks an ephemeral port)")
 		leaseTTL       = fs.Duration("lease-ttl", registry.DefaultLeaseTTL, "worker lease; a worker silent this long is dead and its jobs move")
-		vnodes         = fs.Int("vnodes", 0, "virtual nodes per worker on the ring (0 = default)")
 		reconcileEvery = fs.Duration("reconcile-every", 2*time.Second, "how often to sweep leases and hand off orphaned jobs")
 		submitAttempts = fs.Int("submit-attempts", 4, "max worker POSTs per dispatch across backpressure retries and failovers")
 		retryAfterMax  = fs.Duration("retry-after-max", 5*time.Second, "cap on honoring a worker's Retry-After")
@@ -125,7 +124,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		Tracer:         tracer,
 		Log:            log,
 		Client:         client,
-		Vnodes:         *vnodes,
 		SubmitAttempts: *submitAttempts,
 		RetryAfterMax:  *retryAfterMax,
 		ReconcileEvery: *reconcileEvery,

@@ -104,3 +104,33 @@ func ExamplePlanDelays() {
 	// Output:
 	// trunk 1/µ = 7.5, leaf 1/µ = 15.0
 }
+
+// ExampleTimedMixPolicy installs a §6 timed mix on every node of a 3-hop
+// line. Each node flushes its whole buffer every 30 time units, so every
+// message is delivered, in batches, and waits at most one interval per hop.
+func ExampleTimedMixPolicy() {
+	topo, err := tempriv.NewLineTopology(3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	traffic, err := tempriv.PeriodicTraffic(5)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := tempriv.Run(tempriv.Config{
+		Topology:     topo,
+		Sources:      []tempriv.Source{{Node: 3, Process: traffic, Count: 100}},
+		Policy:       tempriv.PolicyCustom,
+		CustomPolicy: tempriv.TimedMixPolicy(30),
+		Seed:         1,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	flow := res.Flows[3]
+	fmt.Printf("delivered %d/%d\n", flow.Delivered, flow.Created)
+	fmt.Printf("max latency within 3 flush intervals: %v\n", flow.Latency.Max <= 3*(30+1))
+	// Output:
+	// delivered 100/100
+	// max latency within 3 flush intervals: true
+}

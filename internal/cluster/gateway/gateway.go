@@ -53,8 +53,6 @@ type Config struct {
 	// global timeout — per-request deadlines come from contexts, and the
 	// /events and ?partial=1 proxies are long-lived streams.
 	Client *http.Client
-	// Vnodes per worker on the ring (ring.DefaultVnodes when <= 0).
-	Vnodes int
 	// SubmitAttempts bounds how many worker POSTs one dispatch may make
 	// across Retry-After waits and successor failovers (default 4).
 	SubmitAttempts int
@@ -106,7 +104,6 @@ type Gateway struct {
 	client *http.Client
 	mux    *http.ServeMux
 
-	vnodes         int
 	submitAttempts int
 	retryAfterMax  time.Duration
 	reconcileEvery time.Duration
@@ -172,7 +169,6 @@ func New(cfg Config) *Gateway {
 		tracer:         cfg.Tracer,
 		log:            cfg.Log,
 		client:         cfg.Client,
-		vnodes:         cfg.Vnodes,
 		submitAttempts: cfg.SubmitAttempts,
 		retryAfterMax:  cfg.RetryAfterMax,
 		reconcileEvery: cfg.ReconcileEvery,
@@ -275,7 +271,7 @@ func (g *Gateway) currentRing() (*ring.Ring, []registry.Worker, uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.ringCache == nil || epoch != g.ringEpoch || g.ringCache.Len() != len(alive) {
-		g.ringCache = ring.New(registry.IDs(alive), g.vnodes)
+		g.ringCache = ring.New(registry.IDs(alive))
 		g.ringEpoch = epoch
 	}
 	g.gWorkers.Set(float64(len(alive)))

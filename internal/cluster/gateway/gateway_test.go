@@ -239,7 +239,7 @@ func TestClusterFanOut(t *testing.T) {
 		workers[id] = w
 		c.register(t, id, w.ts.URL)
 	}
-	rg := ring.New([]string{"w1", "w2", "w3"}, 0)
+	rg := ring.New([]string{"w1", "w2", "w3"})
 
 	standalone := newWorker(t, "solo", "")
 
@@ -434,7 +434,7 @@ func TestClusterCrashHandoff(t *testing.T) {
 
 	// Pick a spec the ring {wa, wb} places on wa (the worker that dies).
 	var doc, fp string
-	rg := ring.New([]string{"wa", "wb"}, 0)
+	rg := ring.New([]string{"wa", "wb"})
 	for seed := 1; ; seed++ {
 		doc = specDoc(seed)
 		fp = fingerprintOf(t, doc)
@@ -560,7 +560,7 @@ func TestClusterCrashHandoff(t *testing.T) {
 // directory make the successor's revival cheap and byte-identical.
 func TestClusterDeadWorkerResultRevived(t *testing.T) {
 	chunksDir := t.TempDir()
-	rg := ring.New([]string{"wa", "wb"}, 0)
+	rg := ring.New([]string{"wa", "wb"})
 	var doc string
 	for seed := 1; ; seed++ {
 		doc = specDoc(seed)

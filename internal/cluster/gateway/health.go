@@ -30,12 +30,11 @@ const (
 
 // workerHealth is one worker's rolling window plus breaker state.
 type workerHealth struct {
-	window      []bool // ring buffer of outcomes; true = failed
-	next, count int
-	consecOK    int
-	state       healthState
-	ejectedAt   time.Time
-	probeAt     time.Time
+	window    []bool // ring buffer of outcomes; true = failed
+	next      int
+	state     healthState
+	ejectedAt time.Time
+	probeAt   time.Time
 	// downSince is when the worker first left healthOK; unlike ejectedAt
 	// it survives failed half-open probes (which refresh the cooldown), so
 	// the reconcile loop's eject-handoff grace window actually elapses.
@@ -49,7 +48,6 @@ type workerHealth struct {
 func (wh *workerHealth) push(failed bool, window int) {
 	if len(wh.window) < window {
 		wh.window = append(wh.window, failed)
-		wh.count++
 		return
 	}
 	wh.window[wh.next] = failed
@@ -71,7 +69,7 @@ func (wh *workerHealth) errorRate() float64 {
 
 func (wh *workerHealth) reset() {
 	wh.window = wh.window[:0]
-	wh.next, wh.count = 0, 0
+	wh.next = 0
 }
 
 // healthTracker scores every worker the gateway talks to.
@@ -133,17 +131,12 @@ func (h *healthTracker) observe(id string, failed bool) {
 	var ejected, restored bool
 	switch wh.state {
 	case healthOK:
-		if failed {
-			wh.consecOK = 0
-			if wh.count >= h.minSamples && wh.errorRate() >= h.threshold {
-				wh.state = healthEjected
-				wh.ejectedAt = h.clock()
-				wh.downSince = wh.ejectedAt
-				wh.ejections++
-				ejected = true
-			}
-		} else {
-			wh.consecOK++
+		if failed && len(wh.window) >= h.minSamples && wh.errorRate() >= h.threshold {
+			wh.state = healthEjected
+			wh.ejectedAt = h.clock()
+			wh.downSince = wh.ejectedAt
+			wh.ejections++
+			ejected = true
 		}
 	case healthEjected, healthProbing:
 		if failed {
@@ -152,7 +145,6 @@ func (h *healthTracker) observe(id string, failed bool) {
 		} else {
 			wh.state = healthOK
 			wh.reset()
-			wh.consecOK = 1
 			wh.downSince = time.Time{}
 			restored = true
 		}

@@ -24,7 +24,7 @@ import (
 // seedOwnedBy finds a spec document the two-member ring places on owner.
 func seedOwnedBy(t *testing.T, owner string, members []string) (string, string) {
 	t.Helper()
-	rg := ring.New(members, 0)
+	rg := ring.New(members)
 	for seed := 1; seed <= 200; seed++ {
 		doc := specDoc(seed)
 		fp := fingerprintOf(t, doc)

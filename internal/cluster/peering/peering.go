@@ -210,9 +210,6 @@ type ReplicatorOptions struct {
 	// Client performs the POSTs (default: a 10s-timeout client). Wrap
 	// its transport with chaostransport to inject worker↔worker faults.
 	Client *http.Client
-	// Vnodes per worker on the ring (ring.DefaultVnodes when <= 0); must
-	// match the gateway's so successor resolution agrees.
-	Vnodes int
 	// Attempts bounds how many times one replica is posted before being
 	// dropped (default 5).
 	Attempts int
@@ -235,7 +232,6 @@ type ReplicatorOptions struct {
 type Replicator struct {
 	self     string
 	client   *http.Client
-	vnodes   int
 	attempts int
 	backoff  time.Duration
 	sleep    func(time.Duration)
@@ -274,7 +270,6 @@ func NewReplicator(opts ReplicatorOptions) *Replicator {
 	r := &Replicator{
 		self:     opts.SelfID,
 		client:   opts.Client,
-		vnodes:   opts.Vnodes,
 		attempts: opts.Attempts,
 		backoff:  opts.Backoff,
 		sleep:    opts.Sleep,
@@ -296,7 +291,7 @@ func (r *Replicator) SetMembers(ws []registry.Worker) {
 	for _, w := range ws {
 		urls[w.ID] = w.URL
 	}
-	r.members.Store(&membership{ring: ring.New(registry.IDs(ws), r.vnodes), urls: urls})
+	r.members.Store(&membership{ring: ring.New(registry.IDs(ws)), urls: urls})
 }
 
 // successor resolves the first ring successor for fp that is not this

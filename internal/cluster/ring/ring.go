@@ -4,7 +4,7 @@
 // on the same worker — and its result cache — even as membership churns.
 //
 // The ring is a classic virtual-node construction: every member
-// contributes Vnodes points on a 64-bit circle, a key is owned by the
+// contributes DefaultVnodes points on a 64-bit circle, a key is owned by the
 // first point clockwise from its own hash, and each point's position is
 // the SHA-256 of a member/vnode label — a pure function of the member
 // set, so two processes that agree on membership agree on every
@@ -20,6 +20,10 @@
 // so membership churn invalidates at most ~1/N of the cluster's cache
 // locality instead of reshuffling all of it. See TestRingBoundedChurn.
 //
+// The vnode count is fixed, not configurable: every member of a cluster
+// (gateway and workers alike) must place fingerprints identically, or a
+// worker would replicate to a successor the gateway never hands off to.
+//
 // A Ring is immutable after New: membership changes build a new Ring
 // (cheap — a sort of members·vnodes points) and swap it in atomically,
 // which keeps concurrent readers lock-free.
@@ -32,10 +36,9 @@ import (
 	"strconv"
 )
 
-// DefaultVnodes is the per-member virtual-node count used when New is
-// given a non-positive vnodes argument. 128 points per member keeps the
-// expected load imbalance within a few percent for small clusters while
-// costing only a few KiB per member.
+// DefaultVnodes is the per-member virtual-node count. 128 points per
+// member keeps the expected load imbalance within a few percent for small
+// clusters while costing only a few KiB per member.
 const DefaultVnodes = 128
 
 // Ring is an immutable consistent-hash ring over a set of member IDs.
@@ -43,7 +46,6 @@ const DefaultVnodes = 128
 type Ring struct {
 	points  []point
 	members []string // sorted, deduplicated
-	vnodes  int
 }
 
 type point struct {
@@ -61,14 +63,10 @@ func hash64(label string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// New builds a ring over members with the given number of virtual nodes
-// per member (vnodes <= 0 selects DefaultVnodes). Member order and
-// duplicates do not matter: the ring is a pure function of the member
-// set. An empty member set yields an empty ring.
-func New(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
+// New builds a ring over members with DefaultVnodes virtual nodes per
+// member. Member order and duplicates do not matter: the ring is a pure
+// function of the member set. An empty member set yields an empty ring.
+func New(members []string) *Ring {
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]struct{}, len(members))
 	for _, m := range members {
@@ -83,12 +81,11 @@ func New(members []string, vnodes int) *Ring {
 	}
 	sort.Strings(uniq)
 	r := &Ring{
-		points:  make([]point, 0, len(uniq)*vnodes),
+		points:  make([]point, 0, len(uniq)*DefaultVnodes),
 		members: uniq,
-		vnodes:  vnodes,
 	}
 	for _, m := range uniq {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < DefaultVnodes; i++ {
 			// The label couples member and vnode index unambiguously: a
 			// member named "w1#2" cannot collide with vnode 2 of "w1"
 			// because the member part is length-prefixed.

@@ -37,8 +37,8 @@ func TestRingDeterministicAcrossBuilds(t *testing.T) {
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		// Duplicates and empty IDs must not perturb placement.
 		shuffled = append(shuffled, base[rng.Intn(len(base))], "")
-		a := New(base, 64)
-		b := New(shuffled, 64)
+		a := New(base)
+		b := New(shuffled)
 		for _, k := range keys(500) {
 			ao, aok := a.Owner(k)
 			bo, bok := b.Owner(k)
@@ -67,7 +67,7 @@ func TestRingLeaveOnlyMovesDepartedKeys(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 3 + rng.Intn(6) // 3..8 members
 		ms := members(n)
-		before := New(ms, 0)
+		before := New(ms)
 		departed := ms[rng.Intn(n)]
 		var survivors []string
 		for _, m := range ms {
@@ -75,7 +75,7 @@ func TestRingLeaveOnlyMovesDepartedKeys(t *testing.T) {
 				survivors = append(survivors, m)
 			}
 		}
-		after := New(survivors, 0)
+		after := New(survivors)
 		moved := 0
 		for _, k := range population {
 			ob, _ := before.Owner(k)
@@ -110,9 +110,9 @@ func TestRingBoundedChurn(t *testing.T) {
 	population := keys(4000)
 	for _, n := range []int{3, 5, 8} {
 		ms := members(n)
-		before := New(ms, 0)
+		before := New(ms)
 		joiner := "worker-joiner"
-		after := New(append(append([]string(nil), ms...), joiner), 0)
+		after := New(append(append([]string(nil), ms...), joiner))
 		moved := 0
 		for _, k := range population {
 			ob, _ := before.Owner(k)
@@ -139,7 +139,7 @@ func TestRingBoundedChurn(t *testing.T) {
 // vnodes every member owns a non-trivial share of a large population.
 func TestRingBalance(t *testing.T) {
 	ms := members(5)
-	r := New(ms, 0)
+	r := New(ms)
 	counts := map[string]int{}
 	population := keys(5000)
 	for _, k := range population {
@@ -165,11 +165,11 @@ func TestRingEdgeCases(t *testing.T) {
 	if nilRing.Len() != 0 || nilRing.Successors("abc", 3) != nil {
 		t.Fatal("nil ring not empty")
 	}
-	empty := New(nil, 0)
+	empty := New(nil)
 	if _, ok := empty.Owner("abc"); ok {
 		t.Fatal("empty ring reported an owner")
 	}
-	one := New([]string{"solo"}, 0)
+	one := New([]string{"solo"})
 	o, ok := one.Owner("abc")
 	if !ok || o != "solo" {
 		t.Fatalf("single-member ring: owner %q ok=%v", o, ok)
@@ -178,7 +178,7 @@ func TestRingEdgeCases(t *testing.T) {
 		t.Fatalf("single-member successors: %v", s)
 	}
 	// Successors: index 0 is the owner, all entries distinct.
-	r := New(members(4), 0)
+	r := New(members(4))
 	for _, k := range keys(50) {
 		s := r.Successors(k, 0)
 		o, _ := r.Owner(k)

@@ -41,11 +41,6 @@ type ReplicateConfig struct {
 	// Sink, when set, streams per-replicate tables and answers resume
 	// queries; see ReplicateSink.
 	Sink ReplicateSink
-	// FreshEngines disables engine reuse: every replicate builds its
-	// simulations from scratch, exactly as a plain run does. The knob
-	// exists for the differential tests and for debugging; results are
-	// byte-identical either way.
-	FreshEngines bool
 }
 
 // ReplicateRun is the replication entry point: it runs e n times under
@@ -61,14 +56,14 @@ type ReplicateConfig struct {
 // otherwise each worker builds its own cache. The per-replicate tables are
 // merged into the Welford reduction — and streamed to rc.Sink — in strict
 // replicate order, each seed derived from its replicate index, so the
-// output is byte-identical to the serial, fresh-engine path for every
-// worker count.
+// output is byte-identical to the serial path, and to fresh engines, for
+// every worker count.
 func ReplicateRun(e Experiment, p Params, n int, rc ReplicateConfig) (*report.Table, error) {
 	workers := rc.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return replicateStream(e, p, n, workers, rc.Sink, rc.FreshEngines)
+	return replicateStream(e, p, n, workers, rc.Sink)
 }
 
 // replicateStream is the replication engine behind ReplicateRun. It folds
@@ -77,7 +72,7 @@ func ReplicateRun(e Experiment, p Params, n int, rc ReplicateConfig) (*report.Ta
 // accumulating the whole run in memory first. Replicates the sink already
 // holds (Have) are not recomputed; the reduction stays byte-identical
 // because the same tables enter it in the same order either way.
-func replicateStream(e Experiment, p Params, n, workers int, sink ReplicateSink, freshEngines bool) (*report.Table, error) {
+func replicateStream(e Experiment, p Params, n, workers int, sink ReplicateSink) (*report.Table, error) {
 	if e.Run == nil {
 		return nil, errors.New("experiment: replicate of experiment without Run")
 	}
@@ -130,9 +125,7 @@ func replicateStream(e Experiment, p Params, n, workers int, sink ReplicateSink,
 			// byte-invisible (the engine rearm contract), so this changes
 			// wall-clock only.
 			cache := p.Engines
-			if freshEngines {
-				cache = nil
-			} else if cache == nil {
+			if cache == nil {
 				cache = network.NewEngineCache()
 			}
 			for rep := range reps {

@@ -208,45 +208,64 @@ func TestReplicateRealExperiment(t *testing.T) {
 }
 
 // TestReplicateEngineReuseMatchesFresh is the engine-reuse differential at
-// the experiment layer: the same replicated sweep run three ways — fresh
-// engines per replicate, per-worker reused engines, and a caller-shared
-// engine cache — must render byte-identical tables. Engine reuse is a pure
+// the experiment layer. The reference folds each seed's plain run (nil
+// Engines, so every simulation builds a fresh engine) through the same
+// accumulator ReplicateRun uses. ReplicateRun with per-worker reused
+// engines and with a caller-shared engine cache must render byte-identical
+// tables. abl-mix covers custom policies, including the timed mix, whose
+// factory arms a flush timer when it is built. Engine reuse is a pure
 // execution optimisation; any byte of divergence is state leaking across a
 // rearm.
 func TestReplicateEngineReuseMatchesFresh(t *testing.T) {
-	e, err := ByID("fig2b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := testParams()
-	p.Packets = 120
-	p.Interarrivals = []float64{2, 10}
-	const n = 4
+	for _, id := range []string{"fig2b", "abl-mix"} {
+		t.Run(id, func(t *testing.T) {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := testParams()
+			p.Packets = 120
+			p.Interarrivals = []float64{2, 10}
+			const n = 4
 
-	fresh, err := ReplicateRun(e, p, n, ReplicateConfig{Workers: 1, FreshEngines: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := render(t, fresh)
+			var acc tableAccumulator
+			for rep := 0; rep < n; rep++ {
+				q := p
+				q.Seed = p.Seed + uint64(rep)
+				tab, err := e.Run(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := acc.add(tab); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fresh, err := acc.table(p, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := render(t, fresh)
 
-	for _, workers := range []int{1, 2, 4} {
-		reused, err := ReplicateRun(e, p, n, ReplicateConfig{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := render(t, reused); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d with engine reuse differs from fresh engines:\n--- reused ---\n%s\n--- fresh ---\n%s",
-				workers, got, want)
-		}
-	}
+			for _, workers := range []int{1, 2, 4} {
+				reused, err := ReplicateRun(e, p, n, ReplicateConfig{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := render(t, reused); !bytes.Equal(got, want) {
+					t.Fatalf("workers=%d with engine reuse differs from fresh engines:\n--- reused ---\n%s\n--- fresh ---\n%s",
+						workers, got, want)
+				}
+			}
 
-	shared := p
-	shared.Engines = network.NewEngineCache()
-	cached, err := ReplicateRun(e, shared, n, ReplicateConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := render(t, cached); !bytes.Equal(got, want) {
-		t.Fatalf("caller-shared engine cache diverged from fresh engines:\n--- cached ---\n%s\n--- fresh ---\n%s", got, want)
+			shared := p
+			shared.Engines = network.NewEngineCache()
+			cached, err := ReplicateRun(e, shared, n, ReplicateConfig{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := render(t, cached); !bytes.Equal(got, want) {
+				t.Fatalf("caller-shared engine cache diverged from fresh engines:\n--- cached ---\n%s\n--- fresh ---\n%s", got, want)
+			}
+		})
 	}
 }

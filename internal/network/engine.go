@@ -1,12 +1,12 @@
 package network
 
-// Engine: the reusable form of the simulation runner. A fresh run builds
-// routes, per-node policies and pools once (NewEngine); every Run then
-// rearms that structure in place — scheduler drained, arena rewound, node
-// substreams reseeded, policies emptied — and executes against the full
-// config passed to Run. Structure is reused; behaviour always comes from
-// the caller's config, which is what makes a reused engine byte-identical
-// to a fresh one.
+// Engine: the reusable form of the simulation runner. Construction
+// (NewEngine) builds only structure: routes, nodes and pools. Every Run,
+// the first one included, goes through rearm, which drains the scheduler,
+// rewinds the arena, reseeds the node substreams, builds or resets the
+// buffering policies and adopts the full config passed to Run. Structure is
+// reused; behaviour always comes from the caller's config, which is what
+// makes a reused engine byte-identical to a fresh one.
 
 import (
 	"errors"
@@ -20,13 +20,15 @@ import (
 	"tempriv/internal/telemetry"
 )
 
-// Engine is a reusable simulation instance. It amortises the expensive
-// structural work of a run — route building, per-node policy construction,
-// timer/flight/entry pools, the packet arena — across many runs of
-// structurally compatible configs (same topology, policy, capacity, victim
-// rule and rate-control design point; everything else, including the seed,
-// delay distributions and traffic processes, is adopted fresh from the
-// config passed to each Run).
+// Engine is a reusable simulation instance. It amortises the structural
+// work of a run — route building, buffering policies, timer/flight/entry
+// pools, the packet arena — across many runs of structurally compatible
+// configs (same topology, policy, capacity, victim rule and rate-control
+// design point; everything else, including the seed, delay distributions,
+// traffic processes and observers, is adopted fresh from the config passed
+// to each Run). Built-in buffering policies are built by the first Run and
+// reset by later ones; custom policies are run-scoped, so every Run calls
+// the CustomPolicy factory afresh.
 //
 // An Engine is not safe for concurrent use; give each worker goroutine its
 // own (see EngineCache for the checkout/checkin discipline the experiment
@@ -36,10 +38,12 @@ type Engine struct {
 	r *runner
 }
 
-// NewEngine validates cfg and builds the run structure without executing
-// anything. The config's structural fields fix the engine's identity; Run
-// may then be called any number of times with configs that differ in seed,
-// delays, traffic, failures or horizon.
+// NewEngine validates cfg and builds the engine's structure (routes, nodes,
+// pools) without arming or executing anything. The config's structural
+// fields fix the engine's identity; Run may then be called any number of
+// times with configs that differ in seed, delays, traffic, failures,
+// observers or horizon. Errors from building a buffering policy surface
+// from Run, which builds the policies.
 func NewEngine(cfg Config) (*Engine, error) {
 	resolved, err := resolveConfig(cfg)
 	if err != nil {
@@ -93,9 +97,8 @@ func (e *Engine) runResolved(cfg Config) (*Result, error) {
 }
 
 // rearm resets every piece of run-scoped state and adopts cfg as the run's
-// configuration. On a fresh engine it is an exact no-op relative to
-// construction (substreams are reseeded to the values they already hold),
-// so the first run and all later runs travel the identical path.
+// configuration. It is the one place a run is armed — a fresh engine's
+// first run included — so every run travels the identical path.
 func (r *runner) rearm(cfg Config) error {
 	// Structural compatibility — checked against the construction config
 	// while r.cfg still holds it. These are the fields baked into built
@@ -121,12 +124,6 @@ func (r *runner) rearm(cfg Config) error {
 			return errors.New("network: engine reuse: topology differs from construction topology")
 		}
 	}
-	// Custom policy instances are factory-built and may close over caller
-	// state, so reuse or a seed change forces a rebuild. The first run of a
-	// fresh engine with an unchanged seed keeps the instances construction
-	// made — preserving the exactly-one-factory-call behaviour of a plain
-	// Run.
-	rebuildCustom := cfg.Policy == PolicyCustom && (r.ran || cfg.Seed != r.cfg.Seed)
 
 	r.cfg = cfg
 	r.sched.Reset()
@@ -137,6 +134,9 @@ func (r *runner) rearm(cfg Config) error {
 	}
 	clear(r.dead)
 	if cfg.ARQ != nil {
+		// Duplicates exist only when a delivered frame can be
+		// retransmitted, i.e. under ARQ; a reliable or ARQ-less run needs
+		// no filter.
 		if r.dedup == nil {
 			r.dedup = make(map[uint64]struct{})
 		} else {
@@ -152,17 +152,18 @@ func (r *runner) rearm(cfg Config) error {
 	}
 	r.tele = newTelemetryState(cfg.Telemetry)
 
-	// Per-node rearm. Map order is fine: Split never advances its parent,
-	// so the derived substreams are independent of visit order.
+	// Per-node rearm, in ID order: Split never advances its parent, so the
+	// substreams do not depend on the order, but the custom-policy
+	// factories' scheduler calls do.
 	master := rng.New(cfg.Seed)
-	for id, n := range r.nodes {
+	for _, n := range r.order {
 		n.dead = false
 		n.parent = n.parent0
 		n.dist = cfg.Delay
-		if d, ok := cfg.PerNodeDelay[id]; ok {
+		if d, ok := cfg.PerNodeDelay[n.id]; ok {
 			n.dist = d
 		}
-		n.src.SetTo(master.SplitIndexed("node", int(id)))
+		n.src.SetTo(master.SplitIndexed("node", int(n.id)))
 		switch {
 		case cfg.Channel == nil:
 			n.link = nil
@@ -178,19 +179,20 @@ func (r *runner) rearm(cfg Config) error {
 			// Reseeds the buffer's shared victim stream and re-derives the
 			// controller's planned-delay cap from the adopted distribution.
 			n.rcad.Reset(n.dist, n.src.Split("victim"))
-		case cfg.Policy == PolicyCustom:
-			if rebuildCustom {
-				if err := r.attachPolicy(n); err != nil {
-					return err
-				}
-			}
-		case n.policy != nil:
+		case n.policy != nil && cfg.Policy != PolicyCustom:
 			if res, ok := n.policy.(interface{ Reset() }); ok {
 				res.Reset()
 			}
+		default:
+			// A built-in policy is built on the engine's first run. A
+			// custom policy is run-scoped: its factory may close over
+			// caller state or arm timers on the scheduler just reset, so
+			// every run builds fresh instances.
+			if err := r.attachPolicy(n); err != nil {
+				return err
+			}
 		}
 	}
-	r.ran = true
 	return nil
 }
 
@@ -319,12 +321,12 @@ func engineKey(cfg *Config) (string, error) {
 
 // RunCached is Run through an engine cache: structurally compatible runs
 // reuse one engine's routes, pools and arena instead of rebuilding them.
-// Results are byte-identical to plain Run by the rearm contract. A nil
-// cache, a custom-policy config (factory closures may not be reusable), or
-// an observer attachment (Tracer, Telemetry) falls back to a one-shot run.
-// On a run error the engine is discarded, not returned to the cache.
+// Results are byte-identical to plain Run by the rearm contract, for custom
+// policies and attached observers (Tracer, Telemetry) too. A nil cache
+// falls back to a one-shot run. On a run error the engine is discarded,
+// not returned to the cache.
 func RunCached(cache *EngineCache, cfg Config) (*Result, error) {
-	if cache == nil || cfg.CustomPolicy != nil || cfg.Tracer != nil || cfg.Telemetry != nil {
+	if cache == nil {
 		return Run(cfg)
 	}
 	resolved, err := resolveConfig(cfg)

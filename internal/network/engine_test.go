@@ -3,13 +3,19 @@ package network
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
+	"tempriv/internal/buffer"
 	"tempriv/internal/delay"
+	"tempriv/internal/mix"
 	"tempriv/internal/packet"
 	"tempriv/internal/rng"
+	"tempriv/internal/sim"
 	"tempriv/internal/telemetry"
 	"tempriv/internal/topology"
+	"tempriv/internal/trace"
 	"tempriv/internal/traffic"
 )
 
@@ -225,30 +231,137 @@ func TestRunCachedMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunCachedBypasses verifies the conservative fallbacks: custom
-// policies and observer attachments never enter the cache.
-func TestRunCachedBypasses(t *testing.T) {
-	cache := NewEngineCache()
+// mixConfig builds a Figure-1 run whose nodes all install the policy the
+// factory builds. Every Figure-1 source sends count packets.
+func mixConfig(t *testing.T, seed uint64, count int, factory func(*sim.Scheduler, buffer.Forward, *rng.Source) (buffer.Policy, error)) Config {
+	t.Helper()
 	topo, sources, err := topology.Figure1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := mustProc(traffic.NewPeriodic(2))
-	cfg := Config{
-		Topology: topo,
-		Sources:  []Source{{Node: sources[0], Process: proc, Count: 10}},
-		Policy:   PolicyRCAD,
-		Delay:    mustDist(delay.NewExponential(5)),
-		Seed:     1,
-		Telemetry: &telemetry.Config{
-			Registry: telemetry.NewRegistry(),
-		},
+	proc := mustProc(traffic.NewPeriodic(5))
+	cfg := Config{Topology: topo, Policy: PolicyCustom, CustomPolicy: factory, Seed: seed}
+	for _, s := range sources {
+		cfg.Sources = append(cfg.Sources, Source{Node: s, Process: proc, Count: count})
 	}
-	if _, err := RunCached(cache, cfg); err != nil {
-		t.Fatalf("telemetry run: %v", err)
+	return cfg
+}
+
+func timedMix(s *sim.Scheduler, f buffer.Forward, src *rng.Source) (buffer.Policy, error) {
+	return mix.NewTimedMix(s, f, 30, src)
+}
+
+func poolMix(s *sim.Scheduler, f buffer.Forward, src *rng.Source) (buffer.Policy, error) {
+	return mix.NewThresholdMix(s, f, 8, 2, src)
+}
+
+// TestTimerArmingFactoryDeliversOnEveryPath pins the lifecycle for
+// policies that arm a timer when they are built: the timed mix schedules
+// its first flush inside the factory, so the factory must run after the
+// scheduler reset, on the first run of a fresh engine too. Run, a reused
+// Engine and RunCached must each deliver every packet and agree
+// byte-for-byte.
+func TestTimerArmingFactoryDeliversOnEveryPath(t *testing.T) {
+	const count = 40
+	eng, err := NewEngine(mixConfig(t, 1, count, timedMix))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(cache.engines) != 0 {
-		t.Fatal("telemetry-observed run entered the engine cache")
+	cache := NewEngineCache()
+	for seed := uint64(1); seed <= 3; seed++ {
+		paths := []struct {
+			name string
+			run  func(Config) (*Result, error)
+		}{
+			{"Run", Run},
+			{"Engine.Run", eng.Run},
+			{"RunCached", func(c Config) (*Result, error) { return RunCached(cache, c) }},
+		}
+		var want string
+		for _, path := range paths {
+			cfg := mixConfig(t, seed, count, timedMix)
+			res, err := path.run(cfg)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, path.name, err)
+			}
+			if got, sent := len(res.Deliveries), count*len(cfg.Sources); got != sent {
+				t.Fatalf("seed %d %s: delivered %d of %d packets", seed, path.name, got, sent)
+			}
+			sig := resultSignature(t, res)
+			if want == "" {
+				want = sig
+			} else if sig != want {
+				t.Fatalf("seed %d: %s diverged from Run", seed, path.name)
+			}
+		}
+	}
+}
+
+// TestRunCachedBypasses pins that RunCached has no bypass left: observed
+// runs (a trace recorder, a metrics registry and a sampler) and
+// custom-policy runs go through one shared cache. Over a seed sweep they
+// must match plain Run in trace events, samples, counter values and result
+// signature, and the cache keeps one engine per structural shape. The two
+// mixes share an engine: the factory is run-scoped, not structure.
+func TestRunCachedBypasses(t *testing.T) {
+	type observed struct {
+		sig     string
+		events  []trace.Event
+		samples []telemetry.Sample
+		metrics string
+	}
+	observe := func(t *testing.T, run func(Config) (*Result, error), cfg Config) observed {
+		t.Helper()
+		rec := &trace.Memory{}
+		reg := telemetry.NewRegistry()
+		mem := &telemetry.Memory{}
+		cfg.Tracer = rec
+		cfg.Telemetry = &telemetry.Config{Registry: reg, SampleEvery: 7, Emitter: mem}
+		res, err := run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prom strings.Builder
+		if err := reg.WriteProm(&prom); err != nil {
+			t.Fatal(err)
+		}
+		return observed{resultSignature(t, res), rec.Events(), mem.Samples(), prom.String()}
+	}
+	shapes := []struct {
+		name  string
+		build func(seed uint64) Config
+	}{
+		{"rcad", func(seed uint64) Config {
+			cfg := mixConfig(t, seed, 30, nil)
+			cfg.Policy, cfg.CustomPolicy = PolicyRCAD, nil
+			cfg.Delay = mustDist(delay.NewExponential(5))
+			return cfg
+		}},
+		{"timed-mix", func(seed uint64) Config { return mixConfig(t, seed, 30, timedMix) }},
+		{"pool-mix", func(seed uint64) Config { return mixConfig(t, seed, 30, poolMix) }},
+	}
+	cache := NewEngineCache()
+	cached := func(c Config) (*Result, error) { return RunCached(cache, c) }
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, sh := range shapes {
+			want := observe(t, Run, sh.build(seed))
+			got := observe(t, cached, sh.build(seed))
+			switch {
+			case len(want.events) == 0 || len(want.samples) == 0:
+				t.Fatalf("seed %d %s: observers saw nothing", seed, sh.name)
+			case got.sig != want.sig:
+				t.Fatalf("seed %d %s: cached result diverged from Run", seed, sh.name)
+			case !reflect.DeepEqual(got.events, want.events):
+				t.Fatalf("seed %d %s: cached trace diverged from Run", seed, sh.name)
+			case !reflect.DeepEqual(got.samples, want.samples):
+				t.Fatalf("seed %d %s: cached samples diverged from Run", seed, sh.name)
+			case got.metrics != want.metrics:
+				t.Fatalf("seed %d %s: cached counters diverged from Run:\n%s\nwant:\n%s", seed, sh.name, got.metrics, want.metrics)
+			}
+		}
+	}
+	if n := len(cache.engines); n != 2 {
+		t.Fatalf("cache holds %d engines, want 2 (rcad, and one for both mixes)", n)
 	}
 }
 

@@ -5,8 +5,6 @@ package network
 // the rare path — it keeps ordinary closures rather than pooled callbacks.
 
 import (
-	"sort"
-
 	"tempriv/internal/packet"
 	"tempriv/internal/routing"
 	"tempriv/internal/topology"
@@ -64,17 +62,11 @@ func (r *runner) loseToFailure(at packet.NodeID, packets []*packet.Packet) {
 func (r *runner) repairRoutes(failed *node, evacuated []*packet.Packet) {
 	rebuilt := routing.BuildTreeAvoiding(r.cfg.Topology, r.dead)
 
-	ids := make([]packet.NodeID, 0, len(r.nodes))
-	for id := range r.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		n := r.nodes[id]
+	for _, n := range r.order {
 		if n.dead {
 			continue
 		}
-		parent, ok := rebuilt.NextHop(id)
+		parent, ok := rebuilt.NextHop(n.id)
 		if !ok || parent == n.parent {
 			// A survivor the failure orphaned keeps its stale parent: its
 			// traffic dies at the dead node exactly as without repair.
@@ -84,7 +76,7 @@ func (r *runner) repairRoutes(failed *node, evacuated []*packet.Packet) {
 		r.result.Reroutes++
 		if r.cfg.Tracer != nil {
 			r.cfg.Tracer.Record(trace.Event{
-				At: r.sched.Now(), Kind: trace.Rerouted, Node: id, Dest: parent,
+				At: r.sched.Now(), Kind: trace.Rerouted, Node: n.id, Dest: parent,
 			})
 		}
 	}

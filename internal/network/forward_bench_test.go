@@ -15,9 +15,9 @@ import (
 
 const benchHops = 8
 
-// newForwardRunner assembles a runner over a lossless line of benchHops hops
-// under PolicyForward. The declared source is never armed — callers inject
-// packets straight into the link layer.
+// newForwardRunner assembles and arms a runner over a lossless line of
+// benchHops hops under PolicyForward. The declared source is never armed —
+// callers inject packets straight into the link layer.
 func newForwardRunner(tb testing.TB, cfg func(*Config)) *runner {
 	tb.Helper()
 	topo, err := topology.Line(benchHops)
@@ -39,6 +39,9 @@ func newForwardRunner(tb testing.TB, cfg func(*Config)) *runner {
 	}
 	r, err := newRunner(c)
 	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.rearm(c); err != nil {
 		tb.Fatal(err)
 	}
 	return r

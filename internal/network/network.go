@@ -137,10 +137,12 @@ type Config struct {
 	// buffer.ShortestRemaining, the paper's rule.
 	Victim buffer.VictimSelector
 	// CustomPolicy builds each node's buffering policy when Policy is
-	// PolicyCustom. It is called once per buffering node with that node's
-	// forward function and private random substream. When Delay is nil,
-	// custom policies receive zero sampled delays (appropriate for
-	// batching mixes, which ignore them).
+	// PolicyCustom. Every run calls it once per buffering node, in node-ID
+	// order, with that node's forward function and private random
+	// substream. The calls come after the scheduler is reset and before
+	// any source is armed, so a policy may arm timers when it is built.
+	// When Delay is nil, custom policies receive zero sampled delays
+	// (appropriate for batching mixes, which ignore them).
 	CustomPolicy func(sched *sim.Scheduler, forward buffer.Forward, src *rng.Source) (buffer.Policy, error)
 	// RateControl optionally enables per-node delay planning (§4).
 	RateControl *RateControl

@@ -20,8 +20,12 @@ type evacuator interface {
 	Evacuate() []*packet.Packet
 }
 
-// attachPolicy wires the configured buffering policy to node n.
+// attachPolicy builds the configured buffering policy for node n. It runs
+// inside rearm, after n has adopted the run's delay and substream.
 func (r *runner) attachPolicy(n *node) error {
+	if r.cfg.Policy == PolicyForward {
+		return nil // handled inline in deliver
+	}
 	forward := func(p *packet.Packet, preempted bool) {
 		kind := trace.Released
 		if preempted {
@@ -32,8 +36,6 @@ func (r *runner) attachPolicy(n *node) error {
 		r.transmit(n, p)
 	}
 	switch r.cfg.Policy {
-	case PolicyForward:
-		return nil // handled inline in deliver
 	case PolicyUnlimited:
 		pol, err := buffer.NewUnlimited(r.sched, forward)
 		if err != nil {

@@ -62,9 +62,11 @@ type runner struct {
 	// identity rearm checks when a later run passes a different Topology
 	// value.
 	edges0 [][2]int
-	// ran records that at least one run completed, so rearm knows when
-	// custom-policy factories must be re-invoked.
-	ran bool
+	// order lists the nodes in ID order. Every whole-network visit (rearm,
+	// route repair, finalize, sampling) walks it, so custom-policy
+	// factories, repair re-parenting and per-node summaries always see
+	// the same sequence.
+	order []*node
 }
 
 // Run validates cfg, executes the simulation to completion, and returns the
@@ -182,10 +184,9 @@ func resolveConfig(cfg Config) (Config, error) {
 	return cfg, nil
 }
 
-// newRunner builds the structural state of an engine from an already
-// resolved config: routes, per-node policies, links, and the reusable pools.
-// The built structure is what survives across runs; everything run-scoped is
-// (re)armed by rearm.
+// newRunner builds the structure of an engine from an already resolved
+// config: routes, nodes in ID order, and the reusable pools. It arms
+// nothing; rearm adopts every run's state, the first run's included.
 func newRunner(cfg Config) (*runner, error) {
 	routes, err := routing.BuildTree(cfg.Topology)
 	if err != nil {
@@ -199,22 +200,7 @@ func newRunner(cfg Config) (*runner, error) {
 		nodes:  make(map[packet.NodeID]*node),
 		dead:   make(map[packet.NodeID]bool),
 		edges0: sortedEdges(cfg.Topology),
-		result: &Result{
-			Flows: make(map[packet.NodeID]*FlowStats),
-			Nodes: make(map[packet.NodeID]*NodeStats),
-		},
 	}
-	r.tele = newTelemetryState(cfg.Telemetry)
-	if cfg.ARQ != nil {
-		// Duplicates exist only when a delivered frame can be retransmitted,
-		// i.e. under ARQ; a reliable or ARQ-less run needs no filter.
-		r.dedup = make(map[uint64]struct{})
-	}
-	if cfg.Seal {
-		r.keyring = seal.NewKeyring([]byte(fmt.Sprintf("tempriv/network/%d", cfg.Seed)))
-	}
-
-	master := rng.New(cfg.Seed)
 	for _, id := range cfg.Topology.Nodes() {
 		if id == topology.Sink {
 			continue
@@ -223,23 +209,9 @@ func newRunner(cfg Config) (*runner, error) {
 		if !ok {
 			return nil, fmt.Errorf("network: node %v has no route to the sink", id)
 		}
-		n := &node{
-			id:      id,
-			parent:  parent,
-			parent0: parent,
-			dist:    cfg.Delay,
-			src:     master.SplitIndexed("node", int(id)),
-		}
-		if d, ok := cfg.PerNodeDelay[id]; ok {
-			n.dist = d
-		}
-		if cfg.Channel != nil {
-			n.link = newLinkChannel(*cfg.Channel, n.src.Split("link"))
-		}
-		if err := r.attachPolicy(n); err != nil {
-			return nil, err
-		}
+		n := &node{id: id, parent0: parent, src: new(rng.Source)}
 		r.nodes[id] = n
+		r.order = append(r.order, n)
 	}
 	return r, nil
 }

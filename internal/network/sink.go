@@ -5,8 +5,6 @@ package network
 // per-node summaries once the event list has drained.
 
 import (
-	"sort"
-
 	"tempriv/internal/buffer"
 	"tempriv/internal/metrics"
 	"tempriv/internal/packet"
@@ -68,13 +66,7 @@ func (r *runner) finalize() {
 		res.Flows[flow].Latency = l.Report()
 	}
 
-	ids := make([]packet.NodeID, 0, len(r.nodes))
-	for id := range r.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		n := r.nodes[id]
+	for _, n := range r.order {
 		var st *buffer.Stats
 		switch {
 		case n.rcad != nil:
@@ -84,9 +76,9 @@ func (r *runner) finalize() {
 		default:
 			continue // PolicyForward keeps no buffer state
 		}
-		hops, _ := r.routes.HopCount(id)
-		res.Nodes[id] = &NodeStats{
-			ID:            id,
+		hops, _ := r.routes.HopCount(n.id)
+		res.Nodes[n.id] = &NodeStats{
+			ID:            n.id,
 			HopsToSink:    hops,
 			Arrivals:      st.Arrivals,
 			Departures:    st.Departures,

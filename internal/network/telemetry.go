@@ -151,7 +151,7 @@ func (r *runner) buildSample(now float64) telemetry.Sample {
 	var bufferDrops uint64
 	occ := make(map[packet.NodeID]int, len(r.nodes))
 	buffered := 0
-	for id, n := range r.nodes {
+	for _, n := range r.order {
 		var ln int
 		switch {
 		case n.rcad != nil:
@@ -163,7 +163,7 @@ func (r *runner) buildSample(now float64) telemetry.Sample {
 		default:
 			continue // PolicyForward holds nothing
 		}
-		occ[id] = ln
+		occ[n.id] = ln
 		buffered += ln
 	}
 	delivered := uint64(len(res.Deliveries))

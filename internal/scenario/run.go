@@ -49,12 +49,6 @@ type Options struct {
 	// outcomes with or without a sink, resumed or not — the differential
 	// tests hold the engine to that.
 	Sink ReplicateSink
-	// DisableEngineReuse makes every simulation build its engine from
-	// scratch instead of reusing pooled arena-backed engines across the
-	// scenario's runs and replicates. Execution-only — reuse never affects
-	// result bytes (the differential tests hold it to that); the knob
-	// exists for debugging and for those tests.
-	DisableEngineReuse bool
 }
 
 func (o Options) progress(stage, message string) {
@@ -142,12 +136,10 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 	if opts.SweepWorkers > 0 {
 		p.Workers = opts.SweepWorkers
 	}
-	if !opts.DisableEngineReuse {
-		// One cache for the whole scenario: sweep points inside a single
-		// replicate share engines too (the cache's checkout discipline makes
-		// it safe under the sweep's parallelFor workers).
-		p.Engines = network.NewEngineCache()
-	}
+	// One cache for the whole scenario: sweep points inside a single
+	// replicate share engines too (the cache's checkout discipline makes it
+	// safe under the sweep's parallelFor workers).
+	p.Engines = network.NewEngineCache()
 	opts.progress("running", fmt.Sprintf("%s (%d replicate(s), seed %d)", spec.Label(), replicates, seed))
 
 	// The whole execution runs under an "engine" span; each replicate gets
@@ -185,9 +177,8 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 			workers = 1
 		}
 		tab, err = experiment.ReplicateRun(e, p, replicates, experiment.ReplicateConfig{
-			Workers:      workers,
-			Sink:         opts.Sink,
-			FreshEngines: opts.DisableEngineReuse,
+			Workers: workers,
+			Sink:    opts.Sink,
 		})
 	} else if opts.Sink != nil {
 		// Single-replicate scenarios stream through the same seam: a

@@ -297,16 +297,19 @@ func TestCanonicalJSONRoundTrips(t *testing.T) {
 	}
 }
 
-// TestRunEngineReuseDifferential runs representative scenarios with engine
-// reuse enabled (the default) and disabled, serial and parallel, and
-// requires byte-identical renderings. This is the scenario-layer guarantee
-// behind sweep's -fresh-engines escape hatch: reuse may never change output.
+// TestRunEngineReuseDifferential runs representative replicated scenarios
+// serially and on three replicate workers and requires byte-identical
+// renderings. Every run reuses pooled engines, so the parallel run files
+// different seeds onto different engines than the serial one: reuse may
+// never change output. abl-mix covers custom policies.
 func TestRunEngineReuseDifferential(t *testing.T) {
 	specs := map[string][]byte{
 		"experiment-replicated": []byte(`{"version":1,"experiment":{
 			"id":"fig2b","packets":60,"interarrivals":[5],"replicates":3,"seed":2}}`),
 		"simulation-replicated": []byte(`{"version":1,"simulation":{
 			"topology":{"kind":"line","hops":3},"packets":20,"replicates":3}}`),
+		"custom-policy-replicated": []byte(`{"version":1,"experiment":{
+			"id":"abl-mix","packets":60,"replicates":3,"seed":2}}`),
 	}
 	for name, doc := range specs {
 		t.Run(name, func(t *testing.T) {
@@ -314,22 +317,16 @@ func TestRunEngineReuseDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseline, err := Run(context.Background(), spec, Options{DisableEngineReuse: true})
+			serial, err := Run(context.Background(), spec, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range []Options{
-				{},
-				{ReplicateWorkers: 3},
-				{ReplicateWorkers: 3, DisableEngineReuse: true},
-			} {
-				out, err := Run(context.Background(), spec, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(out.TableText, baseline.TableText) || !bytes.Equal(out.TableCSV, baseline.TableCSV) {
-					t.Fatalf("opts %+v changed result bytes vs fresh-engine serial baseline", opts)
-				}
+			out, err := Run(context.Background(), spec, Options{ReplicateWorkers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.TableText, serial.TableText) || !bytes.Equal(out.TableCSV, serial.TableCSV) {
+				t.Fatalf("ReplicateWorkers 3 changed result bytes vs the serial run:\n--- parallel ---\n%s\n--- serial ---\n%s", out.TableText, serial.TableText)
 			}
 		})
 	}

@@ -260,16 +260,20 @@ func Run(cfg Config) (*Result, error) { return network.Run(cfg) }
 // Engine is a reusable simulation instance: one Engine runs many configs
 // that share the same structural shape (topology, policy kind, capacity,
 // victim rule, rate-control setting), reusing its built routes, buffers,
-// scheduler and packet arena across runs. Engine.Run(cfg) produces results
+// scheduler and packet arena across runs. Every run, the first one
+// included, is armed the same way, and Config.CustomPolicy factories are
+// called again on every run, so Engine.Run(cfg) produces results
 // byte-identical to Run(cfg); reuse is purely an execution optimisation.
 // An Engine is not safe for concurrent use; give each goroutine its own,
 // or share an EngineCache.
 type Engine = network.Engine
 
-// NewEngine builds a reusable Engine for cfg's structural shape without
-// running it. Pass each run's full Config to Engine.Run — per-run state
-// (seed, traffic processes, delay distributions, failures) is adopted
-// fresh every run.
+// NewEngine builds the structure of a reusable Engine for cfg's shape
+// without arming or running it. Pass each run's full Config to
+// Engine.Run — per-run state (seed, traffic processes, delay
+// distributions, failures, custom policies, tracer and telemetry) is
+// adopted fresh every run. An error from building a buffering policy
+// surfaces from Engine.Run.
 func NewEngine(cfg Config) (*Engine, error) { return network.NewEngine(cfg) }
 
 // EngineCache pools Engines by structural shape so sweeps over seeds or
@@ -281,9 +285,9 @@ type EngineCache = network.EngineCache
 func NewEngineCache() *EngineCache { return network.NewEngineCache() }
 
 // RunCached is Run through an EngineCache: structurally matching configs
-// reuse a pooled engine. A nil cache, a custom policy, or an attached
-// tracer/telemetry observer falls back to a fresh engine per run. Results
-// are byte-identical to Run either way.
+// reuse a pooled engine, custom-policy and observed (tracer, telemetry)
+// runs included. Only a nil cache falls back to a fresh engine per run.
+// Results are byte-identical to Run either way.
 func RunCached(cache *EngineCache, cfg Config) (*Result, error) {
 	return network.RunCached(cache, cfg)
 }
