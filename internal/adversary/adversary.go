@@ -14,10 +14,11 @@
 package adversary
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"tempriv/internal/metrics"
 	"tempriv/internal/packet"
@@ -214,21 +215,36 @@ func (a *Adaptive) PreemptionRegimeCount() uint64 { return a.switches }
 // merge topology the shared near-sink hops preempt at the aggregate rate,
 // so their delays shrink long before a flow's own rate saturates its
 // private hops.
+//
+// Nodes crossed by the same set of flows share one transit class and so
+// one delay — a merge tree's trunk is one class, each private branch
+// another. An estimate computes the delay of each class on the observed
+// flow's path once, then sums τ + d hop by hop, so its cost is linear in
+// the path length plus the flows crossing those classes.
 type PathAware struct {
 	tau       float64
 	meanDelay float64
 	slots     int
 	threshold float64
 
-	// paths maps each flow to its buffering nodes (source and
-	// intermediates, sink excluded).
-	paths map[packet.NodeID][]packet.NodeID
-	// order is the flows in ascending ID order. nodeRate accumulates
-	// floating-point rates over it instead of ranging the map: float
-	// addition is not associative, so map iteration order would leak into
-	// the estimate at ulp scale and break bit-reproducibility of runs.
-	order []packet.NodeID
-	flows map[packet.NodeID]*flowTrack
+	// Flows are numbered by slot in ascending origin order. slotOf maps an
+	// origin ID to its slot, -1 for an origin with no known path.
+	slotOf []int32
+	tracks []flowTrack // per slot
+	// classFlows lists each class's flow slots in ascending order. The
+	// class rate sums over it: float addition is not associative, so the
+	// terms must always be added in one order for runs to stay
+	// bit-reproducible.
+	classFlows [][]int32
+	// hops is each flow's path as class indices, in path order (source
+	// first, sink excluded).
+	hops [][]int32
+	// delay caches each class's hop delay within one estimate: it is
+	// current when the class's stamp equals epoch, which every estimate
+	// advances.
+	delay []float64
+	stamp []uint64
+	epoch uint64
 }
 
 var _ Estimator = (*PathAware)(nil)
@@ -253,84 +269,151 @@ func NewPathAware(tau, meanDelay float64, k int, threshold float64, paths map[pa
 	if len(paths) == 0 {
 		return nil, errors.New("adversary: path-aware adversary needs at least one flow path")
 	}
-	cp := make(map[packet.NodeID][]packet.NodeID, len(paths))
 	order := make([]packet.NodeID, 0, len(paths))
+	totalHops := 0
 	for flow, path := range paths {
 		if len(path) == 0 {
 			return nil, fmt.Errorf("adversary: empty path for flow %v", flow)
 		}
-		nodes := make([]packet.NodeID, len(path))
-		copy(nodes, path)
-		cp[flow] = nodes
 		order = append(order, flow)
+		totalHops += len(path)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
+
+	classFlows, classOf := transitClasses(order, paths, totalHops)
+	hops := make([][]int32, len(order))
+	buf := make([]int32, totalHops) // every flow's hops, carved in turn
+	for s, flow := range order {
+		path := paths[flow]
+		hops[s], buf = buf[:len(path):len(path)], buf[len(path):]
+		for i, n := range path {
+			hops[s][i] = classOf[n]
+		}
+	}
+
+	slotOf := make([]int32, int(order[len(order)-1])+1)
+	for i := range slotOf {
+		slotOf[i] = -1
+	}
+	for s, flow := range order {
+		slotOf[flow] = int32(s)
+	}
 	return &PathAware{
-		tau:       tau,
-		meanDelay: meanDelay,
-		slots:     k,
-		threshold: threshold,
-		paths:     cp,
-		order:     order,
-		flows:     make(map[packet.NodeID]*flowTrack),
+		tau:        tau,
+		meanDelay:  meanDelay,
+		slots:      k,
+		threshold:  threshold,
+		slotOf:     slotOf,
+		tracks:     make([]flowTrack, len(order)),
+		classFlows: classFlows,
+		hops:       hops,
+		delay:      make([]float64, len(classFlows)),
+		stamp:      make([]uint64, len(classFlows)),
 	}, nil
+}
+
+// crossing records that flow slot crosses buffering node.
+type crossing struct {
+	node packet.NodeID
+	slot int32
+}
+
+// nodeFlows is one buffering node's flow slots, ascending.
+type nodeFlows struct {
+	node  packet.NodeID
+	flows []int32
+}
+
+// transitClasses groups the buffering nodes on the flows' paths into
+// transit classes: nodes crossed by equal sets of flows share a class. A
+// flow's slot is its index in order, which lists the origins ascending. It
+// returns each class's flow slots, ascending, and every node's class.
+func transitClasses(order []packet.NodeID, paths map[packet.NodeID][]packet.NodeID, totalHops int) ([][]int32, map[packet.NodeID]int32) {
+	// Every (node, slot) crossing, sorted by node then slot: each node's
+	// run lists the flows transiting it in ascending order.
+	crossings := make([]crossing, 0, totalHops)
+	for s, flow := range order {
+		for _, n := range paths[flow] {
+			crossings = append(crossings, crossing{node: n, slot: int32(s)})
+		}
+	}
+	slices.SortFunc(crossings, func(x, y crossing) int {
+		if c := cmp.Compare(x.node, y.node); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.slot, y.slot)
+	})
+	crossings = slices.Compact(crossings) // a path may visit a node twice
+	slots := make([]int32, len(crossings))
+	nodes := make([]nodeFlows, 0, len(crossings))
+	for i := 0; i < len(crossings); {
+		j := i
+		for ; j < len(crossings) && crossings[j].node == crossings[i].node; j++ {
+			slots[j] = crossings[j].slot
+		}
+		nodes = append(nodes, nodeFlows{node: crossings[i].node, flows: slots[i:j:j]})
+		i = j
+	}
+
+	// Sorting by flow list makes equal lists adjacent; each new list opens
+	// a class.
+	slices.SortFunc(nodes, func(x, y nodeFlows) int { return slices.Compare(x.flows, y.flows) })
+	classFlows := make([][]int32, 0, len(nodes))
+	classOf := make(map[packet.NodeID]int32, len(nodes))
+	for i, nf := range nodes {
+		if i == 0 || !slices.Equal(nf.flows, nodes[i-1].flows) {
+			classFlows = append(classFlows, nf.flows)
+		}
+		classOf[nf.node] = int32(len(classFlows) - 1)
+	}
+	return classFlows, classOf
 }
 
 // Estimate implements Estimator.
 func (a *PathAware) Estimate(obs Observation) float64 {
-	flow := obs.Header.Origin
-	ft, ok := a.flows[flow]
-	if !ok {
-		ft = &flowTrack{}
-		a.flows[flow] = ft
+	s := int32(-1)
+	if origin := int(obs.Header.Origin); origin < len(a.slotOf) {
+		s = a.slotOf[origin]
 	}
-	ft.observe(obs.ArrivalTime)
-
-	path, ok := a.paths[flow]
-	if !ok {
+	if s < 0 {
 		// Unknown flow: fall back to the baseline rule over the header's
 		// hop count.
 		h := float64(obs.Header.HopCount)
 		return obs.ArrivalTime - h*(a.tau+a.meanDelay)
 	}
+	a.tracks[s].observe(obs.ArrivalTime)
 
+	a.epoch++
 	total := 0.0
-	for _, node := range path {
-		lambda := a.nodeRate(node)
-		d := a.meanDelay
-		if lambda > 0 {
-			if loss, err := queueing.ErlangLoss(lambda*a.meanDelay, a.slots); err == nil && loss >= a.threshold {
-				if est := float64(a.slots) / lambda; est < d {
-					d = est
-				}
-			}
+	for _, c := range a.hops[s] {
+		if a.stamp[c] != a.epoch {
+			a.delay[c], a.stamp[c] = a.classDelay(c), a.epoch
 		}
-		total += a.tau + d
+		total += a.tau + a.delay[c]
 	}
 	return obs.ArrivalTime - total
 }
 
-// nodeRate returns the aggregate measured rate of the flows transiting node.
-func (a *PathAware) nodeRate(node packet.NodeID) float64 {
-	total := 0.0
-	for _, flow := range a.order {
-		path := a.paths[flow]
-		ft, ok := a.flows[flow]
-		if !ok {
-			continue
-		}
-		r := ft.rate()
+// classDelay returns the per-hop delay at the nodes of class c, from the
+// aggregate measured rate of the flows transiting them.
+func (a *PathAware) classDelay(c int32) float64 {
+	lambda := 0.0
+	for _, s := range a.classFlows[c] {
+		r := a.tracks[s].rate()
 		if r <= 0 {
 			continue
 		}
-		for _, n := range path {
-			if n == node {
-				total += r
-				break
+		lambda += r
+	}
+	d := a.meanDelay
+	if lambda > 0 {
+		if loss, err := queueing.ErlangLoss(lambda*a.meanDelay, a.slots); err == nil && loss >= a.threshold {
+			if est := float64(a.slots) / lambda; est < d {
+				d = est
 			}
 		}
 	}
-	return total
+	return d
 }
 
 // Name implements Estimator.

@@ -3,11 +3,15 @@ package adversary
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"tempriv/internal/packet"
+	"tempriv/internal/queueing"
 	"tempriv/internal/rng"
+	"tempriv/internal/routing"
+	"tempriv/internal/topology"
 )
 
 func obs(z float64, origin packet.NodeID, hops uint8) Observation {
@@ -528,9 +532,9 @@ func (m *MSEPair) value() float64 {
 }
 
 func TestPathAwareNodeRateOrderIsSorted(t *testing.T) {
-	// nodeRate sums floating-point per-flow rates; the sum must run in
-	// sorted flow order, never map order, or estimates differ at ulp scale
-	// between processes and break bit-reproducible replication.
+	// A class's rate sums floating-point per-flow rates; the sum must run
+	// in ascending flow order, never map order, or estimates differ at ulp
+	// scale between processes and break bit-reproducible replication.
 	paths := map[packet.NodeID][]packet.NodeID{
 		9: {9, 2, 1}, 3: {3, 2, 1}, 7: {7, 2, 1}, 5: {5, 2, 1},
 	}
@@ -538,13 +542,261 @@ func TestPathAwareNodeRateOrderIsSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []packet.NodeID{3, 5, 7, 9}
-	if len(a.order) != len(want) {
-		t.Fatalf("order = %v, want %v", a.order, want)
+	// The shared trunk {2, 1} is one class crossed by all four flows.
+	var trunk []int32
+	for _, flows := range a.classFlows {
+		if !slices.IsSorted(flows) {
+			t.Fatalf("class flows %v not in ascending slot order", flows)
+		}
+		if len(flows) == 4 {
+			trunk = flows
+		}
 	}
-	for i, id := range want {
-		if a.order[i] != id {
-			t.Fatalf("order = %v, want %v", a.order, want)
+	if want := []int32{0, 1, 2, 3}; !slices.Equal(trunk, want) {
+		t.Fatalf("trunk class flows = %v, want %v (slots of origins 3, 5, 7, 9)", trunk, want)
+	}
+	for origin, slot := range map[packet.NodeID]int32{3: 0, 5: 1, 7: 2, 9: 3, 4: -1} {
+		if got := a.slotOf[origin]; got != slot {
+			t.Fatalf("slot of origin %v = %d, want %d", origin, got, slot)
 		}
 	}
 }
+
+// refPathAware is the path-aware estimator in its direct form: for every
+// hop it re-sums the rates of all flows whose path contains the hop's node,
+// in ascending flow order, and re-runs the Erlang loss test. It is the
+// reference TestPathAwareMatchesReference holds the class-based
+// implementation to, bit for bit.
+type refPathAware struct {
+	tau, meanDelay, threshold float64
+	slots                     int
+	paths                     map[packet.NodeID][]packet.NodeID
+	order                     []packet.NodeID
+	flows                     map[packet.NodeID]*flowTrack
+}
+
+func newRefPathAware(tau, meanDelay float64, k int, threshold float64, paths map[packet.NodeID][]packet.NodeID) *refPathAware {
+	a := &refPathAware{
+		tau: tau, meanDelay: meanDelay, threshold: threshold, slots: k,
+		paths: make(map[packet.NodeID][]packet.NodeID, len(paths)),
+		flows: make(map[packet.NodeID]*flowTrack),
+	}
+	for flow, path := range paths {
+		a.paths[flow] = slices.Clone(path)
+		a.order = append(a.order, flow)
+	}
+	slices.Sort(a.order)
+	return a
+}
+
+func (a *refPathAware) Estimate(o Observation) float64 {
+	flow := o.Header.Origin
+	ft, ok := a.flows[flow]
+	if !ok {
+		ft = &flowTrack{}
+		a.flows[flow] = ft
+	}
+	ft.observe(o.ArrivalTime)
+	path, ok := a.paths[flow]
+	if !ok {
+		h := float64(o.Header.HopCount)
+		return o.ArrivalTime - h*(a.tau+a.meanDelay)
+	}
+	total := 0.0
+	for _, node := range path {
+		lambda := a.nodeRate(node)
+		d := a.meanDelay
+		if lambda > 0 {
+			if loss, err := queueing.ErlangLoss(lambda*a.meanDelay, a.slots); err == nil && loss >= a.threshold {
+				if est := float64(a.slots) / lambda; est < d {
+					d = est
+				}
+			}
+		}
+		total += a.tau + d
+	}
+	return o.ArrivalTime - total
+}
+
+func (a *refPathAware) nodeRate(node packet.NodeID) float64 {
+	total := 0.0
+	for _, flow := range a.order {
+		ft, ok := a.flows[flow]
+		if !ok {
+			continue
+		}
+		r := ft.rate()
+		if r <= 0 {
+			continue
+		}
+		if slices.Contains(a.paths[flow], node) {
+			total += r
+		}
+	}
+	return total
+}
+
+// randomMergeTree draws 1–8 flows over a random sink-rooted tree, so flows
+// share trunks of every length. Each path runs from its origin to the node
+// adjacent to the sink. Some trials make one path visit a node twice.
+func randomMergeTree(src *rng.Source) map[packet.NodeID][]packet.NodeID {
+	nodes := 2 + src.Intn(40)
+	parent := make([]int, nodes+1) // node i's parent lies in [0, i); 0 is the sink
+	for i := 1; i <= nodes; i++ {
+		parent[i] = src.Intn(i)
+	}
+	flows := 1 + src.Intn(8)
+	if flows > nodes {
+		flows = nodes
+	}
+	paths := make(map[packet.NodeID][]packet.NodeID, flows)
+	origins := src.Perm(nodes)[:flows]
+	for _, i := range origins {
+		var path []packet.NodeID
+		for n := i + 1; n != 0; n = parent[n] {
+			path = append(path, packet.NodeID(n))
+		}
+		paths[packet.NodeID(i+1)] = path
+	}
+	if src.Intn(4) == 0 {
+		origin := packet.NodeID(origins[0] + 1)
+		path := paths[origin]
+		again := path[src.Intn(len(path))]
+		paths[origin] = slices.Insert(path, src.Intn(len(path)+1), again)
+	}
+	return paths
+}
+
+// TestPathAwareMatchesReference is the differential gate for the class-based
+// PathAware: over random merge trees, a path visiting a node twice, unknown
+// origins and flows observed once or never, every estimate must equal the
+// reference's bit for bit.
+func TestPathAwareMatchesReference(t *testing.T) {
+	src := rng.New(20261017)
+	for trial := 0; trial < 400; trial++ {
+		tr := src.SplitIndexed("trial", trial)
+		paths := randomMergeTree(tr)
+		tau := float64(tr.Intn(3))
+		meanDelay := 1 + 40*tr.Float64()
+		k := 1 + tr.Intn(12)
+		threshold := 0.02 + 0.5*tr.Float64()
+		got, err := NewPathAware(tau, meanDelay, k, threshold, paths)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want := newRefPathAware(tau, meanDelay, k, threshold, paths)
+
+		// Observed origins: every known flow but possibly one, plus unknown
+		// IDs inside and beyond the known range. Rates span both sides of
+		// the Erlang threshold, and gaps of 0 make equal arrival times.
+		var origins []packet.NodeID
+		for origin := range paths {
+			origins = append(origins, origin)
+		}
+		slices.Sort(origins)
+		if len(origins) > 1 && tr.Intn(2) == 0 {
+			origins = origins[1:] // this flow is never observed
+		}
+		origins = append(origins, 0, packet.NodeID(50+tr.Intn(60000)))
+		once := origins[tr.Intn(len(origins))] // observed a single time
+		z := 0.0
+		meanGap := 0.05 + 20*tr.Float64()
+		onceDone := false
+		for i := 0; i < 300; i++ {
+			if tr.Intn(5) > 0 {
+				z += tr.Exponential(meanGap)
+			}
+			origin := origins[tr.Intn(len(origins))]
+			if origin == once {
+				if onceDone {
+					continue
+				}
+				onceDone = true
+			}
+			o := Observation{ArrivalTime: z, Header: packet.Header{Origin: origin, HopCount: uint8(1 + tr.Intn(30))}}
+			g, w := got.Estimate(o), want.Estimate(o)
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("trial %d obs %d (origin %v, z=%v, paths %v): estimate %v, reference %v",
+					trial, i, origin, z, paths, g, w)
+			}
+		}
+	}
+}
+
+// figure1Paths returns the buffering path of every Figure 1 flow.
+func figure1Paths(tb testing.TB) (map[packet.NodeID][]packet.NodeID, []packet.NodeID) {
+	tb.Helper()
+	topo, sources, err := topology.Figure1()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	routes, err := routing.BuildTree(topo)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	paths := make(map[packet.NodeID][]packet.NodeID, len(sources))
+	for _, s := range sources {
+		full, err := routes.Path(s)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		paths[s] = full[:len(full)-1]
+	}
+	return paths, sources
+}
+
+// figure1Observations cycles through the Figure 1 flows with one arrival per
+// time unit, fast enough that the shared trunk preempts.
+func figure1Observations(sources []packet.NodeID, n int) []Observation {
+	out := make([]Observation, n)
+	for i := range out {
+		out[i] = obs(float64(i), sources[i%len(sources)], 15)
+	}
+	return out
+}
+
+// TestPathAwareEstimateAllocationFree pins Estimate at zero allocations once
+// the adversary is built, for known and unknown origins alike.
+func TestPathAwareEstimateAllocationFree(t *testing.T) {
+	paths, sources := figure1Paths(t)
+	a, err := NewPathAware(1, 30, 10, 0.1, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observations := figure1Observations(sources, 4096)
+	for _, o := range observations[:64] {
+		a.Estimate(o)
+	}
+	i := 64
+	if allocs := testing.AllocsPerRun(1000, func() {
+		a.Estimate(observations[i%len(observations)])
+		i++
+	}); allocs != 0 {
+		t.Errorf("Estimate allocates %v per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		a.Estimate(obs(float64(i), 9999, 12))
+	}); allocs != 0 {
+		t.Errorf("unknown-origin Estimate allocates %v per call, want 0", allocs)
+	}
+}
+
+// BenchmarkPathAwareEstimate measures one path-aware estimate on Figure 1,
+// the four-flow merge tree every figure runs on.
+func BenchmarkPathAwareEstimate(b *testing.B) {
+	paths, sources := figure1Paths(b)
+	a, err := NewPathAware(1, 30, 10, 0.1, paths)
+	if err != nil {
+		b.Fatal(err)
+	}
+	observations := figure1Observations(sources, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := observations[i%len(observations)]
+		o.ArrivalTime += float64(i / len(observations) * len(observations))
+		benchSink = a.Estimate(o)
+	}
+}
+
+var benchSink float64

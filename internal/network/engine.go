@@ -156,7 +156,10 @@ func (r *runner) rearm(cfg Config) error {
 	// substreams do not depend on the order, but the custom-policy
 	// factories' scheduler calls do.
 	master := rng.New(cfg.Seed)
-	for _, n := range r.order {
+	for _, n := range r.nodes {
+		if n == nil {
+			continue
+		}
 		n.dead = false
 		n.parent = n.parent0
 		n.dist = cfg.Delay

@@ -206,6 +206,56 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 	}
 }
 
+// TestSparseNodeIDs runs a topology whose IDs leave wide holes — {0, 3, 900,
+// 65535}, as AddNode allows — through RCAD on reliable links: every packet
+// must reach the sink, and a reused engine must reproduce network.Run byte
+// for byte.
+func TestSparseNodeIDs(t *testing.T) {
+	build := func(seed uint64) Config {
+		topo := topology.New()
+		for _, id := range []packet.NodeID{3, 900, 65535} {
+			topo.AddNode(id, topology.Position{X: float64(id)})
+		}
+		for _, l := range [][2]packet.NodeID{{topology.Sink, 900}, {900, 3}, {900, 65535}} {
+			if err := topo.AddLink(l[0], l[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		proc := mustProc(traffic.NewPoisson(0.5))
+		return Config{
+			Topology: topo,
+			Sources:  []Source{{Node: 3, Process: proc, Count: 200}, {Node: 65535, Process: proc, Count: 200}},
+			Policy:   PolicyRCAD,
+			Delay:    mustDist(delay.NewExponential(30)),
+			Capacity: 4,
+			Seed:     seed,
+		}
+	}
+	eng, err := NewEngine(build(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		fresh, err := Run(build(seed))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got := len(fresh.Deliveries); got != 400 {
+			t.Fatalf("seed %d: delivered %d of 400 packets", seed, got)
+		}
+		if fresh.Nodes[900].Preemptions == 0 {
+			t.Fatalf("seed %d: the shared node never preempted; the test does not load it", seed)
+		}
+		reused, err := eng.Run(build(seed))
+		if err != nil {
+			t.Fatalf("seed %d: reused engine: %v", seed, err)
+		}
+		if resultSignature(t, reused) != resultSignature(t, fresh) {
+			t.Fatalf("seed %d: reused engine diverged from network.Run", seed)
+		}
+	}
+}
+
 // TestRunCachedMatchesRun pins the cache path: RunCached through one shared
 // cache must match plain Run for a seed sweep, and the cache must actually
 // retain an engine between calls.

@@ -62,8 +62,8 @@ func (r *runner) loseToFailure(at packet.NodeID, packets []*packet.Packet) {
 func (r *runner) repairRoutes(failed *node, evacuated []*packet.Packet) {
 	rebuilt := routing.BuildTreeAvoiding(r.cfg.Topology, r.dead)
 
-	for _, n := range r.order {
-		if n.dead {
+	for _, n := range r.nodes {
+		if n == nil || n.dead {
 			continue
 		}
 		parent, ok := rebuilt.NextHop(n.id)

@@ -80,7 +80,9 @@ func (r *runner) attempt(n *node, p *packet.Packet, try int) {
 		return
 	}
 	f := r.acquireFlight(n, p, dest, try)
-	r.sched.After(r.cfg.TransmissionDelay, f.arriveFn)
+	// Every arrival lands exactly τ after its send and is never cancelled:
+	// the kernel's FIFO keeps these in order without touching the heap.
+	r.sched.AfterFixed(r.cfg.TransmissionDelay, f.arriveFn)
 }
 
 // arrive lands the frame at its destination after the transmission delay.

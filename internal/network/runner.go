@@ -36,10 +36,15 @@ type node struct {
 
 // runner holds one simulation's full state.
 type runner struct {
-	cfg     Config
-	sched   *sim.Scheduler
-	routes  *routing.Table
-	nodes   map[packet.NodeID]*node
+	cfg    Config
+	sched  *sim.Scheduler
+	routes *routing.Table
+	// nodes is indexed by NodeID and sized to the largest ID + 1; the
+	// sink's entry and unused IDs are nil. Every whole-network visit
+	// (rearm, route repair, finalize, sampling) ranges over it skipping
+	// the nils, so custom-policy factories, repair re-parenting and
+	// per-node summaries always see the nodes in ID order.
+	nodes   []*node
 	keyring *seal.Keyring
 	result  *Result
 	// dead collects failed nodes so each route repair excludes every death
@@ -62,11 +67,6 @@ type runner struct {
 	// identity rearm checks when a later run passes a different Topology
 	// value.
 	edges0 [][2]int
-	// order lists the nodes in ID order. Every whole-network visit (rearm,
-	// route repair, finalize, sampling) walks it, so custom-policy
-	// factories, repair re-parenting and per-node summaries always see
-	// the same sequence.
-	order []*node
 }
 
 // Run validates cfg, executes the simulation to completion, and returns the
@@ -193,15 +193,16 @@ func newRunner(cfg Config) (*runner, error) {
 		return nil, fmt.Errorf("network: building routes: %w", err)
 	}
 
+	ids := cfg.Topology.Nodes() // ascending, so the last is the largest
 	r := &runner{
 		cfg:    cfg,
 		sched:  sim.NewScheduler(),
 		routes: routes,
-		nodes:  make(map[packet.NodeID]*node),
+		nodes:  make([]*node, int(ids[len(ids)-1])+1),
 		dead:   make(map[packet.NodeID]bool),
 		edges0: sortedEdges(cfg.Topology),
 	}
-	for _, id := range cfg.Topology.Nodes() {
+	for _, id := range ids {
 		if id == topology.Sink {
 			continue
 		}
@@ -209,9 +210,7 @@ func newRunner(cfg Config) (*runner, error) {
 		if !ok {
 			return nil, fmt.Errorf("network: node %v has no route to the sink", id)
 		}
-		n := &node{id: id, parent0: parent, src: new(rng.Source)}
-		r.nodes[id] = n
-		r.order = append(r.order, n)
+		r.nodes[id] = &node{id: id, parent0: parent, src: new(rng.Source)}
 	}
 	return r, nil
 }

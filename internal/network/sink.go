@@ -66,9 +66,11 @@ func (r *runner) finalize() {
 		res.Flows[flow].Latency = l.Report()
 	}
 
-	for _, n := range r.order {
+	for _, n := range r.nodes {
 		var st *buffer.Stats
 		switch {
+		case n == nil:
+			continue // the sink or an unused ID
 		case n.rcad != nil:
 			st = n.rcad.Stats()
 		case n.policy != nil:

@@ -149,11 +149,13 @@ func (r *runner) buildSample(now float64) telemetry.Sample {
 		created += f.Created
 	}
 	var bufferDrops uint64
-	occ := make(map[packet.NodeID]int, len(r.nodes))
+	occ := make(map[packet.NodeID]int, r.cfg.Topology.NodeCount())
 	buffered := 0
-	for _, n := range r.order {
+	for _, n := range r.nodes {
 		var ln int
 		switch {
+		case n == nil:
+			continue // the sink or an unused ID
 		case n.rcad != nil:
 			ln = n.rcad.Len()
 			bufferDrops += n.rcad.Stats().Drops

@@ -2,76 +2,110 @@ package sim
 
 // Differential check of the refactored kernel against the pre-refactor
 // container/heap kernel (legacy_kernel_test.go): randomized workloads of
-// schedules, cancels, reschedules and periodic probes — including
-// same-instant ties and actions taken from inside firing callbacks — must
-// produce the identical fired-event sequence on both, and every
-// Cancel/Reschedule call must report the identical outcome. This is the
-// determinism contract the refactor rides on: identical (time, seq) total
+// schedules, fixed-delay schedules, cancels, reschedules and periodic
+// probes — including same-instant ties and actions taken from inside firing
+// callbacks — run through RunUntil horizons, a Reset and a final Run, and
+// must produce the identical fired-event sequence on both. Every
+// Cancel/Reschedule call must report the identical outcome. Fixed-delay
+// events go through AfterFixed on the kernel and through plain After on the
+// legacy side, so the FIFO is held to the heap's (time, seq) order. This is
+// the determinism contract the kernel rides on: identical (time, seq) total
 // order means sweep tables, trace goldens and scenario fingerprint cache
 // keys stay byte-identical.
 
 import (
+	"slices"
 	"testing"
 
 	"tempriv/internal/rng"
 )
 
+// diffAction kinds.
+const (
+	actSchedule   = iota // After(delay) with its own script
+	actCancel            // Cancel(target)
+	actReschedule        // Reschedule(target, now+delay)
+	actFixed             // AfterFixed(delay) with its own script; no handle
+)
+
 // diffAction is one scripted side effect a firing event performs.
 type diffAction struct {
-	kind   int // 0 schedule, 1 cancel, 2 reschedule
+	kind   int
 	target int // timer id for cancel/reschedule
 	delay  float64
 	newID  int          // id of the timer a schedule action creates
 	script []diffAction // the created timer's own script
 }
 
-// diffEvent is one initially scheduled timer.
+// diffEvent is one initially scheduled timer: at an absolute time, or —
+// when fixed — through AfterFixed with delay when.
 type diffEvent struct {
 	id     int
 	when   float64
+	fixed  bool
 	script []diffAction
 }
 
-// diffProgram is a full randomized workload.
+// diffProgram is a full randomized workload: initial events and probes,
+// then RunUntil each horizon in turn, performing that horizon's pushes from
+// outside any callback after it returns, then Run — or, when reset is set,
+// Reset with events still pending.
 type diffProgram struct {
-	initial []diffEvent
-	probes  []float64 // probe intervals; probe i logs id -(i+1)
+	initial  []diffEvent
+	probes   []float64 // probe intervals; probe i logs id -(i+1)
+	horizons []float64
+	pushes   [][]diffAction // pushes[i] runs after RunUntil(horizons[i])
+	reset    bool
 }
 
-// diffLog records what a kernel did: the fired sequence and each
-// cancel/reschedule outcome in call order.
+// diffLog records what a kernel did: the fired sequence, each
+// cancel/reschedule outcome in call order, and the clock and pending count
+// after every RunUntil.
 type diffLog struct {
 	firedAt  []float64
 	firedID  []int
 	outcomes []bool
+	stops    []float64 // Now, then Pending, after each RunUntil
 	finalNow float64
 	count    uint64
 }
 
 // genProgram derives a random workload from src. Delays come from a
-// half-unit grid including zero, so same-instant ties are common.
-func genProgram(src *rng.Source) diffProgram {
+// half-unit grid including zero, so same-instant ties are common. Most
+// fixed-delay events share the program's τ; the rest change the delay while
+// earlier ones may still be pending.
+func genProgram(src *rng.Source, canReset bool) diffProgram {
 	var p diffProgram
 	nextID := 0
 	gridDelay := func() float64 { return float64(src.Intn(9)) * 0.5 }
-	var genScript func(depth int) []diffAction
-	genScript = func(depth int) []diffAction {
-		n := src.Intn(4)
+	tau := gridDelay()
+	fixedDelay := func() float64 {
+		if src.Intn(4) == 0 {
+			return gridDelay()
+		}
+		return tau
+	}
+	var genScript func(depth, n int) []diffAction
+	genScript = func(depth, n int) []diffAction {
 		out := make([]diffAction, 0, n)
 		for i := 0; i < n; i++ {
-			switch k := src.Intn(3); k {
-			case 0:
+			switch k := src.Intn(4); k {
+			case actSchedule, actFixed:
 				if depth >= 2 {
 					continue
 				}
-				a := diffAction{kind: 0, delay: gridDelay(), newID: nextID}
+				a := diffAction{kind: k, delay: gridDelay(), newID: nextID}
+				if k == actFixed {
+					a.delay = fixedDelay()
+				}
 				nextID++
-				a.script = genScript(depth + 1)
+				a.script = genScript(depth+1, src.Intn(4))
 				out = append(out, a)
-			case 1, 2:
+			case actCancel, actReschedule:
 				// Target any id allocated so far; some will already have
-				// fired or been cancelled, some not created yet — each case
-				// must behave identically on both kernels.
+				// fired or been cancelled, some not created yet, and
+				// fixed-delay ones have no handle — each case must behave
+				// identically on both kernels.
 				if nextID == 0 {
 					continue
 				}
@@ -82,126 +116,230 @@ func genProgram(src *rng.Source) diffProgram {
 	}
 	for i, n := 0, 5+src.Intn(40); i < n; i++ {
 		e := diffEvent{id: nextID, when: gridDelay() + gridDelay()}
+		if src.Intn(3) == 0 {
+			e.fixed, e.when = true, fixedDelay()
+		}
 		nextID++
-		e.script = genScript(0)
+		e.script = genScript(0, src.Intn(4))
 		p.initial = append(p.initial, e)
 	}
 	for i, n := 0, src.Intn(3); i < n; i++ {
 		p.probes = append(p.probes, 0.5+float64(src.Intn(4))*0.5)
 	}
+	// Horizons on the quarter-unit grid land both on event instants and
+	// strictly between them.
+	for i, n := 0, src.Intn(4); i < n; i++ {
+		p.horizons = append(p.horizons, float64(src.Intn(40))*0.25)
+		p.pushes = append(p.pushes, genScript(1, src.Intn(3)))
+	}
+	slices.Sort(p.horizons)
+	p.reset = canReset && len(p.horizons) > 0 && src.Intn(2) == 0
 	return p
 }
 
-// runProgramNew replays the workload on the refactored kernel.
-func runProgramNew(p diffProgram) diffLog {
-	s := NewScheduler()
+// diffKernel is the surface replay drives; H is the kernel's timer handle.
+type diffKernel[H any] interface {
+	Now() float64
+	At(when float64, fn func()) H
+	After(delay float64, fn func()) H
+	Fixed(delay float64, fn func())
+	Cancel(h H) bool
+	Reschedule(h H, when float64) bool
+	Probe(interval float64, fn func(now float64))
+	RunUntil(horizon float64) error
+	Run() error
+	Pending() int
+	Fired() uint64
+}
+
+// replay runs the workload on k and logs what it did.
+func replay[H any](k diffKernel[H], p diffProgram) diffLog {
 	var lg diffLog
-	handles := make(map[int]Timer)
+	handles := make(map[int]H)
 	var exec func(id int, script []diffAction) func()
-	exec = func(id int, script []diffAction) func() {
-		return func() {
-			lg.firedAt = append(lg.firedAt, s.Now())
-			lg.firedID = append(lg.firedID, id)
-			for _, a := range script {
-				switch a.kind {
-				case 0:
-					handles[a.newID] = s.After(a.delay, exec(a.newID, a.script))
-				case 1:
-					h, ok := handles[a.target]
-					lg.outcomes = append(lg.outcomes, ok && s.Cancel(h))
-				case 2:
-					h, ok := handles[a.target]
-					lg.outcomes = append(lg.outcomes, ok && s.Reschedule(h, s.Now()+a.delay))
-				}
+	perform := func(script []diffAction) {
+		for _, a := range script {
+			switch a.kind {
+			case actSchedule:
+				handles[a.newID] = k.After(a.delay, exec(a.newID, a.script))
+			case actFixed:
+				k.Fixed(a.delay, exec(a.newID, a.script))
+			case actCancel:
+				h, ok := handles[a.target]
+				lg.outcomes = append(lg.outcomes, ok && k.Cancel(h))
+			case actReschedule:
+				h, ok := handles[a.target]
+				lg.outcomes = append(lg.outcomes, ok && k.Reschedule(h, k.Now()+a.delay))
 			}
 		}
 	}
+	exec = func(id int, script []diffAction) func() {
+		return func() {
+			lg.firedAt = append(lg.firedAt, k.Now())
+			lg.firedID = append(lg.firedID, id)
+			perform(script)
+		}
+	}
 	for _, e := range p.initial {
-		handles[e.id] = s.At(e.when, exec(e.id, e.script))
+		if e.fixed {
+			k.Fixed(e.when, exec(e.id, e.script))
+		} else {
+			handles[e.id] = k.At(e.when, exec(e.id, e.script))
+		}
 	}
 	for i, interval := range p.probes {
 		id := -(i + 1)
-		s.Every(interval, func(now float64) {
+		k.Probe(interval, func(now float64) {
 			lg.firedAt = append(lg.firedAt, now)
 			lg.firedID = append(lg.firedID, id)
 		})
 	}
-	if err := s.Run(); err != nil {
-		panic(err)
+	for i, h := range p.horizons {
+		if err := k.RunUntil(h); err != nil {
+			panic(err)
+		}
+		lg.stops = append(lg.stops, k.Now(), float64(k.Pending()))
+		perform(p.pushes[i])
 	}
-	lg.finalNow = s.Now()
-	lg.count = s.Fired()
+	if !p.reset {
+		if err := k.Run(); err != nil {
+			panic(err)
+		}
+	}
+	lg.finalNow = k.Now()
+	lg.count = k.Fired()
 	return lg
 }
 
-// runProgramLegacy replays the workload on the container/heap kernel.
-func runProgramLegacy(p diffProgram) diffLog {
-	s := newLegacyScheduler()
-	var lg diffLog
-	handles := make(map[int]*legacyTimer)
-	var exec func(id int, script []diffAction) func()
-	exec = func(id int, script []diffAction) func() {
-		return func() {
-			lg.firedAt = append(lg.firedAt, s.Now())
-			lg.firedID = append(lg.firedID, id)
-			for _, a := range script {
-				switch a.kind {
-				case 0:
-					handles[a.newID] = s.After(a.delay, exec(a.newID, a.script))
-				case 1:
-					h, ok := handles[a.target]
-					lg.outcomes = append(lg.outcomes, ok && s.Cancel(h))
-				case 2:
-					h, ok := handles[a.target]
-					lg.outcomes = append(lg.outcomes, ok && s.Reschedule(h, s.Now()+a.delay))
-				}
-			}
+// diffCoverage counts how often the trials reach the FIFO's edge cases, so
+// the differential can prove it exercised each of them.
+type diffCoverage struct {
+	ties        int // a FIFO event and a heap event fired at one instant
+	delayChange int // AfterFixed fell back to the heap
+	splitStop   int // RunUntil stopped with FIFO and heap events both pending
+	probesOnly  int // a probe fired while the heap held only probes
+	resetFIFO   int // Reset with FIFO entries pending
+}
+
+// fifoKernel adapts the Scheduler to diffKernel and records coverage.
+type fifoKernel struct {
+	*Scheduler
+	cov       *diffCoverage
+	lastAt    float64
+	lastFixed int // 1 FIFO, 0 heap, -1 nothing fired yet
+}
+
+func (k *fifoKernel) Fixed(delay float64, fn func()) {
+	queue := 1
+	if k.fixed.n > 0 && delay != k.fixed.delay {
+		k.cov.delayChange++
+		queue = 0 // falls back to the heap
+	}
+	k.AfterFixed(delay, func() {
+		k.fire(queue)
+		fn()
+	})
+}
+
+func (k *fifoKernel) At(when float64, fn func()) Timer {
+	return k.Scheduler.At(when, func() {
+		k.fire(0)
+		fn()
+	})
+}
+
+func (k *fifoKernel) After(delay float64, fn func()) Timer {
+	return k.At(k.Now()+delay, fn)
+}
+
+// fire notes which queue the event now firing came from.
+func (k *fifoKernel) fire(fixed int) {
+	if k.lastFixed >= 0 && k.lastFixed != fixed && k.lastAt == k.Now() {
+		k.cov.ties++
+	}
+	k.lastAt, k.lastFixed = k.Now(), fixed
+}
+
+func (k *fifoKernel) Probe(interval float64, fn func(now float64)) {
+	k.Every(interval, func(now float64) {
+		if k.fixed.n > 0 && k.periodicPending == len(k.queue) {
+			k.cov.probesOnly++
+		}
+		k.fire(0)
+		fn(now)
+	})
+}
+
+func (k *fifoKernel) RunUntil(horizon float64) error {
+	err := k.Scheduler.RunUntil(horizon)
+	if k.fixed.n > 0 && len(k.queue) > k.periodicPending {
+		k.cov.splitStop++
+	}
+	return err
+}
+
+// legacyKernel adapts the container/heap kernel; fixed-delay events are
+// plain After calls.
+type legacyKernel struct{ *legacyScheduler }
+
+func (k legacyKernel) Fixed(delay float64, fn func()) { k.After(delay, fn) }
+
+func (k legacyKernel) Probe(interval float64, fn func(now float64)) { k.Every(interval, fn) }
+
+// checkSameLog fails the test where two replays of one workload differ.
+func checkSameLog(t *testing.T, trial int, got, want diffLog) {
+	t.Helper()
+	if got.count != want.count || got.finalNow != want.finalNow {
+		t.Fatalf("trial %d: fired %d events ending at %v, legacy fired %d ending at %v",
+			trial, got.count, got.finalNow, want.count, want.finalNow)
+	}
+	if len(got.firedID) != len(want.firedID) {
+		t.Fatalf("trial %d: %d fired log entries vs legacy %d", trial, len(got.firedID), len(want.firedID))
+	}
+	for i := range got.firedID {
+		if got.firedID[i] != want.firedID[i] || got.firedAt[i] != want.firedAt[i] {
+			t.Fatalf("trial %d: fire %d = (t=%v, id=%d), legacy (t=%v, id=%d)",
+				trial, i, got.firedAt[i], got.firedID[i], want.firedAt[i], want.firedID[i])
 		}
 	}
-	for _, e := range p.initial {
-		handles[e.id] = s.At(e.when, exec(e.id, e.script))
+	if !slices.Equal(got.outcomes, want.outcomes) {
+		t.Fatalf("trial %d: op outcomes %v, legacy %v", trial, got.outcomes, want.outcomes)
 	}
-	for i, interval := range p.probes {
-		id := -(i + 1)
-		s.Every(interval, func(now float64) {
-			lg.firedAt = append(lg.firedAt, now)
-			lg.firedID = append(lg.firedID, id)
-		})
+	if !slices.Equal(got.stops, want.stops) {
+		t.Fatalf("trial %d: (now, pending) after each RunUntil %v, legacy %v", trial, got.stops, want.stops)
 	}
-	if err := s.Run(); err != nil {
-		panic(err)
-	}
-	lg.finalNow = s.Now()
-	lg.count = s.Fired()
-	return lg
 }
 
 func TestDifferentialKernelEquivalence(t *testing.T) {
 	src := rng.New(20260805)
+	var cov diffCoverage
 	for trial := 0; trial < 300; trial++ {
-		p := genProgram(src.SplitIndexed("trial", trial))
-		got := runProgramNew(p)
-		want := runProgramLegacy(p)
-		if got.count != want.count || got.finalNow != want.finalNow {
-			t.Fatalf("trial %d: fired %d events ending at %v, legacy fired %d ending at %v",
-				trial, got.count, got.finalNow, want.count, want.finalNow)
+		tr := src.SplitIndexed("trial", trial)
+		first, second := genProgram(tr, true), genProgram(tr, false)
+
+		// One scheduler replays both workloads, reset in between; the
+		// legacy side starts each on a fresh scheduler.
+		k := &fifoKernel{Scheduler: NewScheduler(), cov: &cov, lastFixed: -1}
+		got := replay[Timer](k, first)
+		checkSameLog(t, trial, got, replay[*legacyTimer](legacyKernel{newLegacyScheduler()}, first))
+		if k.fixed.n > 0 {
+			cov.resetFIFO++
 		}
-		if len(got.firedID) != len(want.firedID) {
-			t.Fatalf("trial %d: %d fired log entries vs legacy %d", trial, len(got.firedID), len(want.firedID))
-		}
-		for i := range got.firedID {
-			if got.firedID[i] != want.firedID[i] || got.firedAt[i] != want.firedAt[i] {
-				t.Fatalf("trial %d: fire %d = (t=%v, id=%d), legacy (t=%v, id=%d)",
-					trial, i, got.firedAt[i], got.firedID[i], want.firedAt[i], want.firedID[i])
-			}
-		}
-		if len(got.outcomes) != len(want.outcomes) {
-			t.Fatalf("trial %d: %d op outcomes vs legacy %d", trial, len(got.outcomes), len(want.outcomes))
-		}
-		for i := range got.outcomes {
-			if got.outcomes[i] != want.outcomes[i] {
-				t.Fatalf("trial %d: op %d outcome %v, legacy %v", trial, i, got.outcomes[i], want.outcomes[i])
-			}
+		k.Reset()
+		k.lastFixed = -1
+		got = replay[Timer](k, second)
+		checkSameLog(t, trial, got, replay[*legacyTimer](legacyKernel{newLegacyScheduler()}, second))
+	}
+	for name, n := range map[string]int{
+		"FIFO/heap same-instant ties":          cov.ties,
+		"delay changes while FIFO pending":     cov.delayChange,
+		"RunUntil stops between FIFO and heap": cov.splitStop,
+		"probe-only heap with FIFO pending":    cov.probesOnly,
+		"Reset with FIFO pending":              cov.resetFIFO,
+	} {
+		if n == 0 {
+			t.Errorf("no trial covered %s", name)
 		}
 	}
+	t.Logf("coverage: %+v", cov)
 }

@@ -140,8 +140,9 @@ func BenchmarkLegacyChurn(b *testing.B) {
 }
 
 // TestKernelSteadyStateAllocationFree pins the kernel's steady-state hot
-// paths at zero allocations: once the node pool is warm, schedule/fire,
-// schedule/cancel and reschedule churn must not touch the heap allocator.
+// paths at zero allocations: once the node pool and the FIFO's ring are
+// warm, schedule/fire, schedule/cancel, reschedule and fixed-delay
+// schedule/fire churn must not touch the heap allocator.
 // This is the regression gate behind the refactor's "engine gets cheap"
 // claim — a closure, boxing or pool regression fails it immediately.
 func TestKernelSteadyStateAllocationFree(t *testing.T) {
@@ -174,6 +175,24 @@ func TestKernelSteadyStateAllocationFree(t *testing.T) {
 		t.Errorf("reschedule allocates %v per run, want 0", allocs)
 	}
 	s.Cancel(tm)
+
+	// The fixed-delay FIFO: warm its ring with a burst, reset with entries
+	// still pending (Reset keeps the ring), then push/fire beside a pending
+	// heap timer so every Step merges the two queues.
+	for i := 0; i < 64; i++ {
+		s.AfterFixed(1, noop)
+	}
+	s.Reset()
+	s.After(1e9, noop)
+	for i := 0; i < 8; i++ {
+		s.AfterFixed(1, noop)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		s.AfterFixed(1, noop)
+		s.Step()
+	}); allocs != 0 {
+		t.Errorf("fixed-delay schedule+fire allocates %v per run, want 0", allocs)
+	}
 }
 
 // TestRecycledTimerHandleSafety pins the generation guard: a handle to a

@@ -15,6 +15,14 @@
 // handle to a fired or cancelled timer can never observe, cancel or
 // reschedule the recycled node's next occupant.
 //
+// Beside the heap sits a FIFO for fire-and-forget events that share one
+// fixed delay (AfterFixed) — the network's per-hop arrivals, all scheduled
+// τ after their send. Each is pushed at now + delay with the next sequence
+// number; the clock never runs backwards, IEEE addition is monotonic and
+// seq only grows, so the FIFO is already sorted by (time, sequence number)
+// and needs no sifting. Step merges the FIFO head with the heap top by that
+// same key, so the fired order is exactly the one an all-heap kernel gives.
+//
 // Simulated time is a float64 in abstract "time units", matching the paper's
 // parameterisation (per-hop transmission delay τ = 1 time unit, buffer delay
 // mean 1/µ = 30 time units, and so on).
@@ -86,9 +94,54 @@ type Scheduler struct {
 	host    *processHost // lazily created by Spawn
 
 	// periodicPending counts queued periodic timers. When it equals the
-	// queue length, only probes remain and the simulation is over: Step
-	// drains them instead of letting them tick forever.
+	// queue length and the FIFO is empty, only probes remain and the
+	// simulation is over: Step drains them instead of letting them tick
+	// forever.
 	periodicPending int
+
+	fixed fixedQueue // AfterFixed's events, sorted by (when, seq) on arrival
+}
+
+// fixedEvent is one AfterFixed event: its key and callback, no handle.
+type fixedEvent struct {
+	when float64
+	seq  uint64
+	fn   func()
+}
+
+// fixedQueue is a ring buffer of events pushed with one shared delay. Its
+// backing array survives Reset, so steady-state pushes allocate nothing.
+type fixedQueue struct {
+	buf   []fixedEvent // len(buf) is zero or a power of two
+	head  int
+	n     int
+	delay float64 // the delay every pending entry was pushed with
+}
+
+func (q *fixedQueue) push(e fixedEvent) {
+	if q.n == len(q.buf) {
+		grown := make([]fixedEvent, max(16, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = e
+	q.n++
+}
+
+func (q *fixedQueue) pop() fixedEvent {
+	e := q.buf[q.head]
+	q.buf[q.head].fn = nil // a drained slot never pins a callback live
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return e
+}
+
+// before reports whether the FIFO head fires before heap node t.
+func (q *fixedQueue) before(t *timerNode) bool {
+	e := &q.buf[q.head]
+	return e.when < t.when || (e.when == t.when && e.seq < t.seq)
 }
 
 // NewScheduler returns a Scheduler with the clock at time 0 and an empty
@@ -120,6 +173,9 @@ func (s *Scheduler) Reset() {
 	}
 	s.queue = s.queue[:0]
 	s.periodicPending = 0
+	for s.fixed.n > 0 {
+		s.fixed.pop() // keeps the ring, drops the callbacks
+	}
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
@@ -129,7 +185,7 @@ func (s *Scheduler) Reset() {
 // Pending returns the number of events still queued. Cancellation is eager —
 // Cancel removes the timer from the heap immediately — so cancelled events
 // are never counted here.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+func (s *Scheduler) Pending() int { return len(s.queue) + s.fixed.n }
 
 // Fired returns the total number of events that have been executed.
 func (s *Scheduler) Fired() uint64 { return s.fired }
@@ -184,6 +240,25 @@ func (s *Scheduler) After(delay float64, fn func()) Timer {
 	return s.At(s.now+delay, fn)
 }
 
+// AfterFixed schedules fn to run delay time units from now, like After, for
+// an event that is never cancelled or rescheduled and so needs no Timer. It
+// draws its sequence number from the same counter as At, so it fires in
+// exactly the order After would give it. Events that all use one delay —
+// the per-hop transmission delay τ — queue in a FIFO at O(1) per event
+// instead of on the heap; a call whose delay differs from that of the
+// entries still pending falls back to the heap, so mixing delays is merely
+// slower, never wrong. Invalid arguments panic as they do for After.
+func (s *Scheduler) AfterFixed(delay float64, fn func()) {
+	when := s.now + delay
+	if fn == nil || !(when >= s.now) || (s.fixed.n > 0 && delay != s.fixed.delay) {
+		s.At(when, fn)
+		return
+	}
+	s.fixed.delay = delay
+	s.fixed.push(fixedEvent{when: when, seq: s.seq, fn: fn})
+	s.seq++
+}
+
 // Cancel removes a pending timer. It reports whether the timer was still
 // pending (true) or had already fired or been cancelled (false).
 // Cancellation is O(log n) and eager: the timer is removed from the heap
@@ -225,10 +300,20 @@ func (s *Scheduler) Reschedule(t Timer, when float64) bool {
 // its timestamp. It reports whether an event was executed (false when the
 // queue is empty or the scheduler is stopped).
 func (s *Scheduler) Step() bool {
-	if s.stopped || len(s.queue) == 0 {
+	if s.stopped {
 		return false
 	}
-	if s.periodicPending == len(s.queue) && s.queue[0].when > s.now {
+	if s.fixed.n > 0 && (len(s.queue) == 0 || s.fixed.before(s.queue[0])) {
+		e := s.fixed.pop()
+		s.now = e.when
+		s.fired++
+		e.fn()
+		return true
+	}
+	if len(s.queue) == 0 {
+		return false
+	}
+	if s.fixed.n == 0 && s.periodicPending == len(s.queue) && s.queue[0].when > s.now {
 		// Only periodic probes remain, none due at the current instant:
 		// the simulation proper has drained, so retire them rather than
 		// ticking forever. Probes due exactly now still fire first, so
@@ -274,7 +359,7 @@ func (s *Scheduler) Run() error {
 // clock to horizon. Events after the horizon remain queued. It returns
 // ErrStopped if halted by Stop.
 func (s *Scheduler) RunUntil(horizon float64) error {
-	for !s.stopped && len(s.queue) > 0 && s.queue[0].when <= horizon {
+	for !s.stopped && s.nextDue(horizon) {
 		s.Step()
 	}
 	if s.stopped {
@@ -286,8 +371,15 @@ func (s *Scheduler) RunUntil(horizon float64) error {
 	return nil
 }
 
+// nextDue reports whether an event is pending at or before horizon.
+func (s *Scheduler) nextDue(horizon float64) bool {
+	return (s.fixed.n > 0 && s.fixed.buf[s.fixed.head].when <= horizon) ||
+		(len(s.queue) > 0 && s.queue[0].when <= horizon)
+}
+
 // drainPeriodic retires every queued timer. It is only called when all
-// remaining timers are periodic (periodicPending == len(queue)).
+// remaining timers are periodic (periodicPending == len(queue)) and the FIFO
+// is empty.
 func (s *Scheduler) drainPeriodic() {
 	for i, t := range s.queue {
 		s.queue[i] = nil
