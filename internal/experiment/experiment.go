@@ -17,7 +17,6 @@ import (
 
 	"tempriv/internal/adversary"
 	"tempriv/internal/delay"
-	"tempriv/internal/metrics"
 	"tempriv/internal/network"
 	"tempriv/internal/packet"
 	"tempriv/internal/report"
@@ -271,20 +270,16 @@ func scoreFlow(p Params, res *network.Result, flow packet.NodeID, meanDelay floa
 	if err != nil {
 		return 0, fmt.Errorf("experiment: adversary: %w", err)
 	}
-	perFlow, err := adversary.ScorePerFlow(est, res.Observations(), res.Truths())
+	return flowMSE(res, est, flow)
+}
+
+// flowMSE scores est over a result in place and returns the given flow's
+// MSE, treating a flow with no deliveries as an error.
+func flowMSE(res *network.Result, est adversary.Estimator, flow packet.NodeID) (float64, error) {
+	_, perFlow, err := res.Score(est)
 	if err != nil {
 		return 0, fmt.Errorf("experiment: scoring: %w", err)
 	}
-	m, ok := perFlow[flow]
-	if !ok {
-		return 0, fmt.Errorf("experiment: no deliveries for flow %v", flow)
-	}
-	return m.Value(), nil
-}
-
-// flowMSE extracts the given flow's MSE from a per-flow map, treating a
-// missing flow as an error.
-func flowMSE(perFlow map[packet.NodeID]*metrics.MSE, flow packet.NodeID) (float64, error) {
 	m, ok := perFlow[flow]
 	if !ok {
 		return 0, fmt.Errorf("experiment: no deliveries for flow %v", flow)

@@ -5,104 +5,73 @@ import (
 
 	"tempriv/internal/adversary"
 	"tempriv/internal/network"
+	"tempriv/internal/packet"
 	"tempriv/internal/report"
 	"tempriv/internal/topology"
 )
 
-// figure1Point is the outcome of the three §5.3 buffering cases at one
-// sweep point, measured for flow S1.
+// figure1Cases are the paper's three §5.3 buffering cases, in column
+// order: no artificial delay, exponential delay with unlimited buffers, and
+// limited buffers with preemption (RCAD).
+var figure1Cases = [...]network.PolicyKind{network.PolicyForward, network.PolicyUnlimited, network.PolicyRCAD}
+
+// figure1Columns names the figure a sweep computes columns for.
+// figure1Sweep runs and scores only what that figure reports: every run is
+// a pure function of its parameters, policy, 1/λ and seed, so skipping the
+// others changes no reported byte.
+type figure1Columns int
+
+const (
+	fig2aColumns figure1Columns = iota // baseline MSE of cases 1–3
+	fig2bColumns                       // mean latency of cases 1–3
+	fig3Columns                        // case 3: three adversaries' MSE, preemption rate
+)
+
+// figure1Point is the outcome of the buffering cases at one sweep point,
+// measured for flow S1.
 type figure1Point struct {
-	mseNoDelay, mseUnlimited, mseRCAD float64
-	latNoDelay, latUnlimited, latRCAD float64
-	mseAdaptiveRCAD                   float64
-	msePathAwareRCAD                  float64
-	preemptRate                       float64
+	mse, lat                  [len(figure1Cases)]float64 // baseline adversary, mean latency
+	mseAdaptive, msePathAware float64                    // against case 3
+	preemptRate               float64                    // case 3
 }
 
-// figure1Sweep runs the paper's three evaluation cases (and both
-// adversaries against case 3) at every interarrival in p, in parallel.
-func figure1Sweep(p Params) ([]figure1Point, error) {
-	paths, err := figure1Paths()
-	if err != nil {
-		return nil, err
+// figure1Sweep computes one figure's columns at every interarrival in p, in
+// parallel.
+func figure1Sweep(p Params, cols figure1Columns) ([]figure1Point, error) {
+	first := 0
+	var paths map[packet.NodeID][]packet.NodeID
+	if cols == fig3Columns {
+		first = len(figure1Cases) - 1
+		var err error
+		if paths, err = figure1Paths(); err != nil {
+			return nil, err
+		}
 	}
 	points := make([]figure1Point, len(p.Interarrivals))
-	err = parallelFor(p.Workers, len(p.Interarrivals), func(i int) error {
-		ia := p.Interarrivals[i]
+	err := parallelFor(p.Workers, len(p.Interarrivals), func(i int) error {
 		pt := &points[i]
-
-		// Case 1: no artificial delay.
-		res, sources, err := figure1Run(p, network.PolicyForward, ia)
-		if err != nil {
-			return err
-		}
-		s1 := sources[0]
-		pt.mseNoDelay, err = scoreFlow(p, res, s1, 0)
-		if err != nil {
-			return err
-		}
-		pt.latNoDelay = res.Flows[s1].Latency.Mean
-
-		// Case 2: exponential delay, unlimited buffers.
-		res, sources, err = figure1Run(p, network.PolicyUnlimited, ia)
-		if err != nil {
-			return err
-		}
-		s1 = sources[0]
-		pt.mseUnlimited, err = scoreFlow(p, res, s1, p.MeanDelay)
-		if err != nil {
-			return err
-		}
-		pt.latUnlimited = res.Flows[s1].Latency.Mean
-
-		// Case 3: exponential delay, limited buffers with preemption (RCAD).
-		res, sources, err = figure1Run(p, network.PolicyRCAD, ia)
-		if err != nil {
-			return err
-		}
-		s1 = sources[0]
-		pt.mseRCAD, err = scoreFlow(p, res, s1, p.MeanDelay)
-		if err != nil {
-			return err
-		}
-		pt.latRCAD = res.Flows[s1].Latency.Mean
-
-		// Figure 3's adaptive adversary against the same case-3 run.
-		adaptive, err := adversary.NewAdaptive(p.Tau, p.MeanDelay, p.Capacity, p.Threshold)
-		if err != nil {
-			return err
-		}
-		perFlow, err := adversary.ScorePerFlow(adaptive, res.Observations(), res.Truths())
-		if err != nil {
-			return err
-		}
-		pt.mseAdaptiveRCAD, err = flowMSE(perFlow, s1)
-		if err != nil {
-			return err
-		}
-
-		// Extension: the path-aware adversary, which also exploits the
-		// near-sink flow aggregation the threat model lets it know about.
-		pathAware, err := adversary.NewPathAware(p.Tau, p.MeanDelay, p.Capacity, p.Threshold, paths)
-		if err != nil {
-			return err
-		}
-		perFlow, err = adversary.ScorePerFlow(pathAware, res.Observations(), res.Truths())
-		if err != nil {
-			return err
-		}
-		pt.msePathAwareRCAD, err = flowMSE(perFlow, s1)
-		if err != nil {
-			return err
-		}
-
-		var preempts, arrivals uint64
-		for _, ns := range res.Nodes {
-			preempts += ns.Preemptions
-			arrivals += ns.Arrivals
-		}
-		if arrivals > 0 {
-			pt.preemptRate = float64(preempts) / float64(arrivals)
+		for c := first; c < len(figure1Cases); c++ {
+			res, sources, err := figure1Run(p, figure1Cases[c], p.Interarrivals[i])
+			if err != nil {
+				return err
+			}
+			s1 := sources[0]
+			pt.lat[c] = res.Flows[s1].Latency.Mean
+			if cols == fig2bColumns {
+				continue
+			}
+			meanDelay := p.MeanDelay
+			if figure1Cases[c] == network.PolicyForward {
+				meanDelay = 0
+			}
+			if pt.mse[c], err = scoreFlow(p, res, s1, meanDelay); err != nil {
+				return err
+			}
+			if cols == fig3Columns {
+				if err := scoreFigure3(p, res, s1, paths, pt); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	})
@@ -110,6 +79,36 @@ func figure1Sweep(p Params) ([]figure1Point, error) {
 		return nil, err
 	}
 	return points, nil
+}
+
+// scoreFigure3 fills Figure 3's remaining columns from a case-3 run: the
+// adaptive adversary, the path-aware extension (which also exploits the
+// near-sink flow aggregation the threat model lets it know about) and the
+// preemption rate.
+func scoreFigure3(p Params, res *network.Result, s1 packet.NodeID, paths map[packet.NodeID][]packet.NodeID, pt *figure1Point) error {
+	adaptive, err := adversary.NewAdaptive(p.Tau, p.MeanDelay, p.Capacity, p.Threshold)
+	if err != nil {
+		return err
+	}
+	if pt.mseAdaptive, err = flowMSE(res, adaptive, s1); err != nil {
+		return err
+	}
+	pathAware, err := adversary.NewPathAware(p.Tau, p.MeanDelay, p.Capacity, p.Threshold, paths)
+	if err != nil {
+		return err
+	}
+	if pt.msePathAware, err = flowMSE(res, pathAware, s1); err != nil {
+		return err
+	}
+	var preempts, arrivals uint64
+	for _, ns := range res.Nodes {
+		preempts += ns.Preemptions
+		arrivals += ns.Arrivals
+	}
+	if arrivals > 0 {
+		pt.preemptRate = float64(preempts) / float64(arrivals)
+	}
+	return nil
 }
 
 func figureNotes(p Params) []string {
@@ -128,7 +127,7 @@ func Fig2a(p Params) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	points, err := figure1Sweep(p)
+	points, err := figure1Sweep(p, fig2aColumns)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +139,7 @@ func Fig2a(p Params) (*report.Table, error) {
 			"expected shape: NoDelay ≈ 0; Unlimited small (≈ h/µ² ≈ 1.35e4); RCAD large at small 1/λ, decaying toward Unlimited"),
 	}
 	for i, ia := range p.Interarrivals {
-		t.AddRow(formatSweepLabel(ia), points[i].mseNoDelay, points[i].mseUnlimited, points[i].mseRCAD)
+		t.AddRow(formatSweepLabel(ia), points[i].mse[0], points[i].mse[1], points[i].mse[2])
 	}
 	return t, nil
 }
@@ -152,7 +151,7 @@ func Fig2b(p Params) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	points, err := figure1Sweep(p)
+	points, err := figure1Sweep(p, fig2bColumns)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +163,7 @@ func Fig2b(p Params) (*report.Table, error) {
 			"expected shape: NoDelay = h·τ = 15; Unlimited ≈ h(τ+1/µ) ≈ 465; RCAD between, ≈2.5x below Unlimited at 1/λ=2"),
 	}
 	for i, ia := range p.Interarrivals {
-		t.AddRow(formatSweepLabel(ia), points[i].latNoDelay, points[i].latUnlimited, points[i].latRCAD)
+		t.AddRow(formatSweepLabel(ia), points[i].lat[0], points[i].lat[1], points[i].lat[2])
 	}
 	return t, nil
 }
@@ -176,7 +175,7 @@ func Fig3(p Params) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	points, err := figure1Sweep(p)
+	points, err := figure1Sweep(p, fig3Columns)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +189,7 @@ func Fig3(p Params) (*report.Table, error) {
 			"expected shape: adaptive ≪ baseline at small 1/λ (but not zero), converging as 1/λ grows"),
 	}
 	for i, ia := range p.Interarrivals {
-		t.AddRow(formatSweepLabel(ia), points[i].mseRCAD, points[i].mseAdaptiveRCAD, points[i].msePathAwareRCAD, points[i].preemptRate)
+		t.AddRow(formatSweepLabel(ia), points[i].mse[2], points[i].mseAdaptive, points[i].msePathAware, points[i].preemptRate)
 	}
 	return t, nil
 }

@@ -35,19 +35,10 @@ func AblLattice(p Params) (*report.Table, error) {
 		}
 		s1 := sources[0]
 
-		base, err := adversary.NewBaseline(q.Tau, q.MeanDelay)
+		raw, err := scoreFlow(q, res, s1, q.MeanDelay)
 		if err != nil {
 			return err
 		}
-		perFlow, err := adversary.ScorePerFlow(base, res.Observations(), res.Truths())
-		if err != nil {
-			return err
-		}
-		raw, err := flowMSE(perFlow, s1)
-		if err != nil {
-			return err
-		}
-
 		inner, err := adversary.NewBaseline(q.Tau, q.MeanDelay)
 		if err != nil {
 			return err
@@ -56,30 +47,25 @@ func AblLattice(p Params) (*report.Table, error) {
 		if err != nil {
 			return err
 		}
+		_, perFlow, err := res.Score(lattice)
+		if err != nil {
+			return err
+		}
+		m, ok := perFlow[s1]
+		if !ok {
+			return fmt.Errorf("experiment: no S1 deliveries at 1/µ=%g", means[i])
+		}
 		// Count exact recoveries alongside the MSE.
 		exact := 0
-		total := 0
-		truths := res.Truths()
-		var mse float64
-		for j, obs := range res.Observations() {
-			if obs.Header.Origin != s1 {
-				continue
-			}
-			est := lattice.Estimate(obs)
-			d := est - truths[j]
-			mse += d * d
-			if d == 0 {
+		for _, d := range res.Deliveries {
+			if d.Header.Origin == s1 && lattice.Estimate(adversary.Observation{ArrivalTime: d.At, Header: d.Header}) == d.Truth.CreatedAt {
 				exact++
 			}
-			total++
-		}
-		if total == 0 {
-			return fmt.Errorf("experiment: no S1 deliveries at 1/µ=%g", means[i])
 		}
 		rows[i] = row{
 			raw:       raw,
-			lattice:   mse / float64(total),
-			recovered: float64(exact) / float64(total),
+			lattice:   m.Value(),
+			recovered: float64(exact) / float64(m.Count()),
 		}
 		return nil
 	})

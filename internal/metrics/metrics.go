@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -354,6 +355,10 @@ func (l *Latency) Add(v float64) {
 	l.samples = append(l.samples, v)
 	l.sorted = false
 }
+
+// Grow reserves room for n more latencies, so the next n Adds allocate
+// nothing.
+func (l *Latency) Grow(n int) { l.samples = slices.Grow(l.samples, n) }
 
 // Count returns the number of recorded latencies.
 func (l *Latency) Count() uint64 { return l.w.Count() }

@@ -132,6 +132,17 @@ func (r *runner) rearm(cfg Config) error {
 		Flows: make(map[packet.NodeID]*FlowStats),
 		Nodes: make(map[packet.NodeID]*NodeStats),
 	}
+	if cfg.Horizon == 0 {
+		// Every source is count-bounded, and ARQ duplicates are filtered
+		// before the append, so the counts bound the deliveries: the
+		// backing array is allocated once and never regrows. A
+		// horizon-bound run keeps append growth.
+		total := 0
+		for _, s := range cfg.Sources {
+			total += s.Count
+		}
+		r.result.Deliveries = make([]Delivery, 0, total)
+	}
 	clear(r.dead)
 	if cfg.ARQ != nil {
 		// Duplicates exist only when a delivered frame can be

@@ -5,6 +5,8 @@ package network
 // conversions the privacy experiments consume.
 
 import (
+	"errors"
+
 	"tempriv/internal/adversary"
 	"tempriv/internal/metrics"
 	"tempriv/internal/packet"
@@ -113,6 +115,31 @@ func (r *Result) DeliveryRatio() float64 {
 		return 1
 	}
 	return float64(delivered) / float64(created)
+}
+
+// Score replays the deliveries through est in arrival order and returns its
+// mean square error against the ground truth, over all flows and per flow
+// (origin node). It reads Deliveries in place, so scoring copies nothing;
+// the accumulators are bit-identical to adversary.Score and
+// adversary.ScorePerFlow over Observations and Truths.
+func (r *Result) Score(est adversary.Estimator) (*metrics.MSE, map[packet.NodeID]*metrics.MSE, error) {
+	if est == nil {
+		return nil, nil, errors.New("network: nil estimator")
+	}
+	var all metrics.MSE
+	perFlow := make(map[packet.NodeID]*metrics.MSE)
+	for i := range r.Deliveries {
+		d := &r.Deliveries[i]
+		estimate := est.Estimate(adversary.Observation{ArrivalTime: d.At, Header: d.Header})
+		all.Add(estimate, d.Truth.CreatedAt)
+		m, ok := perFlow[d.Header.Origin]
+		if !ok {
+			m = &metrics.MSE{}
+			perFlow[d.Header.Origin] = m
+		}
+		m.Add(estimate, d.Truth.CreatedAt)
+	}
+	return &all, perFlow, nil
 }
 
 // Observations converts the deliveries into the adversary's view, in arrival

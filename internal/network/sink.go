@@ -48,19 +48,27 @@ func (r *runner) finalize() {
 	res.Duration = r.sched.Now()
 	res.Events = r.sched.Fired()
 
-	latencies := make(map[packet.NodeID]*metrics.Latency)
-	for _, d := range res.Deliveries {
-		fs, ok := res.Flows[d.Truth.Flow]
-		if !ok {
-			continue // defensive: deliveries only come from declared sources
+	// Count each flow's deliveries first, so its latency samples are
+	// allocated once at their final size. Add still runs in delivery
+	// order, so every percentile and moment is unchanged.
+	for i := range res.Deliveries {
+		if fs, ok := res.Flows[res.Deliveries[i].Truth.Flow]; ok {
+			fs.Delivered++ // deliveries only come from declared sources
 		}
-		fs.Delivered++
-		l, ok := latencies[d.Truth.Flow]
-		if !ok {
-			l = &metrics.Latency{}
-			latencies[d.Truth.Flow] = l
+	}
+	latencies := make(map[packet.NodeID]*metrics.Latency, len(res.Flows))
+	for flow, fs := range res.Flows {
+		if fs.Delivered > 0 {
+			l := &metrics.Latency{}
+			l.Grow(int(fs.Delivered))
+			latencies[flow] = l
 		}
-		l.Add(d.At - d.Truth.CreatedAt)
+	}
+	for i := range res.Deliveries {
+		d := &res.Deliveries[i]
+		if l := latencies[d.Truth.Flow]; l != nil {
+			l.Add(d.At - d.Truth.CreatedAt)
+		}
 	}
 	for flow, l := range latencies {
 		res.Flows[flow].Latency = l.Report()

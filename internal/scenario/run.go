@@ -327,7 +327,7 @@ func runSimulation(m *SimulationSpec, seed uint64, title string, engines *networ
 	if err != nil {
 		return nil, err
 	}
-	perFlow, err := adversary.ScorePerFlow(est, res.Observations(), res.Truths())
+	_, perFlow, err := res.Score(est)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: scoring adversary: %w", err)
 	}

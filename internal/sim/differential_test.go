@@ -14,6 +14,7 @@ package sim
 // keys stay byte-identical.
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -73,7 +74,11 @@ type diffLog struct {
 // genProgram derives a random workload from src. Delays come from a
 // half-unit grid including zero, so same-instant ties are common. Most
 // fixed-delay events share the program's τ; the rest change the delay while
-// earlier ones may still be pending.
+// earlier ones may still be pending. A third of the programs add a
+// tie-heavy phase, dozens of events at one instant, so siblings in the heap
+// share a time and seq alone orders them. Half of the programs without
+// probes also schedule at -0, +0 and +Inf, the edges of the heap's integer
+// time key (a probe beside a pending +Inf event would tick forever).
 func genProgram(src *rng.Source, canReset bool) diffProgram {
 	var p diffProgram
 	nextID := 0
@@ -123,8 +128,23 @@ func genProgram(src *rng.Source, canReset bool) diffProgram {
 		e.script = genScript(0, src.Intn(4))
 		p.initial = append(p.initial, e)
 	}
+	if src.Intn(3) == 0 {
+		when := gridDelay()
+		for i, n := 0, 16+src.Intn(64); i < n; i++ {
+			p.initial = append(p.initial, diffEvent{id: nextID, when: when, script: genScript(1, src.Intn(3))})
+			nextID++
+		}
+	}
 	for i, n := 0, src.Intn(3); i < n; i++ {
 		p.probes = append(p.probes, 0.5+float64(src.Intn(4))*0.5)
+	}
+	if len(p.probes) == 0 && src.Intn(2) == 0 {
+		for _, when := range []float64{math.Copysign(0, -1), 0, math.Inf(1)} {
+			for i, n := 0, 1+src.Intn(4); i < n; i++ {
+				p.initial = append(p.initial, diffEvent{id: nextID, when: when, script: genScript(0, src.Intn(4))})
+				nextID++
+			}
+		}
 	}
 	// Horizons on the quarter-unit grid land both on event instants and
 	// strictly between them.
@@ -211,14 +231,18 @@ func replay[H any](k diffKernel[H], p diffProgram) diffLog {
 	return lg
 }
 
-// diffCoverage counts how often the trials reach the FIFO's edge cases, so
-// the differential can prove it exercised each of them.
+// diffCoverage counts how often the trials reach the FIFO's and the heap's
+// edge cases, so the differential can prove it exercised each of them.
 type diffCoverage struct {
-	ties        int // a FIFO event and a heap event fired at one instant
-	delayChange int // AfterFixed fell back to the heap
-	splitStop   int // RunUntil stopped with FIFO and heap events both pending
-	probesOnly  int // a probe fired while the heap held only probes
-	resetFIFO   int // Reset with FIFO entries pending
+	ties         int // a FIFO event and a heap event fired at one instant
+	delayChange  int // AfterFixed fell back to the heap
+	splitStop    int // RunUntil stopped with FIFO and heap events both pending
+	probesOnly   int // a probe fired while the heap held only probes
+	resetFIFO    int // Reset with FIFO entries pending
+	siblingTies  int // a fire left two children of one heap parent at one time
+	partialGroup int // a fire left the heap's last parent with 1–3 children
+	negZero      int // an event fired at -0
+	posInf       int // an event fired at +Inf
 }
 
 // fifoKernel adapts the Scheduler to diffKernel and records coverage.
@@ -252,12 +276,42 @@ func (k *fifoKernel) After(delay float64, fn func()) Timer {
 	return k.At(k.Now()+delay, fn)
 }
 
-// fire notes which queue the event now firing came from.
+// fire notes which queue the event now firing came from, the time it fired
+// at, and the shape of the heap it left behind.
 func (k *fifoKernel) fire(fixed int) {
-	if k.lastFixed >= 0 && k.lastFixed != fixed && k.lastAt == k.Now() {
+	now := k.Now()
+	if k.lastFixed >= 0 && k.lastFixed != fixed && k.lastAt == now {
 		k.cov.ties++
 	}
-	k.lastAt, k.lastFixed = k.Now(), fixed
+	k.lastAt, k.lastFixed = now, fixed
+	if now == 0 && math.Signbit(now) {
+		k.cov.negZero++
+	}
+	if math.IsInf(now, 1) {
+		k.cov.posInf++
+	}
+	q := k.queue
+	if len(q) > 1 && (len(q)-1)%4 != 0 {
+		k.cov.partialGroup++
+	}
+	for c := 1; c < len(q); c += 4 {
+		if siblingTie(q[c:min(c+4, len(q))]) {
+			k.cov.siblingTies++
+			break
+		}
+	}
+}
+
+// siblingTie reports whether two nodes of a child group share a time.
+func siblingTie(group []*timerNode) bool {
+	for i, a := range group {
+		for _, b := range group[i+1:] {
+			if a.when == b.when {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (k *fifoKernel) Probe(interval float64, fn func(now float64)) {
@@ -336,10 +390,67 @@ func TestDifferentialKernelEquivalence(t *testing.T) {
 		"RunUntil stops between FIFO and heap": cov.splitStop,
 		"probe-only heap with FIFO pending":    cov.probesOnly,
 		"Reset with FIFO pending":              cov.resetFIFO,
+		"heap siblings tied on time":           cov.siblingTies,
+		"a partial last child group":           cov.partialGroup,
+		"events at -0":                         cov.negZero,
+		"events at +Inf":                       cov.posInf,
 	} {
 		if n == 0 {
 			t.Errorf("no trial covered %s", name)
 		}
 	}
 	t.Logf("coverage: %+v", cov)
+}
+
+// TestLessMaskMatchesNodeLess holds siftDown's branch-free selection to
+// nodeLess over the times the kernel admits: random pairs, and pairs built
+// from the edges of the integer time key — equal times, -0 against +0,
+// +Inf, subnormals, the largest finite time — crossed with extreme seqs.
+func TestLessMaskMatchesNodeLess(t *testing.T) {
+	check := func(a, b timerNode) {
+		t.Helper()
+		m := lessMask(timeKey(a.when), a.seq, timeKey(b.when), b.seq)
+		if want := nodeLess(&a, &b); m != 0 && m != ^uint64(0) || (m != 0) != want {
+			t.Fatalf("lessMask((%v, %d), (%v, %d)) = %#x, nodeLess = %v", a.when, a.seq, b.when, b.seq, m, want)
+		}
+	}
+	times := []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64,
+		0x1p-1022 - math.SmallestNonzeroFloat64, 0x1p-1022, // largest subnormal, smallest normal
+		0.5, 1, math.Nextafter(1, 2), 1e300, math.MaxFloat64, math.Inf(1),
+	}
+	seqs := []uint64{0, 1, 1<<32 - 1, 1 << 32, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	for _, at := range times {
+		for _, bt := range times {
+			for _, as := range seqs {
+				for _, bs := range seqs {
+					check(timerNode{when: at, seq: as}, timerNode{when: bt, seq: bs})
+				}
+			}
+		}
+	}
+
+	// Random admissible times: any non-negative, non-NaN bit pattern, or a
+	// value from a small grid so that equal times are common.
+	src := rng.New(20261017)
+	randTime := func() float64 {
+		if src.Intn(2) == 0 {
+			return float64(src.Intn(4)) * 0.5
+		}
+		for {
+			if f := math.Float64frombits(src.Uint64() &^ (1 << 63)); !math.IsNaN(f) {
+				return f
+			}
+		}
+	}
+	randSeq := func() uint64 {
+		if src.Intn(2) == 0 {
+			return uint64(src.Intn(4))
+		}
+		return src.Uint64()
+	}
+	for i := 0; i < 200000; i++ {
+		check(timerNode{when: randTime(), seq: randSeq()}, timerNode{when: randTime(), seq: randSeq()})
+	}
 }

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrStopped is returned by Run when the simulation was halted by Stop
@@ -286,6 +287,9 @@ func (s *Scheduler) Reschedule(t Timer, when float64) bool {
 	if n == nil || n.gen != t.gen || n.index < 0 {
 		return false
 	}
+	if math.IsNaN(when) {
+		panic("sim: Reschedule called with NaN time")
+	}
 	if when < s.now {
 		panic(fmt.Sprintf("sim: Reschedule to time %v before now %v", when, s.now))
 	}
@@ -395,12 +399,30 @@ func nodeLess(a, b *timerNode) bool {
 	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
 
+// timeKey maps an event time to an unsigned integer that orders exactly as
+// the time does, for every time the kernel admits: At and Reschedule reject
+// NaN and anything before Now, which never falls below zero, so only
+// non-negative floats reach the heap, and their bit patterns are already
+// monotonic. Shifting out the sign bit makes -0 tie with +0, as nodeLess
+// does.
+func timeKey(when float64) uint64 { return math.Float64bits(when) << 1 }
+
+// lessMask is nodeLess on (timeKey, seq) pairs without a data-dependent
+// branch. The 128-bit subtraction (ak, as) − (bk, bs), with seq as the low
+// word, borrows out exactly when a sorts first; lessMask returns all ones
+// then, and zero otherwise, for selecting with and/xor.
+func lessMask(ak, as, bk, bs uint64) uint64 {
+	_, borrow := bits.Sub64(as, bs, 0)
+	_, borrow = bits.Sub64(ak, bk, borrow)
+	return -borrow
+}
+
 // The event queue is an implicit 4-ary min-heap: children of i are
 // 4i+1..4i+4. Compared with the binary heap it halves the tree depth, so
 // the sift loops — the kernel's hottest code — touch fewer cache lines per
-// operation; the wider child scan is four pointer compares against adjacent
-// slots. All sift loops hole-shift instead of swapping: the moving node is
-// written once at its final slot.
+// operation; the wider child scan reads four adjacent slots. All sift loops
+// hole-shift instead of swapping: the moving node is written once at its
+// final slot.
 
 // heapPush inserts t and restores heap order.
 func (s *Scheduler) heapPush(t *timerNode) {
@@ -470,29 +492,47 @@ func (s *Scheduler) siftUp(i int) {
 	t.index = int32(i)
 }
 
+// pick folds child j into a group's running minimum (best, bk, bs): the
+// index, time key and seq of the least child so far.
+func pick(best int, bk, bs uint64, j int, child *timerNode) (int, uint64, uint64) {
+	jk, js := timeKey(child.when), child.seq
+	m := lessMask(jk, js, bk, bs)
+	return best ^ (best^j)&int(m), bk ^ (bk^jk)&m, bs ^ (bs^js)&m
+}
+
 // siftDown moves the node at index i toward the leaves until no child is
 // smaller. It reports whether the node moved.
+//
+// The least of up to four children is picked without a data-dependent
+// branch: pick compares each child's key with the running best by
+// lessMask, and the mask selects the index, key and seq. Which child wins
+// is a coin flip to the branch predictor, and the mispredicted jumps of a
+// compare chain were the sift's cost, not its loads. A full group is
+// unrolled over a three-element subslice, so its loads carry no bounds
+// checks.
 func (s *Scheduler) siftDown(i int) bool {
 	q := s.queue
 	n := len(q)
 	t := q[i]
+	tk, ts := timeKey(t.when), t.seq
 	start := i
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		best := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if nodeLess(q[j], q[best]) {
-				best = j
+		best, bk, bs := c, timeKey(q[c].when), q[c].seq
+		if c+3 < n {
+			g := q[c+1 : c+4 : c+4]
+			best, bk, bs = pick(best, bk, bs, c+1, g[0])
+			best, bk, bs = pick(best, bk, bs, c+2, g[1])
+			best, bk, bs = pick(best, bk, bs, c+3, g[2])
+		} else {
+			for j := c + 1; j < n; j++ {
+				best, bk, bs = pick(best, bk, bs, j, q[j])
 			}
 		}
-		if !nodeLess(q[best], t) {
+		if lessMask(bk, bs, tk, ts) == 0 {
 			break
 		}
 		q[i] = q[best]

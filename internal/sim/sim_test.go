@@ -189,6 +189,34 @@ func TestRescheduleInactive(t *testing.T) {
 	}
 }
 
+// TestRescheduleRejectsNaN holds Reschedule to At's rule: a NaN time panics
+// before anything changes, so the heap never holds a time that neither
+// comparator orders. The timer stays pending at its old time and seq.
+func TestRescheduleRejectsNaN(t *testing.T) {
+	s := NewScheduler()
+	var order []string
+	tm := s.At(1, func() { order = append(order, "first") })
+	s.At(1, func() { order = append(order, "second") })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Reschedule to NaN did not panic")
+			}
+		}()
+		s.Reschedule(tm, math.NaN())
+	}()
+	if !tm.Active() || tm.When() != 1 || s.Pending() != 2 {
+		t.Fatalf("after the rejected Reschedule: active=%v when=%v pending=%d, want true 1 2",
+			tm.Active(), tm.When(), s.Pending())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
+		t.Fatalf("order = %v, want [first second]: the timer lost its seq", order)
+	}
+}
+
 func TestRunUntilHorizon(t *testing.T) {
 	s := NewScheduler()
 	var fired []float64

@@ -421,13 +421,15 @@ func NewLatticeAdversary(inner Estimator, period float64) (Estimator, error) {
 // returns its mean square error — the paper's privacy metric (higher MSE
 // means more temporal privacy).
 func ScoreAdversary(est Estimator, res *Result) (*MSE, error) {
-	return adversary.Score(est, res.Observations(), res.Truths())
+	all, _, err := res.Score(est)
+	return all, err
 }
 
 // ScoreAdversaryPerFlow is ScoreAdversary broken out by source flow,
 // matching the paper's per-flow reporting.
 func ScoreAdversaryPerFlow(est Estimator, res *Result) (map[NodeID]*MSE, error) {
-	return adversary.ScorePerFlow(est, res.Observations(), res.Truths())
+	_, perFlow, err := res.Score(est)
+	return perFlow, err
 }
 
 // FlowPaths computes, for every source marked in the topology, the ordered
