@@ -46,12 +46,14 @@ type Params struct {
 	// Workers bounds sweep parallelism; defaults to GOMAXPROCS.
 	Workers int
 	// Engines optionally pools reusable simulation engines across the
-	// experiment's runs (see network.EngineCache): structurally identical
-	// simulations then share routes, pools and the packet arena instead of
-	// rebuilding them per run. Execution-only — engine reuse never affects
-	// result bytes — and safe to share across parallel sweep workers (the
-	// cache checks engines out). When it is nil, ReplicateRun gives each
-	// replication worker a cache of its own.
+	// experiment's runs (see network.EngineCache): runs on one topology
+	// with one policy, capacity, victim rule and rate-control design point
+	// share routes, pools and the packet arena across every sweep point
+	// and replicate instead of rebuilding them per run. Execution-only —
+	// engine reuse never affects result bytes — and safe to share across
+	// parallel sweep workers: the cache keeps a stack of engines per
+	// structure, as deep as the most runs of it in flight at once. When it
+	// is nil, ReplicateRun gives each replication worker a cache of its own.
 	Engines *network.EngineCache
 }
 

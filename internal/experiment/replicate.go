@@ -119,11 +119,13 @@ func replicateStream(e Experiment, p Params, n, workers int, sink ReplicateSink)
 			defer wg.Done()
 			// The replicates a worker draws reuse arena-backed engines
 			// instead of rebuilding them per seed. p.Engines, when set, is
-			// shared by every worker: it keeps one engine per key, and a
-			// worker that finds its key checked out builds a fresh one.
-			// Otherwise the worker uses a cache of its own. Reuse is
-			// byte-invisible (the engine rearm contract), so this changes
-			// wall-clock only.
+			// shared by every worker: it keeps a stack of idle engines per
+			// structure, a worker that finds its structure's stack empty
+			// builds an engine, and every engine goes back on its stack, so
+			// the cache holds at most one engine per structure per run in
+			// flight. Otherwise the worker uses a cache of its own. Reuse
+			// is byte-invisible (the engine rearm contract), so this
+			// changes wall-clock and memory only.
 			cache := p.Engines
 			if cache == nil {
 				cache = network.NewEngineCache()

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -356,9 +355,12 @@ func (l *Latency) Add(v float64) {
 	l.sorted = false
 }
 
-// Grow reserves room for n more latencies, so the next n Adds allocate
-// nothing.
-func (l *Latency) Grow(n int) { l.samples = slices.Grow(l.samples, n) }
+// Reset empties the collector for reuse, keeping its sample storage.
+func (l *Latency) Reset() {
+	l.w = Welford{}
+	l.samples = l.samples[:0]
+	l.sorted = false
+}
 
 // Count returns the number of recorded latencies.
 func (l *Latency) Count() uint64 { return l.w.Count() }

@@ -11,13 +11,14 @@ package network
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"time"
 
 	"tempriv/internal/packet"
 	"tempriv/internal/rng"
 	"tempriv/internal/seal"
-	"tempriv/internal/telemetry"
 )
 
 // Engine is a reusable simulation instance. It amortises the structural
@@ -49,7 +50,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := newRunner(resolved)
+	r, err := newRunner(resolved, structureOf(&resolved))
 	if err != nil {
 		return nil, err
 	}
@@ -64,14 +65,14 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.runResolved(resolved)
+	return e.runResolved(resolved, structureOf(&resolved))
 }
 
 // runResolved is Run after resolveConfig: rearm, schedule, execute,
-// finalize.
-func (e *Engine) runResolved(cfg Config) (*Result, error) {
+// finalize. id is cfg's structural identity.
+func (e *Engine) runResolved(cfg Config, id structure) (*Result, error) {
 	r := e.r
-	if err := r.rearm(cfg); err != nil {
+	if err := r.rearm(cfg, id); err != nil {
 		return nil, err
 	}
 	if err := r.scheduleSources(); err != nil {
@@ -92,37 +93,66 @@ func (e *Engine) runResolved(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.result.Manifest = m
-	return r.result, nil
+	res := r.result
+	res.Manifest = m
+	// The Result and the config belong to the caller: a kept engine holds
+	// only its structure and pools between runs, never the last run's
+	// deliveries, observers or traffic processes.
+	r.result, r.cfg, r.tele = nil, Config{}, nil
+	return res, nil
+}
+
+// structure is the part of a config that is baked into an engine's built
+// objects and that rearm therefore cannot change: the routes and node
+// table (the topology's node count and sorted edge set), the buffer
+// capacities, the victim selectors and the Erlang design point. Every other
+// field is adopted fresh by each run. It is the engine's identity: an
+// EngineCache files engines under it, and rearm rejects a config whose
+// identity differs from the construction one. It is comparable and exact:
+// equal identities mean equal structure, with no hash in between.
+type structure struct {
+	policy      PolicyKind
+	capacity    int
+	victimType  reflect.Type
+	victimName  string
+	rateControl RateControl // the zero value when rate control is off
+	withRC      bool
+	nodes       int
+	edges       string // each sorted edge's two IDs, big-endian, four bytes per edge
+}
+
+// structureOf computes the structural identity of a resolved config.
+func structureOf(cfg *Config) structure {
+	id := structure{
+		policy:     cfg.Policy,
+		capacity:   cfg.Capacity,
+		victimType: reflect.TypeOf(cfg.Victim),
+		victimName: cfg.Victim.Name(),
+		nodes:      cfg.Topology.NodeCount(),
+	}
+	if rc := cfg.RateControl; rc != nil {
+		id.rateControl, id.withRC = *rc, true
+	}
+	edges := cfg.Topology.Edges()
+	var b strings.Builder
+	b.Grow(4 * len(edges))
+	for _, e := range edges {
+		b.WriteByte(byte(e[0] >> 8))
+		b.WriteByte(byte(e[0]))
+		b.WriteByte(byte(e[1] >> 8))
+		b.WriteByte(byte(e[1]))
+	}
+	id.edges = b.String()
+	return id
 }
 
 // rearm resets every piece of run-scoped state and adopts cfg as the run's
 // configuration. It is the one place a run is armed — a fresh engine's
-// first run included — so every run travels the identical path.
-func (r *runner) rearm(cfg Config) error {
-	// Structural compatibility — checked against the construction config
-	// while r.cfg still holds it. These are the fields baked into built
-	// objects (routes, buffer capacities, victim selectors, the Erlang
-	// design point) that a rearm cannot change.
-	if cfg.Policy != r.cfg.Policy {
-		return fmt.Errorf("network: engine reuse: policy %v differs from construction policy %v", cfg.Policy, r.cfg.Policy)
-	}
-	if cfg.Capacity != r.cfg.Capacity {
-		return fmt.Errorf("network: engine reuse: capacity %d differs from construction capacity %d", cfg.Capacity, r.cfg.Capacity)
-	}
-	if fmt.Sprintf("%T", cfg.Victim) != fmt.Sprintf("%T", r.cfg.Victim) {
-		return fmt.Errorf("network: engine reuse: victim rule %T differs from construction rule %T", cfg.Victim, r.cfg.Victim)
-	}
-	switch {
-	case (cfg.RateControl == nil) != (r.cfg.RateControl == nil):
-		return errors.New("network: engine reuse: rate control cannot be toggled")
-	case cfg.RateControl != nil && *cfg.RateControl != *r.cfg.RateControl:
-		return errors.New("network: engine reuse: rate-control design point differs from construction")
-	}
-	if cfg.Topology != r.cfg.Topology {
-		if len(cfg.Topology.Nodes()) != len(r.cfg.Topology.Nodes()) || !sameEdges(r.edges0, sortedEdges(cfg.Topology)) {
-			return errors.New("network: engine reuse: topology differs from construction topology")
-		}
+// first run included — so every run travels the identical path. id is
+// cfg's structural identity; it must equal the construction identity.
+func (r *runner) rearm(cfg Config, id structure) error {
+	if id != r.id {
+		return errors.New("network: engine reuse: config structure (topology, policy, capacity, victim rule or rate-control design point) differs from construction")
 	}
 
 	r.cfg = cfg
@@ -210,42 +240,42 @@ func (r *runner) rearm(cfg Config) error {
 	return nil
 }
 
-// sameEdges reports whether two sorted edge lists are equal.
-func sameEdges(a, b [][2]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // pktSlabSize is the number of packets per arena slab; pktMaxSlabs caps the
 // arena's retained footprint (256 slabs × 1024 packets ≈ 15 MB) — a run
-// that creates more packets falls back to plain heap allocation for the
-// excess, trading speed for a bounded pool.
+// whose in-flight peak exceeds it falls back to plain heap allocation for
+// the excess, trading speed for a bounded pool.
 const (
 	pktSlabSize = 1024
 	pktMaxSlabs = 256
 )
 
-// pktArena bump-allocates packets from reusable slabs. Packets allocated
-// from the arena are valid until the next reset — which the engine calls
-// only between runs, and every packet's lifetime ends at its run's sink
-// (Deliveries copies Header and Truth by value; nothing in a Result points
-// into the arena).
+// pktArena allocates packets from reusable slabs. A packet's lifetime ends
+// at the sink: arriveAtSink releases it to the free list, which alloc
+// drains before bumping into fresh slab space, so the arena holds a run's
+// in-flight peak rather than every packet the run creates. Releasing there
+// is safe because nothing reads a packet after its sink arrival: the
+// flight is released before the arrival runs, the ARQ duplicate is cloned
+// before delivery, and Deliveries and trace events copy Header and Truth
+// by value (custom policies promise not to read a packet after passing it
+// to forward). Packets lost in the network are reclaimed by the next
+// reset, which the engine calls only between runs.
 type pktArena struct {
 	slabs [][]packet.Packet
 	cur   int // index of the slab currently being filled
 	used  int // packets handed out of slabs[cur]
+	free  []*packet.Packet
 }
 
-// alloc returns a zeroed packet from the arena, growing it up to the slab
-// cap and spilling to the heap past it.
+// alloc returns a zeroed packet: a released one if any, else the next slab
+// slot, growing the arena up to the slab cap and spilling to the heap past
+// it.
 func (a *pktArena) alloc() *packet.Packet {
+	if k := len(a.free); k > 0 {
+		p := a.free[k-1]
+		a.free = a.free[:k-1]
+		*p = packet.Packet{}
+		return p
+	}
 	for {
 		if a.cur == len(a.slabs) {
 			if len(a.slabs) == pktMaxSlabs {
@@ -264,8 +294,15 @@ func (a *pktArena) alloc() *packet.Packet {
 	}
 }
 
+// release returns a packet whose run is over to the free list.
+func (a *pktArena) release(p *packet.Packet) { a.free = append(a.free, p) }
+
 // reset rewinds the arena so the next run refills the same slabs.
-func (a *pktArena) reset() { a.cur, a.used = 0, 0 }
+func (a *pktArena) reset() {
+	clear(a.free) // drop spilled heap packets
+	a.free = a.free[:0]
+	a.cur, a.used = 0, 0
+}
 
 // newPacket is the arena-backed packet.New: same fields, no heap
 // allocation in the steady state.
@@ -286,51 +323,45 @@ func (r *runner) clonePacket(p *packet.Packet) *packet.Packet {
 	return c
 }
 
-// EngineCache pools engines by structural config identity so sweeps and
-// replicate batches reuse instances instead of rebuilding them per run. It
-// is safe for concurrent use: Get checks an engine out (removing it from
-// the cache), so two goroutines racing on the same key never share one —
-// the loser simply builds a fresh engine and both are checked back in.
+// EngineCache pools engines by structural identity so sweeps and replicate
+// batches reuse instances instead of rebuilding them per run. Every field
+// rearm adopts fresh (seed, traffic, delays, channel, ARQ, horizon,
+// failures, observers) may differ between runs that share an engine. Each
+// identity keeps a stack of idle engines: a run pops one, or builds one
+// when the stack is empty, and pushes it back when it succeeds, so a stack
+// never holds more engines than the peak number of concurrent runs of its
+// structure. It is safe for concurrent use: a checked-out engine belongs to
+// one run until it is checked back in.
 type EngineCache struct {
-	mu      sync.Mutex
-	engines map[string]*Engine
+	mu     sync.Mutex
+	stacks map[structure][]*Engine
 }
 
 // NewEngineCache returns an empty engine cache.
 func NewEngineCache() *EngineCache {
-	return &EngineCache{engines: make(map[string]*Engine)}
+	return &EngineCache{stacks: make(map[structure][]*Engine)}
 }
 
-// checkout removes and returns the cached engine for key, or nil.
-func (c *EngineCache) checkout(key string) *Engine {
+// checkout pops an idle engine of structure id, or returns nil.
+func (c *EngineCache) checkout(id structure) *Engine {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.engines[key]
-	if e != nil {
-		delete(c.engines, key)
+	stack := c.stacks[id]
+	k := len(stack)
+	if k == 0 {
+		return nil
 	}
+	e := stack[k-1]
+	stack[k-1] = nil
+	c.stacks[id] = stack[:k-1]
 	return e
 }
 
-// checkin returns an engine to the cache under key, replacing any engine
-// another goroutine checked in meanwhile (the replaced one is dropped).
-func (c *EngineCache) checkin(key string, e *Engine) {
+// checkin pushes an idle engine of structure id.
+func (c *EngineCache) checkin(id structure, e *Engine) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.engines[key] = e
-}
-
-// engineKey is the structural identity a cached engine is filed under: the
-// canonical config fingerprint (topology, policy, capacity, victim name,
-// link model, …) plus the victim rule's concrete type. Fields the rearm
-// path adopts fresh — and the seed, which the fingerprint already excludes
-// as a replicate label — may differ between runs filed under one key.
-func engineKey(cfg *Config) (string, error) {
-	fp, err := telemetry.Fingerprint(canonicalConfig(cfg))
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%s|victim=%T", fp, cfg.Victim), nil
+	c.stacks[id] = append(c.stacks[id], e)
 }
 
 // RunCached is Run through an engine cache: structurally compatible runs
@@ -347,22 +378,19 @@ func RunCached(cache *EngineCache, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	key, err := engineKey(&resolved)
-	if err != nil {
-		return nil, err
-	}
-	e := cache.checkout(key)
+	id := structureOf(&resolved)
+	e := cache.checkout(id)
 	if e == nil {
-		r, err := newRunner(resolved)
+		r, err := newRunner(resolved, id)
 		if err != nil {
 			return nil, err
 		}
 		e = &Engine{r: r}
 	}
-	res, err := e.runResolved(resolved)
+	res, err := e.runResolved(resolved, id)
 	if err != nil {
 		return nil, err
 	}
-	cache.checkin(key, e)
+	cache.checkin(id, e)
 	return res, nil
 }

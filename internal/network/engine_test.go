@@ -256,6 +256,15 @@ func TestSparseNodeIDs(t *testing.T) {
 	}
 }
 
+// idleEngines counts the engines a cache holds across all its stacks.
+func idleEngines(c *EngineCache) int {
+	n := 0
+	for _, k := range stackSizes(c) {
+		n += k
+	}
+	return n
+}
+
 // TestRunCachedMatchesRun pins the cache path: RunCached through one shared
 // cache must match plain Run for a seed sweep, and the cache must actually
 // retain an engine between calls.
@@ -276,7 +285,7 @@ func TestRunCachedMatchesRun(t *testing.T) {
 			t.Fatalf("seed %d: RunCached diverged from Run", s)
 		}
 	}
-	if n := len(cache.engines); n != 1 {
+	if n := idleEngines(cache); n != 1 {
 		t.Fatalf("cache holds %d engines after a structurally constant sweep, want 1", n)
 	}
 }
@@ -410,7 +419,7 @@ func TestRunCachedBypasses(t *testing.T) {
 			}
 		}
 	}
-	if n := len(cache.engines); n != 2 {
+	if n := idleEngines(cache); n != 2 {
 		t.Fatalf("cache holds %d engines, want 2 (rcad, and one for both mixes)", n)
 	}
 }
@@ -458,6 +467,30 @@ func TestEngineRejectsStructuralMismatch(t *testing.T) {
 	cfg.Sources = []Source{{Node: line.Sources()[0], Process: proc, Count: 10}}
 	if _, err := eng.Run(cfg); err == nil {
 		t.Error("engine accepted a topology change across reuse")
+	}
+	// A topology mutated in place keeps its pointer but not its structure:
+	// the engine built on the six-hop line must not route the shortcut run
+	// over its stale routes.
+	line6, err := topology.Line(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineCfg := Config{
+		Topology: line6,
+		Sources:  []Source{{Node: 6, Process: mustProc(traffic.NewPeriodic(5)), Count: 50}},
+		Policy:   PolicyUnlimited,
+		Delay:    mustDist(delay.NewExponential(10)),
+		Seed:     3,
+	}
+	lineEng, err := NewEngine(lineCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := line6.AddLink(6, topology.Sink); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := lineEng.Run(lineCfg); err == nil {
+		t.Errorf("engine accepted a topology mutated in place (hop count %d)", res.Flows[6].HopCount)
 	}
 	// The engine stays usable after a rejected rearm is not promised; a
 	// compatible config on a fresh engine must still work.

@@ -37,23 +37,27 @@ func newForwardRunner(tb testing.TB, cfg func(*Config)) *runner {
 	if cfg != nil {
 		cfg(&c)
 	}
-	r, err := newRunner(c)
+	c, err = resolveConfig(c)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := r.rearm(c); err != nil {
+	id := structureOf(&c)
+	r, err := newRunner(c, id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.rearm(c, id); err != nil {
 		tb.Fatal(err)
 	}
 	return r
 }
 
-// forwardOnce pushes p through the whole line and drains the event list,
-// then resets the delivery log so the next op reuses its backing array.
-func forwardOnce(r *runner, head *node, p *packet.Packet) {
-	origin := head.id
-	p.Header = packet.Header{PrevHop: origin, Origin: origin}
-	p.Truth = packet.Truth{CreatedAt: r.sched.Now(), Flow: origin}
-	r.transmit(head, p)
+// forwardOnce injects packet seq at head from the arena, as a source does,
+// pushes it through the whole line and drains the event list, then resets
+// the delivery log so the next op reuses its backing array. The sink
+// returns the packet to the arena, so the next op reuses it too.
+func forwardOnce(r *runner, head *node, seq uint32) {
+	r.transmit(head, r.newPacket(head.id, seq, r.sched.Now()))
 	for r.sched.Step() {
 	}
 	r.result.Deliveries = r.result.Deliveries[:0]
@@ -66,12 +70,11 @@ func forwardOnce(r *runner, head *node, p *packet.Packet) {
 func BenchmarkForwardHop(b *testing.B) {
 	r := newForwardRunner(b, nil)
 	head := r.nodes[packet.NodeID(benchHops)]
-	p := packet.New(head.id, 0, 0)
-	forwardOnce(r, head, p) // warm the pools and the delivery log
+	forwardOnce(r, head, 0) // warm the pools, the arena and the delivery log
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		forwardOnce(r, head, p)
+		forwardOnce(r, head, 0)
 	}
 	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N*benchHops)*1e9, "ns/hop")
 }
@@ -85,18 +88,12 @@ func BenchmarkForwardHopLossyARQ(b *testing.B) {
 		c.ARQ = DefaultARQ()
 	})
 	head := r.nodes[packet.NodeID(benchHops)]
-	p := packet.New(head.id, 0, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A fresh routing seq per op keeps the sink's duplicate filter from
 		// conflating ops; the map grows, so this path is not allocation-free.
-		p.Header = packet.Header{PrevHop: head.id, Origin: head.id, RoutingSeq: uint32(i)}
-		p.Truth = packet.Truth{CreatedAt: r.sched.Now(), Flow: head.id, Seq: uint32(i)}
-		r.transmit(head, p)
-		for r.sched.Step() {
-		}
-		r.result.Deliveries = r.result.Deliveries[:0]
+		forwardOnce(r, head, uint32(i))
 	}
 }
 
@@ -108,10 +105,9 @@ func BenchmarkForwardHopLossyARQ(b *testing.B) {
 func TestForwardHopAllocationFree(t *testing.T) {
 	r := newForwardRunner(t, nil)
 	head := r.nodes[packet.NodeID(benchHops)]
-	p := packet.New(head.id, 0, 0)
-	forwardOnce(r, head, p) // warm the pools and the delivery log
+	forwardOnce(r, head, 0) // warm the pools, the arena and the delivery log
 	if allocs := testing.AllocsPerRun(500, func() {
-		forwardOnce(r, head, p)
+		forwardOnce(r, head, 0)
 	}); allocs != 0 {
 		t.Errorf("lossless %d-hop forward allocates %v per run, want 0", benchHops, allocs)
 	}

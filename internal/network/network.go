@@ -142,7 +142,9 @@ type Config struct {
 	// substream. The calls come after the scheduler is reset and before
 	// any source is armed, so a policy may arm timers when it is built.
 	// When Delay is nil, custom policies receive zero sampled delays
-	// (appropriate for batching mixes, which ignore them).
+	// (appropriate for batching mixes, which ignore them). A policy must
+	// not read a packet after passing it to forward: once the packet
+	// reaches the sink, the engine reuses its memory for a new packet.
 	CustomPolicy func(sched *sim.Scheduler, forward buffer.Forward, src *rng.Source) (buffer.Policy, error)
 	// RateControl optionally enables per-node delay planning (§4).
 	RateControl *RateControl

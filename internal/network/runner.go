@@ -10,6 +10,7 @@ import (
 	"tempriv/internal/buffer"
 	"tempriv/internal/core"
 	"tempriv/internal/delay"
+	"tempriv/internal/metrics"
 	"tempriv/internal/packet"
 	"tempriv/internal/rng"
 	"tempriv/internal/routing"
@@ -32,6 +33,9 @@ type node struct {
 	// parent0 is the routing parent the build assigned, restored by rearm so
 	// a route repair in one run never leaks into the next.
 	parent0 packet.NodeID
+	// lat collects the latencies of the flow this node sources; finalize
+	// resets and refills it each run, so its samples are allocated once.
+	lat metrics.Latency
 }
 
 // runner holds one simulation's full state.
@@ -63,10 +67,9 @@ type runner struct {
 	// tele is the telemetry attachment; nil when Config.Telemetry is nil,
 	// and every hook on a nil *telemetryState is a no-op.
 	tele *telemetryState
-	// edges0 is the construction topology's sorted edge set — the structural
-	// identity rearm checks when a later run passes a different Topology
-	// value.
-	edges0 [][2]int
+	// id is the construction config's structural identity, which every
+	// run's config must share.
+	id structure
 }
 
 // Run validates cfg, executes the simulation to completion, and returns the
@@ -185,9 +188,10 @@ func resolveConfig(cfg Config) (Config, error) {
 }
 
 // newRunner builds the structure of an engine from an already resolved
-// config: routes, nodes in ID order, and the reusable pools. It arms
-// nothing; rearm adopts every run's state, the first run's included.
-func newRunner(cfg Config) (*runner, error) {
+// config whose structural identity is id: routes, nodes in ID order, and
+// the reusable pools. It arms nothing; rearm adopts every run's state, the
+// first run's included.
+func newRunner(cfg Config, id structure) (*runner, error) {
 	routes, err := routing.BuildTree(cfg.Topology)
 	if err != nil {
 		return nil, fmt.Errorf("network: building routes: %w", err)
@@ -195,12 +199,11 @@ func newRunner(cfg Config) (*runner, error) {
 
 	ids := cfg.Topology.Nodes() // ascending, so the last is the largest
 	r := &runner{
-		cfg:    cfg,
 		sched:  sim.NewScheduler(),
 		routes: routes,
 		nodes:  make([]*node, int(ids[len(ids)-1])+1),
 		dead:   make(map[packet.NodeID]bool),
-		edges0: sortedEdges(cfg.Topology),
+		id:     id,
 	}
 	for _, id := range ids {
 		if id == topology.Sink {

@@ -6,15 +6,16 @@ package network
 
 import (
 	"tempriv/internal/buffer"
-	"tempriv/internal/metrics"
 	"tempriv/internal/packet"
 	"tempriv/internal/topology"
 	"tempriv/internal/trace"
 )
 
 // arriveAtSink records a delivery and its ground truth, discarding
-// ARQ-induced duplicates of already delivered packets.
+// ARQ-induced duplicates of already delivered packets. Either way the
+// packet's run is over, so it goes back to the arena.
 func (r *runner) arriveAtSink(p *packet.Packet) {
+	defer r.arena.release(p)
 	now := r.sched.Now()
 	if r.dedup != nil {
 		key := uint64(p.Header.Origin)<<32 | uint64(p.Header.RoutingSeq)
@@ -48,30 +49,23 @@ func (r *runner) finalize() {
 	res.Duration = r.sched.Now()
 	res.Events = r.sched.Fired()
 
-	// Count each flow's deliveries first, so its latency samples are
-	// allocated once at their final size. Add still runs in delivery
-	// order, so every percentile and moment is unchanged.
-	for i := range res.Deliveries {
-		if fs, ok := res.Flows[res.Deliveries[i].Truth.Flow]; ok {
-			fs.Delivered++ // deliveries only come from declared sources
-		}
-	}
-	latencies := make(map[packet.NodeID]*metrics.Latency, len(res.Flows))
-	for flow, fs := range res.Flows {
-		if fs.Delivered > 0 {
-			l := &metrics.Latency{}
-			l.Grow(int(fs.Delivered))
-			latencies[flow] = l
-		}
+	// Each flow's latencies go into its source node's buffer, which is
+	// kept across runs and reset here. The adds run in delivery order, so
+	// every percentile and moment equals a fresh accumulator's.
+	for flow := range res.Flows {
+		r.nodes[flow].lat.Reset()
 	}
 	for i := range res.Deliveries {
 		d := &res.Deliveries[i]
-		if l := latencies[d.Truth.Flow]; l != nil {
-			l.Add(d.At - d.Truth.CreatedAt)
+		if fs, ok := res.Flows[d.Truth.Flow]; ok { // deliveries only come from declared sources
+			fs.Delivered++
+			r.nodes[d.Truth.Flow].lat.Add(d.At - d.Truth.CreatedAt)
 		}
 	}
-	for flow, l := range latencies {
-		res.Flows[flow].Latency = l.Report()
+	for flow, fs := range res.Flows {
+		if fs.Delivered > 0 {
+			fs.Latency = r.nodes[flow].lat.Report()
+		}
 	}
 
 	for _, n := range r.nodes {

@@ -3,12 +3,10 @@ package network
 import (
 	"fmt"
 	"runtime"
-	"sort"
 
 	"tempriv/internal/packet"
 	"tempriv/internal/sim"
 	"tempriv/internal/telemetry"
-	"tempriv/internal/topology"
 )
 
 // telemetryState is the runner's telemetry attachment. A nil *telemetryState
@@ -229,7 +227,7 @@ func (r *runner) buildManifest(wallSeconds float64) (*telemetry.Manifest, error)
 func canonicalConfig(cfg *Config) map[string]any {
 	topo := map[string]any{
 		"nodes": len(cfg.Topology.Nodes()),
-		"edges": sortedEdges(cfg.Topology),
+		"edges": cfg.Topology.Edges(),
 	}
 	sources := make([]map[string]any, len(cfg.Sources))
 	for i, s := range cfg.Sources {
@@ -282,24 +280,4 @@ func canonicalConfig(cfg *Config) map[string]any {
 		c["node_failures"] = fails
 	}
 	return c
-}
-
-// sortedEdges lists the topology's undirected edges as sorted [a, b] pairs
-// with a < b, in lexicographic order.
-func sortedEdges(t *topology.Topology) [][2]int {
-	var edges [][2]int
-	for _, id := range t.Nodes() {
-		for _, m := range t.Neighbors(id) {
-			if m > id {
-				edges = append(edges, [2]int{int(id), int(m)})
-			}
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	return edges
 }

@@ -33,9 +33,12 @@
 //   - Every disk operation goes through faultfs.FS, so ENOSPC, EIO and torn
 //     writes are injectable in tests.
 //
-// The cache is size-bounded: after every Put, least-recently-used entries
-// (by directory mtime, refreshed on every hit) are evicted until the total
-// payload fits the budget.
+// The cache is size-bounded. It keeps a running payload total, taken by a
+// scan when the cache is opened and raised by every entry this process
+// publishes; only a Put that takes the total over the budget scans the
+// directory again, evicts least-recently-used entries (by directory mtime,
+// refreshed on every hit) until the payload fits, and resets the total from
+// that scan.
 package resultcache
 
 import (
@@ -137,7 +140,10 @@ type Config struct {
 
 // Cache is a fingerprint-keyed result store. Safe for concurrent use by
 // multiple goroutines; concurrent processes sharing one root are safe too
-// (writes are rename-atomic), though their LRU accounting is independent.
+// (writes are rename-atomic), though their accounting is independent: each
+// process counts only its own puts between scans, so the directory can
+// exceed the budget by the other writers' puts until some writer's total
+// crosses it and that writer's scan evicts down to the budget.
 type Cache struct {
 	root     string
 	maxBytes int64
@@ -146,7 +152,10 @@ type Cache struct {
 	hooks    Hooks
 	brk      *breaker
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// bytes is the payload total the budget is checked against: the last
+	// scan's total plus the entries published since.
+	bytes       int64
 	hits        uint64
 	misses      uint64
 	evictions   uint64
@@ -200,6 +209,13 @@ func OpenConfig(cfg Config) (*Cache, error) {
 				cfg.Hooks.BreakerChange(from, to)
 			}
 		})
+	}
+	if c.maxBytes >= 0 {
+		_, total, err := c.scan()
+		if err != nil {
+			return nil, err
+		}
+		c.bytes = total
 	}
 	return c, nil
 }
@@ -283,9 +299,11 @@ func (c *Cache) Get(fingerprint string) (*Entry, bool, error) {
 }
 
 // Put stores the entry atomically (payloads plus their checksum manifest),
-// then enforces the size bound. Storing a fingerprint that already exists
-// is a no-op (content addressing: equal keys mean equal bytes). With the
-// breaker open, Put is a silent bypass — the result simply is not cached.
+// then enforces the size bound, scanning the directory only when the
+// running total exceeds it. Storing a fingerprint that already exists is a
+// no-op that adds nothing to the total (content addressing: equal keys
+// mean equal bytes). With the breaker open, Put is a silent bypass — the
+// result simply is not cached.
 func (c *Cache) Put(e *Entry) error {
 	dir, err := c.entryDir(e.Fingerprint)
 	if err != nil {
@@ -328,7 +346,14 @@ func (c *Cache) Put(e *Entry) error {
 		return fmt.Errorf("resultcache: publishing %s: %w", e.Fingerprint, err)
 	}
 	c.opOK()
-	return c.evict()
+	c.mu.Lock()
+	c.bytes += int64(len(e.TableText) + len(e.TableCSV) + len(e.Manifest))
+	over := c.maxBytes >= 0 && c.bytes > c.maxBytes
+	c.mu.Unlock()
+	if over {
+		c.evict()
+	}
+	return nil
 }
 
 // Stats returns the effectiveness counters and the current population.
@@ -446,32 +471,36 @@ func (c *Cache) scan() ([]scanned, int64, error) {
 }
 
 // evict removes least-recently-used entries until the payload fits
-// maxBytes. At least one entry always survives, so a single oversized
-// result cannot wedge the cache into rewriting itself forever. Eviction
-// errors feed the breaker but never fail the Put that triggered them.
-func (c *Cache) evict() error {
-	if c.maxBytes < 0 {
-		return nil
-	}
+// maxBytes, then resets the running total from the scan. Entries published
+// while it runs stay counted on top, so concurrent puts can only make the
+// total overstate the directory, never understate it. At least one entry
+// always survives, so a single oversized result cannot wedge the cache into
+// rewriting itself forever. Eviction errors feed the breaker but never fail
+// the Put that triggered them.
+func (c *Cache) evict() {
+	c.mu.Lock()
+	before := c.bytes
+	c.mu.Unlock()
 	entries, total, err := c.scan()
 	if err != nil {
 		c.ioError(err)
-		return nil
+		return
 	}
-	if total <= c.maxBytes || len(entries) <= 1 {
-		return nil
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.Before(entries[j].mtime) })
-	for _, e := range entries[:len(entries)-1] {
-		if total <= c.maxBytes {
-			break
+	if total > c.maxBytes && len(entries) > 1 {
+		sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.Before(entries[j].mtime) })
+		for _, e := range entries[:len(entries)-1] {
+			if total <= c.maxBytes {
+				break
+			}
+			if err := c.fs.RemoveAll(e.dir); err != nil {
+				c.ioError(err)
+				break
+			}
+			total -= e.bytes
+			c.count(&c.evictions)
 		}
-		if err := c.fs.RemoveAll(e.dir); err != nil {
-			c.ioError(err)
-			return nil
-		}
-		total -= e.bytes
-		c.count(&c.evictions)
 	}
-	return nil
+	c.mu.Lock()
+	c.bytes += total - before
+	c.mu.Unlock()
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tempriv/internal/faultfs"
 )
 
 func testFingerprint(i int) string {
@@ -230,5 +232,153 @@ func TestConcurrentSameFingerprint(t *testing.T) {
 	}
 	if !bytes.Equal(got.TableText, e.TableText) {
 		t.Fatal("racing writers corrupted the entry")
+	}
+}
+
+// countingFS counts the directory listings and stats a cache issues.
+type countingFS struct {
+	faultfs.FS
+	mu       sync.Mutex
+	readDirs int
+	stats    int
+}
+
+func (f *countingFS) ReadDir(name string) ([]os.DirEntry, error) {
+	f.mu.Lock()
+	f.readDirs++
+	f.mu.Unlock()
+	return f.FS.ReadDir(name)
+}
+
+func (f *countingFS) Stat(name string) (os.FileInfo, error) {
+	f.mu.Lock()
+	f.stats++
+	f.mu.Unlock()
+	return f.FS.Stat(name)
+}
+
+// take returns the counts so far and zeroes them.
+func (f *countingFS) take() (readDirs, stats int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	readDirs, stats = f.readDirs, f.stats
+	f.readDirs, f.stats = 0, 0
+	return readDirs, stats
+}
+
+func openCounting(t *testing.T, dir string, maxBytes int64) (*Cache, *countingFS) {
+	t.Helper()
+	fs := &countingFS{FS: faultfs.OS{}}
+	c, err := OpenConfig(Config{Dir: dir, MaxBytes: maxBytes, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, fs
+}
+
+// TestPutUnderBudgetDoesNotRescan pins the cost of a fill: under the
+// budget, a Put lists no directory and stats as many paths into a cache of
+// 400 entries as into a cache of one.
+func TestPutUnderBudgetDoesNotRescan(t *testing.T) {
+	statsAt := map[int]int{}
+	for _, n := range []int{1, 400} {
+		c, fs := openCounting(t, t.TempDir(), 0)
+		for i := 0; i < n; i++ {
+			if err := c.Put(testEntry(i, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs.take()
+		if err := c.Put(testEntry(n, 64)); err != nil {
+			t.Fatal(err)
+		}
+		readDirs, stats := fs.take()
+		if readDirs != 0 {
+			t.Errorf("Put into %d entries listed %d directories, want 0", n, readDirs)
+		}
+		statsAt[n] = stats
+	}
+	if statsAt[1] != statsAt[400] {
+		t.Errorf("Put stats %d paths into 1 entry and %d into 400: the fill still scales with the cache", statsAt[1], statsAt[400])
+	}
+}
+
+// TestPutCrossingBudgetEvictsOldest pins that the running total still
+// enforces the budget: the Put that crosses it scans once and evicts the
+// oldest entries, and the Puts before it scan nothing.
+func TestPutCrossingBudgetEvictsOldest(t *testing.T) {
+	dir := t.TempDir()
+	c, fs := openCounting(t, dir, 13<<10)
+	fs.take()
+	age := func(i int) {
+		t.Helper()
+		old := time.Now().Add(time.Duration(i-10) * time.Hour)
+		if err := os.Chtimes(filepath.Join(dir, "v2", testFingerprint(i)), old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := c.Put(testEntry(i, 4<<10)); err != nil {
+			t.Fatal(err)
+		}
+		age(i)
+	}
+	if readDirs, _ := fs.take(); readDirs != 0 {
+		t.Fatalf("Puts under the budget listed %d directories, want 0", readDirs)
+	}
+	if err := c.Put(testEntry(3, 4<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if readDirs, _ := fs.take(); readDirs != 1 {
+		t.Fatalf("the Put crossing the budget listed %d directories, want 1", readDirs)
+	}
+	st := c.Stats()
+	if st.Evictions != 1 || st.Entries != 3 || st.Bytes > 13<<10 {
+		t.Fatalf("after crossing the budget: %+v, want 1 eviction and 3 entries within 13 KiB", st)
+	}
+	if _, ok, _ := c.Get(testFingerprint(0)); ok {
+		t.Fatal("oldest entry survived eviction")
+	}
+	for i := 1; i <= 3; i++ {
+		if _, ok, err := c.Get(testFingerprint(i)); err != nil || !ok {
+			t.Fatalf("entry %d evicted: ok=%v err=%v", i, ok, err)
+		}
+	}
+}
+
+// TestReopenedFullCacheEvictsOnFirstPut pins that the total survives a
+// restart: a cache reopened with a smaller budget over a directory already
+// past it evicts on its first Put.
+func TestReopenedFullCacheEvictsOnFirstPut(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := c.Put(testEntry(i, 4<<10)); err != nil {
+			t.Fatal(err)
+		}
+		old := time.Now().Add(time.Duration(i-10) * time.Hour)
+		if err := os.Chtimes(filepath.Join(dir, "v2", testFingerprint(i)), old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c2, err := Open(dir, 13<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Put(testEntry(5, 16)); err != nil {
+		t.Fatal(err)
+	}
+	st := c2.Stats()
+	if st.Evictions == 0 || st.Bytes > 13<<10 {
+		t.Fatalf("first Put over a full directory did not evict to the budget: %+v", st)
+	}
+	if _, ok, _ := c2.Get(testFingerprint(0)); ok {
+		t.Fatal("oldest entry survived eviction")
+	}
+	if _, ok, err := c2.Get(testFingerprint(5)); err != nil || !ok {
+		t.Fatalf("newest entry evicted: ok=%v err=%v", ok, err)
 	}
 }

@@ -6,7 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
+	"runtime/metrics"
+	"sync"
 )
 
 // Manifest records the provenance of one simulation run: what configuration
@@ -62,10 +63,25 @@ func (m *Manifest) WriteJSON(path string) error {
 	return nil
 }
 
-// HeapAlloc returns the current live-heap size. It is a convenience wrapper
-// so callers outside this package don't import runtime for one field.
+// heapObjectsMetric is runtime.MemStats.HeapAlloc under runtime/metrics:
+// the bytes of live and not yet swept heap objects.
+const heapObjectsMetric = "/memory/classes/heap/objects:bytes"
+
+// heapSample is HeapAlloc's read buffer. metrics.Read makes its argument
+// escape, so a per-call buffer would cost a heap allocation on every engine
+// run; one shared buffer under a lock costs none.
+var heapSample struct {
+	sync.Mutex
+	s [1]metrics.Sample
+}
+
+// HeapAlloc returns the current live-heap size. It reads runtime/metrics,
+// which does not stop the world as runtime.ReadMemStats does, so every
+// engine run and every heap sample can afford it.
 func HeapAlloc() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
+	heapSample.Lock()
+	defer heapSample.Unlock()
+	heapSample.s[0].Name = heapObjectsMetric
+	metrics.Read(heapSample.s[:])
+	return heapSample.s[0].Value.Uint64()
 }

@@ -210,10 +210,10 @@ type Config struct {
 	SampleEvery float64
 	// Emitter receives one Sample every SampleEvery simulated time units.
 	Emitter Emitter
-	// SampleHeap additionally reads runtime heap statistics into each
-	// sample (a runtime.ReadMemStats per sample; cheap at typical sampling
-	// rates, off by default for exact-determinism comparisons of emitted
-	// bytes across hosts).
+	// SampleHeap additionally reads the live-heap size into each sample
+	// (a runtime/metrics read per sample, which does not stop the world;
+	// off by default for exact-determinism comparisons of emitted bytes
+	// across hosts).
 	SampleHeap bool
 }
 

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"tempriv/internal/packet"
@@ -124,6 +125,27 @@ func (t *Topology) Nodes() []packet.NodeID {
 
 // NodeCount returns the number of placed nodes (including the sink).
 func (t *Topology) NodeCount() int { return len(t.pos) }
+
+// Edges returns the undirected links as [a, b] pairs with a < b, sorted
+// lexicographically: one canonical form per link set, whatever order the
+// links were added in. The returned slice is a copy.
+func (t *Topology) Edges() [][2]packet.NodeID {
+	out := make([][2]packet.NodeID, 0, t.LinkCount())
+	for a, ns := range t.adj {
+		for _, b := range ns {
+			if a < b {
+				out = append(out, [2]packet.NodeID{a, b})
+			}
+		}
+	}
+	slices.SortFunc(out, func(x, y [2]packet.NodeID) int {
+		if x[0] != y[0] {
+			return int(x[0]) - int(y[0])
+		}
+		return int(x[1]) - int(y[1])
+	})
+	return out
+}
 
 // LinkCount returns the number of undirected links.
 func (t *Topology) LinkCount() int {

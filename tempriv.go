@@ -128,7 +128,9 @@ type (
 	// receives its own substream).
 	RandomSource = rng.Source
 	// BufferPolicy is a node's store-and-forward buffering behaviour; see
-	// Config.CustomPolicy for installing your own.
+	// Config.CustomPolicy for installing your own. A policy must not read a
+	// packet after passing it to Forward: once the packet reaches the sink,
+	// the engine reuses its memory for a new packet.
 	BufferPolicy = buffer.Policy
 	// Params are the shared experiment knobs (seed, packet counts, sweep).
 	Params = experiment.Params
@@ -276,9 +278,13 @@ type Engine = network.Engine
 // surfaces from Engine.Run.
 func NewEngine(cfg Config) (*Engine, error) { return network.NewEngine(cfg) }
 
-// EngineCache pools Engines by structural shape so sweeps over seeds or
-// traffic parameters rebuild nothing. Safe for concurrent use: engines are
-// checked out exclusively for the duration of a run.
+// EngineCache pools Engines by structural shape: the topology, policy
+// kind, capacity, victim rule and rate-control design point. Runs that
+// differ only in what every run adopts fresh (seed, traffic, delays,
+// channel, ARQ, horizon, failures, observers) share engines, so a sweep
+// builds at most one engine per shape for each run it executes at once,
+// and reuses them for every later point and replicate. Safe for concurrent
+// use: engines are checked out exclusively for the duration of a run.
 type EngineCache = network.EngineCache
 
 // NewEngineCache returns an empty engine cache for use with RunCached.
