@@ -298,7 +298,8 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		}
 
 		// Result peering: hold replicas peers push to us, and push every
-		// result we finish to our ring successor (write-behind, retried).
+		// result we compute or adopt from a replica to our ring successor
+		// (write-behind, retried); cache hits are not pushed again.
 		// If this process dies, the gateway re-dispatches our jobs to that
 		// successor, whose runner answers from the replica with zero
 		// recompute. TEMPRIV_CHAOS optionally injects partitions/latency
@@ -319,14 +320,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 			Log:       log,
 			Telemetry: reg,
 		})
-		opts.OnDone = func(snap jobs.Snapshot, res *jobs.Result) {
-			replicator.Offer(peering.Replica{
-				Fingerprint: snap.Fingerprint,
-				TableText:   res.TableText,
-				TableCSV:    res.TableCSV,
-				Manifest:    res.Manifest,
-			})
-		}
+		opts.OnDone = offerReplicas(replicator.Offer)
 		go replicator.Run(ctx)
 	}
 
@@ -460,4 +454,25 @@ func dirLabel(dir string) string {
 		return "disabled"
 	}
 	return dir
+}
+
+// offerReplicas is the queue's OnDone hook for result peering. It passes
+// offer every result this worker computed or adopted from a peer replica,
+// and skips cache hits. A hit's result went to the ring successor when it
+// was computed or adopted, so offering it again only repeats the POST. The
+// cost: a later hit no longer refreshes a replica lost to a successor
+// restart or placed under a stale ring, so if this worker then crashes,
+// the new owner recomputes the job, with the same bytes.
+func offerReplicas(offer func(peering.Replica)) func(jobs.Snapshot, *jobs.Result) {
+	return func(snap jobs.Snapshot, res *jobs.Result) {
+		if res.CacheHit {
+			return
+		}
+		offer(peering.Replica{
+			Fingerprint: snap.Fingerprint,
+			TableText:   res.TableText,
+			TableCSV:    res.TableCSV,
+			Manifest:    res.Manifest,
+		})
+	}
 }

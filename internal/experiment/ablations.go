@@ -30,6 +30,15 @@ func AblVictim(p Params) (*report.Table, error) {
 	}
 	sweep := []float64{2, 5, 10, 20}
 
+	net, err := newFigure1()
+	if err != nil {
+		return nil, err
+	}
+	dist, err := delay.NewExponential(p.MeanDelay)
+	if err != nil {
+		return nil, err
+	}
+	s1 := net.sources[0]
 	type cell struct{ mse, lat float64 }
 	grid := make([][]cell, len(sweep))
 	for i := range grid {
@@ -37,25 +46,12 @@ func AblVictim(p Params) (*report.Table, error) {
 	}
 	err = parallelFor(p.Workers, len(sweep)*len(selectors), func(idx int) error {
 		i, j := idx/len(selectors), idx%len(selectors)
-		ia := sweep[i]
-		topo, sources, err := topology.Figure1()
+		srcs, err := net.periodic(p.Packets, sweep[i])
 		if err != nil {
 			return err
 		}
-		proc, err := traffic.NewPeriodic(ia)
-		if err != nil {
-			return err
-		}
-		dist, err := delay.NewExponential(p.MeanDelay)
-		if err != nil {
-			return err
-		}
-		srcs := make([]network.Source, len(sources))
-		for k, s := range sources {
-			srcs[k] = network.Source{Node: s, Process: proc, Count: p.Packets}
-		}
-		res, err := network.RunCached(p.Engines, network.Config{
-			Topology:          topo,
+		return network.RunBorrowed(p.Engines, network.Config{
+			Topology:          net.topo,
 			Sources:           srcs,
 			Policy:            network.PolicyRCAD,
 			Delay:             dist,
@@ -63,16 +59,14 @@ func AblVictim(p Params) (*report.Table, error) {
 			Victim:            selectors[j],
 			TransmissionDelay: p.Tau,
 			Seed:              p.Seed,
+		}, func(res *network.Result) error {
+			mse, err := scoreFlow(p, res, s1, p.MeanDelay)
+			if err != nil {
+				return err
+			}
+			grid[i][j] = cell{mse: mse, lat: res.Flows[s1].Latency.Mean}
+			return nil
 		})
-		if err != nil {
-			return err
-		}
-		mse, err := scoreFlow(p, res, sources[0], p.MeanDelay)
-		if err != nil {
-			return err
-		}
-		grid[i][j] = cell{mse: mse, lat: res.Flows[sources[0]].Latency.Mean}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -116,6 +110,11 @@ func AblDist(p Params) (*report.Table, error) {
 	names := []string{"none", "constant", "uniform", "pareto", "exponential"}
 	const ia = 10.0
 
+	net, err := newFigure1()
+	if err != nil {
+		return nil, err
+	}
+	s1 := net.sources[0]
 	type row struct{ entropy, mse, lat float64 }
 	rows := make([]row, len(names))
 	err = parallelFor(p.Workers, len(names), func(i int) error {
@@ -129,11 +128,7 @@ func AblDist(p Params) (*report.Table, error) {
 			entropy = h
 		}
 
-		topo, sources, err := topology.Figure1()
-		if err != nil {
-			return err
-		}
-		proc, err := traffic.NewPeriodic(ia)
+		srcs, err := net.periodic(p.Packets, ia)
 		if err != nil {
 			return err
 		}
@@ -143,27 +138,21 @@ func AblDist(p Params) (*report.Table, error) {
 			policy = network.PolicyForward
 			cfgDist = nil
 		}
-		srcs := make([]network.Source, len(sources))
-		for k, s := range sources {
-			srcs[k] = network.Source{Node: s, Process: proc, Count: p.Packets}
-		}
-		res, err := network.RunCached(p.Engines, network.Config{
-			Topology:          topo,
+		return network.RunBorrowed(p.Engines, network.Config{
+			Topology:          net.topo,
 			Sources:           srcs,
 			Policy:            policy,
 			Delay:             cfgDist,
 			TransmissionDelay: p.Tau,
 			Seed:              p.Seed,
+		}, func(res *network.Result) error {
+			mse, err := scoreFlow(p, res, s1, dist.Mean())
+			if err != nil {
+				return err
+			}
+			rows[i] = row{entropy: entropy, mse: mse, lat: res.Flows[s1].Latency.Mean}
+			return nil
 		})
-		if err != nil {
-			return err
-		}
-		mse, err := scoreFlow(p, res, sources[0], dist.Mean())
-		if err != nil {
-			return err
-		}
-		rows[i] = row{entropy: entropy, mse: mse, lat: res.Flows[sources[0]].Latency.Mean}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -196,35 +185,38 @@ func AblBuffer(p Params) (*report.Table, error) {
 	capacities := []int{2, 5, 10, 20, 50, 100}
 	const ia = 2.0
 
+	net, err := newFigure1()
+	if err != nil {
+		return nil, err
+	}
+	s1 := net.sources[0]
 	type row struct{ mse, lat, preempt, maxTrunkOcc float64 }
 	rows := make([]row, len(capacities))
 	err = parallelFor(p.Workers, len(capacities), func(i int) error {
 		q := p
 		q.Capacity = capacities[i]
-		res, sources, err := figure1Run(q, network.PolicyRCAD, ia)
-		if err != nil {
-			return err
-		}
-		mse, err := scoreFlow(q, res, sources[0], q.MeanDelay)
-		if err != nil {
-			return err
-		}
-		var preempts, arrivals uint64
-		maxOcc := 0.0
-		for _, id := range sortedNodeIDs(res.Nodes) {
-			ns := res.Nodes[id]
-			preempts += ns.Preemptions
-			arrivals += ns.Arrivals
-			if ns.MaxOccupancy > maxOcc {
-				maxOcc = ns.MaxOccupancy
+		return figure1Run(q, net, network.PolicyRCAD, ia, func(res *network.Result) error {
+			mse, err := scoreFlow(q, res, s1, q.MeanDelay)
+			if err != nil {
+				return err
 			}
-		}
-		pr := 0.0
-		if arrivals > 0 {
-			pr = float64(preempts) / float64(arrivals)
-		}
-		rows[i] = row{mse: mse, lat: res.Flows[sources[0]].Latency.Mean, preempt: pr, maxTrunkOcc: maxOcc}
-		return nil
+			var preempts, arrivals uint64
+			maxOcc := 0.0
+			for _, id := range sortedNodeIDs(res.Nodes) {
+				ns := res.Nodes[id]
+				preempts += ns.Preemptions
+				arrivals += ns.Arrivals
+				if ns.MaxOccupancy > maxOcc {
+					maxOcc = ns.MaxOccupancy
+				}
+			}
+			pr := 0.0
+			if arrivals > 0 {
+				pr = float64(preempts) / float64(arrivals)
+			}
+			rows[i] = row{mse: mse, lat: res.Flows[s1].Latency.Mean, preempt: pr, maxTrunkOcc: maxOcc}
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -256,32 +248,35 @@ func AblMu(p Params) (*report.Table, error) {
 	const ia = 10.0
 	lambdaTot := 4.0 / ia // four flows share the trunk
 
+	net, err := newFigure1()
+	if err != nil {
+		return nil, err
+	}
+	s1 := net.sources[0]
 	type row struct{ mse, lat, occ, rho float64 }
 	rows := make([]row, len(means))
 	err = parallelFor(p.Workers, len(means), func(i int) error {
 		q := p
 		q.MeanDelay = means[i]
-		res, sources, err := figure1Run(q, network.PolicyUnlimited, ia)
-		if err != nil {
-			return err
-		}
-		mse, err := scoreFlow(q, res, sources[0], q.MeanDelay)
-		if err != nil {
-			return err
-		}
-		// Node 1 is the trunk hop adjacent to the sink (MergeTree
-		// construction): the most loaded buffer in the network.
-		trunk, ok := res.Nodes[packet.NodeID(1)]
-		if !ok {
-			return fmt.Errorf("experiment: trunk node stats missing")
-		}
-		rows[i] = row{
-			mse: mse,
-			lat: res.Flows[sources[0]].Latency.Mean,
-			occ: trunk.AvgOccupancy,
-			rho: lambdaTot * means[i],
-		}
-		return nil
+		return figure1Run(q, net, network.PolicyUnlimited, ia, func(res *network.Result) error {
+			mse, err := scoreFlow(q, res, s1, q.MeanDelay)
+			if err != nil {
+				return err
+			}
+			// Node 1 is the trunk hop adjacent to the sink (MergeTree
+			// construction): the most loaded buffer in the network.
+			trunk, ok := res.Nodes[packet.NodeID(1)]
+			if !ok {
+				return fmt.Errorf("experiment: trunk node stats missing")
+			}
+			rows[i] = row{
+				mse: mse,
+				lat: res.Flows[s1].Latency.Mean,
+				occ: trunk.AvgOccupancy,
+				rho: lambdaTot * means[i],
+			}
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -357,7 +352,7 @@ func AblDecomp(p Params) (*report.Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := network.RunCached(p.Engines, network.Config{
+		return network.RunBorrowed(p.Engines, network.Config{
 			Topology:          topo,
 			Sources:           []network.Source{{Node: packet.NodeID(hops), Process: proc, Count: p.Packets}},
 			Policy:            network.PolicyUnlimited,
@@ -365,25 +360,23 @@ func AblDecomp(p Params) (*report.Table, error) {
 			PerNodeDelay:      perNode,
 			TransmissionDelay: p.Tau,
 			Seed:              p.Seed,
+		}, func(res *network.Result) error {
+			mse, err := scoreFlow(p, res, packet.NodeID(hops), budget/hops)
+			if err != nil {
+				return err
+			}
+			near, ok := res.Nodes[packet.NodeID(1)]
+			if !ok {
+				return fmt.Errorf("experiment: near-sink node stats missing")
+			}
+			rows[i] = row{
+				mse:          mse,
+				lat:          res.Flows[packet.NodeID(hops)].Latency.Mean,
+				nearSinkOcc:  near.AvgOccupancy,
+				predictedMSE: predicted,
+			}
+			return nil
 		})
-		if err != nil {
-			return err
-		}
-		mse, err := scoreFlow(p, res, packet.NodeID(hops), budget/hops)
-		if err != nil {
-			return err
-		}
-		near, ok := res.Nodes[packet.NodeID(1)]
-		if !ok {
-			return fmt.Errorf("experiment: near-sink node stats missing")
-		}
-		rows[i] = row{
-			mse:          mse,
-			lat:          res.Flows[packet.NodeID(hops)].Latency.Mean,
-			nearSinkOcc:  near.AvgOccupancy,
-			predictedMSE: predicted,
-		}
-		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -49,11 +49,15 @@ type Params struct {
 	// experiment's runs (see network.EngineCache): runs on one topology
 	// with one policy, capacity, victim rule and rate-control design point
 	// share routes, pools and the packet arena across every sweep point
-	// and replicate instead of rebuilding them per run. Execution-only —
-	// engine reuse never affects result bytes — and safe to share across
-	// parallel sweep workers: the cache keeps a stack of engines per
-	// structure, as deep as the most runs of it in flight at once. When it
-	// is nil, ReplicateRun gives each replication worker a cache of its own.
+	// and replicate instead of rebuilding them per run. Every experiment
+	// scores each run inside network.RunBorrowed, so the cache also
+	// recycles the runs' results: a run's deliveries and stats refill the
+	// result an earlier run handed back. Execution-only — neither kind of
+	// reuse affects result bytes — and safe to share across parallel sweep
+	// workers: the cache keeps a stack of engines per structure, and one of
+	// idle results, each as deep as the most runs in flight at once. When
+	// it is nil, ReplicateRun gives each replication worker a cache of its
+	// own.
 	Engines *network.EngineCache
 }
 
@@ -201,60 +205,48 @@ func parallelFor(workers, n int, f func(i int) error) error {
 	return nil
 }
 
-// figure1Run executes one simulation of the paper's evaluation topology:
-// four periodic sources with hop counts 15/22/9/11, Count packets each, a
-// given buffering policy and interarrival time. It returns the result and
-// the source IDs in S1…S4 order.
-func figure1Run(p Params, policy network.PolicyKind, interarrival float64) (*network.Result, []packet.NodeID, error) {
-	topo, sources, err := topology.Figure1()
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiment: building topology: %w", err)
-	}
-	proc, err := traffic.NewPeriodic(interarrival)
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiment: traffic: %w", err)
-	}
-	var dist delay.Distribution
-	if policy != network.PolicyForward {
-		d, err := delay.NewExponential(p.MeanDelay)
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiment: delay: %w", err)
-		}
-		dist = d
-	}
-	srcs := make([]network.Source, len(sources))
-	for i, s := range sources {
-		srcs[i] = network.Source{Node: s, Process: proc, Count: p.Packets}
-	}
-	res, err := network.RunCached(p.Engines, network.Config{
-		Topology:          topo,
-		Sources:           srcs,
-		Policy:            policy,
-		Delay:             dist,
-		Capacity:          p.Capacity,
-		TransmissionDelay: p.Tau,
-		Seed:              p.Seed,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiment: simulating %v at 1/λ=%v: %w", policy, interarrival, err)
-	}
-	return res, sources, nil
+// figure1Net is the paper's evaluation network: the Figure 1 topology and
+// its sources in S1…S4 order. An experiment call builds it once and shares
+// it read-only with all of its runs and workers, because engines only read
+// a topology.
+type figure1Net struct {
+	topo    *topology.Topology
+	sources []packet.NodeID
 }
 
-// figure1Paths returns each Figure-1 flow's buffering nodes (source through
-// last relay, sink excluded), for the path-aware adversary. The topology is
-// deterministic, so this matches any figure1Run's routing exactly.
-func figure1Paths() (map[packet.NodeID][]packet.NodeID, error) {
+// newFigure1 builds the Figure 1 network.
+func newFigure1() (figure1Net, error) {
 	topo, sources, err := topology.Figure1()
 	if err != nil {
-		return nil, fmt.Errorf("experiment: building topology: %w", err)
+		return figure1Net{}, fmt.Errorf("experiment: building topology: %w", err)
 	}
-	routes, err := routing.BuildTree(topo)
+	return figure1Net{topo: topo, sources: sources}, nil
+}
+
+// periodic returns one traffic source per flow, each sending count
+// packets, one every interarrival time units.
+func (f figure1Net) periodic(count int, interarrival float64) ([]network.Source, error) {
+	proc, err := traffic.NewPeriodic(interarrival)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: traffic: %w", err)
+	}
+	srcs := make([]network.Source, len(f.sources))
+	for i, s := range f.sources {
+		srcs[i] = network.Source{Node: s, Process: proc, Count: count}
+	}
+	return srcs, nil
+}
+
+// paths returns each flow's buffering nodes (source through last relay,
+// sink excluded), for the path-aware adversary. Routing is deterministic,
+// so this matches every run's routing exactly.
+func (f figure1Net) paths() (map[packet.NodeID][]packet.NodeID, error) {
+	routes, err := routing.BuildTree(f.topo)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: routing: %w", err)
 	}
-	paths := make(map[packet.NodeID][]packet.NodeID, len(sources))
-	for _, s := range sources {
+	paths := make(map[packet.NodeID][]packet.NodeID, len(f.sources))
+	for _, s := range f.sources {
 		full, err := routes.Path(s)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: path for %v: %w", s, err)
@@ -262,6 +254,38 @@ func figure1Paths() (map[packet.NodeID][]packet.NodeID, error) {
 		paths[s] = full[:len(full)-1] // drop the sink: it does not buffer
 	}
 	return paths, nil
+}
+
+// figure1Run executes one simulation of the paper's evaluation network:
+// four periodic sources with hop counts 15/22/9/11, p.Packets packets each,
+// a given buffering policy and interarrival time. It lends the result to
+// use, which must be done with it when it returns (network.RunBorrowed).
+func figure1Run(p Params, net figure1Net, policy network.PolicyKind, interarrival float64, use func(*network.Result) error) error {
+	srcs, err := net.periodic(p.Packets, interarrival)
+	if err != nil {
+		return err
+	}
+	var dist delay.Distribution
+	if policy != network.PolicyForward {
+		d, err := delay.NewExponential(p.MeanDelay)
+		if err != nil {
+			return fmt.Errorf("experiment: delay: %w", err)
+		}
+		dist = d
+	}
+	err = network.RunBorrowed(p.Engines, network.Config{
+		Topology:          net.topo,
+		Sources:           srcs,
+		Policy:            policy,
+		Delay:             dist,
+		Capacity:          p.Capacity,
+		TransmissionDelay: p.Tau,
+		Seed:              p.Seed,
+	}, use)
+	if err != nil {
+		return fmt.Errorf("experiment: simulating %v at 1/λ=%v: %w", policy, interarrival, err)
+	}
+	return nil
 }
 
 // scoreFlow runs a fresh baseline adversary over a result and returns the

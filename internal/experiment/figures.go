@@ -38,39 +38,43 @@ type figure1Point struct {
 // figure1Sweep computes one figure's columns at every interarrival in p, in
 // parallel.
 func figure1Sweep(p Params, cols figure1Columns) ([]figure1Point, error) {
+	net, err := newFigure1()
+	if err != nil {
+		return nil, err
+	}
 	first := 0
 	var paths map[packet.NodeID][]packet.NodeID
 	if cols == fig3Columns {
 		first = len(figure1Cases) - 1
-		var err error
-		if paths, err = figure1Paths(); err != nil {
+		if paths, err = net.paths(); err != nil {
 			return nil, err
 		}
 	}
+	s1 := net.sources[0]
 	points := make([]figure1Point, len(p.Interarrivals))
-	err := parallelFor(p.Workers, len(p.Interarrivals), func(i int) error {
+	err = parallelFor(p.Workers, len(p.Interarrivals), func(i int) error {
 		pt := &points[i]
 		for c := first; c < len(figure1Cases); c++ {
-			res, sources, err := figure1Run(p, figure1Cases[c], p.Interarrivals[i])
-			if err != nil {
-				return err
-			}
-			s1 := sources[0]
-			pt.lat[c] = res.Flows[s1].Latency.Mean
-			if cols == fig2bColumns {
-				continue
-			}
-			meanDelay := p.MeanDelay
-			if figure1Cases[c] == network.PolicyForward {
-				meanDelay = 0
-			}
-			if pt.mse[c], err = scoreFlow(p, res, s1, meanDelay); err != nil {
-				return err
-			}
-			if cols == fig3Columns {
-				if err := scoreFigure3(p, res, s1, paths, pt); err != nil {
+			err := figure1Run(p, net, figure1Cases[c], p.Interarrivals[i], func(res *network.Result) error {
+				pt.lat[c] = res.Flows[s1].Latency.Mean
+				if cols == fig2bColumns {
+					return nil
+				}
+				meanDelay := p.MeanDelay
+				if figure1Cases[c] == network.PolicyForward {
+					meanDelay = 0
+				}
+				var err error
+				if pt.mse[c], err = scoreFlow(p, res, s1, meanDelay); err != nil {
 					return err
 				}
+				if cols == fig3Columns {
+					return scoreFigure3(p, res, s1, paths, pt)
+				}
+				return nil
+			})
+			if err != nil {
+				return err
 			}
 		}
 		return nil

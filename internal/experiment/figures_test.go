@@ -15,7 +15,11 @@ import (
 // scorers, on fresh engines.
 func allColumnsSweep(t *testing.T, p Params) []figure1Point {
 	t.Helper()
-	paths, err := figure1Paths()
+	net, err := newFigure1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := net.paths()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,35 +34,37 @@ func allColumnsSweep(t *testing.T, p Params) []figure1Point {
 		}
 		return perFlow[flow].Value()
 	}
+	s1 := net.sources[0]
 	points := make([]figure1Point, len(p.Interarrivals))
 	for i, ia := range p.Interarrivals {
 		pt := &points[i]
 		for c, policy := range figure1Cases {
-			res, sources, err := figure1Run(p, policy, ia)
+			err := figure1Run(p, net, policy, ia, func(res *network.Result) error {
+				mean := p.MeanDelay
+				if policy == network.PolicyForward {
+					mean = 0
+				}
+				est, err := adversary.NewBaseline(p.Tau, mean)
+				pt.mse[c] = score(est, err, res, s1)
+				pt.lat[c] = res.Flows[s1].Latency.Mean
+				if policy != network.PolicyRCAD {
+					return nil
+				}
+				adaptive, err := adversary.NewAdaptive(p.Tau, p.MeanDelay, p.Capacity, p.Threshold)
+				pt.mseAdaptive = score(adaptive, err, res, s1)
+				pathAware, err := adversary.NewPathAware(p.Tau, p.MeanDelay, p.Capacity, p.Threshold, paths)
+				pt.msePathAware = score(pathAware, err, res, s1)
+				var preempts, arrivals uint64
+				for _, ns := range res.Nodes {
+					preempts += ns.Preemptions
+					arrivals += ns.Arrivals
+				}
+				pt.preemptRate = float64(preempts) / float64(arrivals)
+				return nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			s1 := sources[0]
-			mean := p.MeanDelay
-			if policy == network.PolicyForward {
-				mean = 0
-			}
-			est, err := adversary.NewBaseline(p.Tau, mean)
-			pt.mse[c] = score(est, err, res, s1)
-			pt.lat[c] = res.Flows[s1].Latency.Mean
-			if policy != network.PolicyRCAD {
-				continue
-			}
-			adaptive, err := adversary.NewAdaptive(p.Tau, p.MeanDelay, p.Capacity, p.Threshold)
-			pt.mseAdaptive = score(adaptive, err, res, s1)
-			pathAware, err := adversary.NewPathAware(p.Tau, p.MeanDelay, p.Capacity, p.Threshold, paths)
-			pt.msePathAware = score(pathAware, err, res, s1)
-			var preempts, arrivals uint64
-			for _, ns := range res.Nodes {
-				preempts += ns.Preemptions
-				arrivals += ns.Arrivals
-			}
-			pt.preemptRate = float64(preempts) / float64(arrivals)
 		}
 	}
 	return points

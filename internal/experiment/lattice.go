@@ -24,50 +24,51 @@ func AblLattice(p Params) (*report.Table, error) {
 	const ia = 10.0 // source period
 	means := []float64{0.25, 0.5, 1, 2, 4, 8, 16, 30}
 
+	net, err := newFigure1()
+	if err != nil {
+		return nil, err
+	}
+	s1 := net.sources[0]
 	type row struct{ raw, lattice, recovered float64 }
 	rows := make([]row, len(means))
 	err = parallelFor(p.Workers, len(means), func(i int) error {
 		q := p
 		q.MeanDelay = means[i]
-		res, sources, err := figure1Run(q, network.PolicyUnlimited, ia)
-		if err != nil {
-			return err
-		}
-		s1 := sources[0]
-
-		raw, err := scoreFlow(q, res, s1, q.MeanDelay)
-		if err != nil {
-			return err
-		}
-		inner, err := adversary.NewBaseline(q.Tau, q.MeanDelay)
-		if err != nil {
-			return err
-		}
-		lattice, err := adversary.NewLattice(inner, ia)
-		if err != nil {
-			return err
-		}
-		_, perFlow, err := res.Score(lattice)
-		if err != nil {
-			return err
-		}
-		m, ok := perFlow[s1]
-		if !ok {
-			return fmt.Errorf("experiment: no S1 deliveries at 1/µ=%g", means[i])
-		}
-		// Count exact recoveries alongside the MSE.
-		exact := 0
-		for _, d := range res.Deliveries {
-			if d.Header.Origin == s1 && lattice.Estimate(adversary.Observation{ArrivalTime: d.At, Header: d.Header}) == d.Truth.CreatedAt {
-				exact++
+		return figure1Run(q, net, network.PolicyUnlimited, ia, func(res *network.Result) error {
+			raw, err := scoreFlow(q, res, s1, q.MeanDelay)
+			if err != nil {
+				return err
 			}
-		}
-		rows[i] = row{
-			raw:       raw,
-			lattice:   m.Value(),
-			recovered: float64(exact) / float64(m.Count()),
-		}
-		return nil
+			inner, err := adversary.NewBaseline(q.Tau, q.MeanDelay)
+			if err != nil {
+				return err
+			}
+			lattice, err := adversary.NewLattice(inner, ia)
+			if err != nil {
+				return err
+			}
+			_, perFlow, err := res.Score(lattice)
+			if err != nil {
+				return err
+			}
+			m, ok := perFlow[s1]
+			if !ok {
+				return fmt.Errorf("experiment: no S1 deliveries at 1/µ=%g", means[i])
+			}
+			// Count exact recoveries alongside the MSE.
+			exact := 0
+			for _, d := range res.Deliveries {
+				if d.Header.Origin == s1 && lattice.Estimate(adversary.Observation{ArrivalTime: d.At, Header: d.Header}) == d.Truth.CreatedAt {
+					exact++
+				}
+			}
+			rows[i] = row{
+				raw:       raw,
+				lattice:   m.Value(),
+				recovered: float64(exact) / float64(m.Count()),
+			}
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err

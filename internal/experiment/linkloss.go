@@ -6,8 +6,6 @@ import (
 	"tempriv/internal/delay"
 	"tempriv/internal/network"
 	"tempriv/internal/report"
-	"tempriv/internal/topology"
-	"tempriv/internal/traffic"
 )
 
 // AblLinkLoss sweeps the per-link frame-loss probability p with link-layer
@@ -23,27 +21,23 @@ func AblLinkLoss(p Params) (*report.Table, error) {
 	sweep := []float64{0, 0.05, 0.1, 0.2}
 	const ia = 10.0
 
+	net, err := newFigure1()
+	if err != nil {
+		return nil, err
+	}
+	dist, err := delay.NewExponential(p.MeanDelay)
+	if err != nil {
+		return nil, err
+	}
 	type row struct{ ratio, retxPerPkt, dropPerPkt, mse, lat float64 }
 	rows := make([]row, len(sweep))
 	err = parallelFor(p.Workers, len(sweep), func(i int) error {
-		topo, sources, err := topology.Figure1()
+		srcs, err := net.periodic(p.Packets, ia)
 		if err != nil {
 			return err
 		}
-		proc, err := traffic.NewPeriodic(ia)
-		if err != nil {
-			return err
-		}
-		dist, err := delay.NewExponential(p.MeanDelay)
-		if err != nil {
-			return err
-		}
-		srcs := make([]network.Source, len(sources))
-		for k, s := range sources {
-			srcs[k] = network.Source{Node: s, Process: proc, Count: p.Packets}
-		}
-		res, err := network.RunCached(p.Engines, network.Config{
-			Topology:          topo,
+		return network.RunBorrowed(p.Engines, network.Config{
+			Topology:          net.topo,
 			Sources:           srcs,
 			Policy:            network.PolicyRCAD,
 			Delay:             dist,
@@ -52,26 +46,25 @@ func AblLinkLoss(p Params) (*report.Table, error) {
 			Seed:              p.Seed,
 			Channel:           &network.ChannelConfig{LossP: sweep[i]},
 			ARQ:               network.DefaultARQ(),
+		}, func(res *network.Result) error {
+			s1 := net.sources[0]
+			mse, err := scoreFlow(p, res, s1, p.MeanDelay)
+			if err != nil {
+				return err
+			}
+			var created uint64
+			for _, f := range res.Flows {
+				created += f.Created
+			}
+			rows[i] = row{
+				ratio:      res.DeliveryRatio(),
+				retxPerPkt: float64(res.Retransmissions) / float64(created),
+				dropPerPkt: float64(res.LinkDrops) / float64(created),
+				mse:        mse,
+				lat:        res.Flows[s1].Latency.Mean,
+			}
+			return nil
 		})
-		if err != nil {
-			return err
-		}
-		mse, err := scoreFlow(p, res, sources[0], p.MeanDelay)
-		if err != nil {
-			return err
-		}
-		var created uint64
-		for _, f := range res.Flows {
-			created += f.Created
-		}
-		rows[i] = row{
-			ratio:      res.DeliveryRatio(),
-			retxPerPkt: float64(res.Retransmissions) / float64(created),
-			dropPerPkt: float64(res.LinkDrops) / float64(created),
-			mse:        mse,
-			lat:        res.Flows[sources[0]].Latency.Mean,
-		}
-		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -11,8 +11,6 @@ import (
 	"tempriv/internal/report"
 	"tempriv/internal/rng"
 	"tempriv/internal/sim"
-	"tempriv/internal/topology"
-	"tempriv/internal/traffic"
 )
 
 // AblMix compares RCAD against the anonymity-network mechanisms from the
@@ -73,24 +71,21 @@ func AblMix(p Params) (*report.Table, error) {
 		},
 	}
 
+	net, err := newFigure1()
+	if err != nil {
+		return nil, err
+	}
+	s1 := net.sources[0]
 	type row struct{ genieMSE, lat, peakOcc, delivered float64 }
 	rows := make([]row, len(schemes))
 	err = parallelFor(p.Workers, len(schemes), func(i int) error {
 		sc := schemes[i]
-		topo, sources, err := topology.Figure1()
+		srcs, err := net.periodic(p.Packets, ia)
 		if err != nil {
 			return err
 		}
-		proc, err := traffic.NewPeriodic(ia)
-		if err != nil {
-			return err
-		}
-		srcs := make([]network.Source, len(sources))
-		for k, s := range sources {
-			srcs[k] = network.Source{Node: s, Process: proc, Count: p.Packets}
-		}
-		res, err := network.RunCached(p.Engines, network.Config{
-			Topology:          topo,
+		err = network.RunBorrowed(p.Engines, network.Config{
+			Topology:          net.topo,
 			Sources:           srcs,
 			Policy:            sc.policy,
 			Delay:             sc.delay,
@@ -98,26 +93,27 @@ func AblMix(p Params) (*report.Table, error) {
 			CustomPolicy:      sc.custom,
 			TransmissionDelay: p.Tau,
 			Seed:              p.Seed,
+		}, func(res *network.Result) error {
+			genie, err := adversary.BestConstantOffsetMSE(res.Observations(), res.Truths())
+			if err != nil {
+				return err
+			}
+			peak := 0.0
+			for _, ns := range res.Nodes {
+				if ns.MaxOccupancy > peak {
+					peak = ns.MaxOccupancy
+				}
+			}
+			rows[i] = row{
+				genieMSE:  genie[s1],
+				lat:       res.Flows[s1].Latency.Mean,
+				peakOcc:   peak,
+				delivered: float64(res.Flows[s1].Delivered),
+			}
+			return nil
 		})
 		if err != nil {
 			return fmt.Errorf("scheme %s: %w", sc.name, err)
-		}
-		genie, err := adversary.BestConstantOffsetMSE(res.Observations(), res.Truths())
-		if err != nil {
-			return err
-		}
-		s1 := sources[0]
-		peak := 0.0
-		for _, ns := range res.Nodes {
-			if ns.MaxOccupancy > peak {
-				peak = ns.MaxOccupancy
-			}
-		}
-		rows[i] = row{
-			genieMSE:  genie[s1],
-			lat:       res.Flows[s1].Latency.Mean,
-			peakOcc:   peak,
-			delivered: float64(res.Flows[s1].Delivered),
 		}
 		return nil
 	})

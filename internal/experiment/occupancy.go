@@ -8,7 +8,6 @@ import (
 	"tempriv/internal/report"
 	"tempriv/internal/telemetry"
 	"tempriv/internal/topology"
-	"tempriv/internal/traffic"
 )
 
 // occupancyRows is the number of time points the occupancy series reports.
@@ -29,21 +28,17 @@ func Occupancy(p Params) (*report.Table, error) {
 	}
 	ia := p.Interarrivals[0]
 
-	topo, sources, err := topology.Figure1()
+	net, err := newFigure1()
 	if err != nil {
-		return nil, fmt.Errorf("experiment: building topology: %w", err)
+		return nil, err
 	}
-	proc, err := traffic.NewPeriodic(ia)
+	srcs, err := net.periodic(p.Packets, ia)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: traffic: %w", err)
+		return nil, err
 	}
 	dist, err := delay.NewExponential(p.MeanDelay)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: delay: %w", err)
-	}
-	srcs := make([]network.Source, len(sources))
-	for i, s := range sources {
-		srcs[i] = network.Source{Node: s, Process: proc, Count: p.Packets}
 	}
 
 	// Sources emit periodically, so the active window [0, (Packets-1)·1/λ]
@@ -55,9 +50,12 @@ func Occupancy(p Params) (*report.Table, error) {
 	}
 	every := window / occupancyRows
 
+	// The table reads only the sampler's series; the run's duration is
+	// kept for the error below.
+	var duration float64
 	mem := &telemetry.Memory{}
-	res, err := network.RunCached(p.Engines, network.Config{
-		Topology:          topo,
+	err = network.RunBorrowed(p.Engines, network.Config{
+		Topology:          net.topo,
 		Sources:           srcs,
 		Policy:            network.PolicyRCAD,
 		Delay:             dist,
@@ -68,6 +66,9 @@ func Occupancy(p Params) (*report.Table, error) {
 			SampleEvery: every,
 			Emitter:     mem,
 		},
+	}, func(res *network.Result) error {
+		duration = res.Duration
+		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiment: simulating occupancy series: %w", err)
@@ -76,11 +77,11 @@ func Occupancy(p Params) (*report.Table, error) {
 	// Trunk nodes in source→sink order: flow S3 (9 hops over an 8-hop
 	// trunk) attaches directly to the trunk head, so its path minus the
 	// source and sink is exactly the trunk.
-	paths, err := figure1Paths()
+	paths, err := net.paths()
 	if err != nil {
 		return nil, err
 	}
-	trunk := paths[sources[2]][1:]
+	trunk := paths[net.sources[2]][1:]
 	if len(trunk) != topology.Figure1TrunkLen {
 		return nil, fmt.Errorf("experiment: trunk has %d nodes, want %d", len(trunk), topology.Figure1TrunkLen)
 	}
@@ -113,7 +114,7 @@ func Occupancy(p Params) (*report.Table, error) {
 		t.AddRow(formatSweepLabel(s.At), values...)
 	}
 	if rows == 0 {
-		return nil, fmt.Errorf("experiment: occupancy sampler produced no samples (duration %g, interval %g)", res.Duration, every)
+		return nil, fmt.Errorf("experiment: occupancy sampler produced no samples (duration %g, interval %g)", duration, every)
 	}
 	return t, nil
 }

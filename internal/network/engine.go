@@ -34,7 +34,8 @@ import (
 // An Engine is not safe for concurrent use; give each worker goroutine its
 // own (see EngineCache for the checkout/checkin discipline the experiment
 // layer uses). The Result returned by Run is owned by the caller and is
-// never touched by later runs.
+// never touched by later runs; only RunBorrowed lends results that a later
+// run refills.
 type Engine struct {
 	r *runner
 }
@@ -65,14 +66,15 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.runResolved(resolved, structureOf(&resolved))
+	return e.runResolved(resolved, structureOf(&resolved), nil)
 }
 
 // runResolved is Run after resolveConfig: rearm, schedule, execute,
-// finalize. id is cfg's structural identity.
-func (e *Engine) runResolved(cfg Config, id structure) (*Result, error) {
+// finalize. id is cfg's structural identity. res is the result to refill:
+// nil for a fresh, caller-owned one, or an idle borrowed one.
+func (e *Engine) runResolved(cfg Config, id structure, res *Result) (*Result, error) {
 	r := e.r
-	if err := r.rearm(cfg, id); err != nil {
+	if err := r.rearm(cfg, id, res); err != nil {
 		return nil, err
 	}
 	if err := r.scheduleSources(); err != nil {
@@ -93,7 +95,7 @@ func (e *Engine) runResolved(cfg Config, id structure) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := r.result
+	res = r.result
 	res.Manifest = m
 	// The Result and the config belong to the caller: a kept engine holds
 	// only its structure and pools between runs, never the last run's
@@ -149,8 +151,10 @@ func structureOf(cfg *Config) structure {
 // rearm resets every piece of run-scoped state and adopts cfg as the run's
 // configuration. It is the one place a run is armed — a fresh engine's
 // first run included — so every run travels the identical path. id is
-// cfg's structural identity; it must equal the construction identity.
-func (r *runner) rearm(cfg Config, id structure) error {
+// cfg's structural identity; it must equal the construction identity. res
+// is the result the run fills: nil for a fresh one, or an idle borrowed
+// result, which is refilled in place.
+func (r *runner) rearm(cfg Config, id structure, res *Result) error {
 	if id != r.id {
 		return errors.New("network: engine reuse: config structure (topology, policy, capacity, victim rule or rate-control design point) differs from construction")
 	}
@@ -158,21 +162,23 @@ func (r *runner) rearm(cfg Config, id structure) error {
 	r.cfg = cfg
 	r.sched.Reset()
 	r.arena.reset()
-	r.result = &Result{
-		Flows: make(map[packet.NodeID]*FlowStats),
-		Nodes: make(map[packet.NodeID]*NodeStats),
-	}
-	if cfg.Horizon == 0 {
-		// Every source is count-bounded, and ARQ duplicates are filtered
-		// before the append, so the counts bound the deliveries: the
-		// backing array is allocated once and never regrows. A
-		// horizon-bound run keeps append growth.
-		total := 0
-		for _, s := range cfg.Sources {
-			total += s.Count
+	if res == nil {
+		res = &Result{
+			Flows: make(map[packet.NodeID]*FlowStats),
+			Nodes: make(map[packet.NodeID]*NodeStats),
 		}
-		r.result.Deliveries = make([]Delivery, 0, total)
 	}
+	// A count-bounded run's counts bound its deliveries, because ARQ
+	// duplicates are filtered before the append: Deliveries is sized once
+	// and never regrows. A horizon-bound run keeps append growth.
+	bound := 0
+	if cfg.Horizon == 0 {
+		for _, s := range cfg.Sources {
+			bound += s.Count
+		}
+	}
+	res.recycle(bound)
+	r.result = res
 	clear(r.dead)
 	if cfg.ARQ != nil {
 		// Duplicates exist only when a delivered frame can be
@@ -193,10 +199,12 @@ func (r *runner) rearm(cfg Config, id structure) error {
 	}
 	r.tele = newTelemetryState(cfg.Telemetry)
 
-	// Per-node rearm, in ID order: Split never advances its parent, so the
-	// substreams do not depend on the order, but the custom-policy
-	// factories' scheduler calls do.
+	// Per-node rearm, in ID order: a split never advances its parent, so
+	// the substreams do not depend on the order, but the custom-policy
+	// factories' scheduler calls do. Every substream a node keeps is
+	// derived in place, so a warm rearm allocates none.
 	master := rng.New(cfg.Seed)
+	var victim rng.Source
 	for _, n := range r.nodes {
 		if n == nil {
 			continue
@@ -207,7 +215,7 @@ func (r *runner) rearm(cfg Config, id structure) error {
 		if d, ok := cfg.PerNodeDelay[n.id]; ok {
 			n.dist = d
 		}
-		n.src.SetTo(master.SplitIndexed("node", int(n.id)))
+		master.SplitIndexedInto(n.src, "node", int(n.id))
 		switch {
 		case cfg.Channel == nil:
 			n.link = nil
@@ -216,16 +224,17 @@ func (r *runner) rearm(cfg Config, id structure) error {
 		default:
 			n.link.cfg = *cfg.Channel
 			n.link.bad = false
-			n.link.src.SetTo(n.src.Split("link"))
+			n.src.SplitInto(n.link.src, "link")
 		}
 		switch {
 		case n.rcad != nil:
 			// Reseeds the buffer's shared victim stream and re-derives the
 			// controller's planned-delay cap from the adopted distribution.
-			n.rcad.Reset(n.dist, n.src.Split("victim"))
+			n.src.SplitInto(&victim, "victim")
+			n.rcad.Reset(n.dist, &victim)
 		case n.policy != nil && cfg.Policy != PolicyCustom:
-			if res, ok := n.policy.(interface{ Reset() }); ok {
-				res.Reset()
+			if p, ok := n.policy.(interface{ Reset() }); ok {
+				p.Reset()
 			}
 		default:
 			// A built-in policy is built on the engine's first run. A
@@ -330,11 +339,21 @@ func (r *runner) clonePacket(p *packet.Packet) *packet.Packet {
 // identity keeps a stack of idle engines: a run pops one, or builds one
 // when the stack is empty, and pushes it back when it succeeds, so a stack
 // never holds more engines than the peak number of concurrent runs of its
-// structure. It is safe for concurrent use: a checked-out engine belongs to
+// structure.
+//
+// The cache also keeps one stack of idle results, for RunBorrowed: a
+// borrowed run pops one, of whatever engine or structure filled it last,
+// and refills it in place; it goes back when the caller's callback
+// returns. That stack never holds more results than the peak number of
+// concurrent borrowed runs. RunCached's results are owned by the caller
+// and never enter it.
+//
+// It is safe for concurrent use: a checked-out engine or result belongs to
 // one run until it is checked back in.
 type EngineCache struct {
-	mu     sync.Mutex
-	stacks map[structure][]*Engine
+	mu      sync.Mutex
+	stacks  map[structure][]*Engine
+	results []*Result
 }
 
 // NewEngineCache returns an empty engine cache.
@@ -364,22 +383,37 @@ func (c *EngineCache) checkin(id structure, e *Engine) {
 	c.stacks[id] = append(c.stacks[id], e)
 }
 
-// RunCached is Run through an engine cache: structurally compatible runs
-// reuse one engine's routes, pools and arena instead of rebuilding them.
-// Results are byte-identical to plain Run by the rearm contract, for custom
-// policies and attached observers (Tracer, Telemetry) too. A nil cache
-// falls back to a one-shot run. On a run error the engine is discarded,
-// not returned to the cache.
-func RunCached(cache *EngineCache, cfg Config) (*Result, error) {
-	if cache == nil {
-		return Run(cfg)
+// borrow pops an idle result, or returns nil.
+func (c *EngineCache) borrow() *Result {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := len(c.results)
+	if k == 0 {
+		return nil
 	}
+	res := c.results[k-1]
+	c.results[k-1] = nil
+	c.results = c.results[:k-1]
+	return res
+}
+
+// giveBack pushes a result whose borrower is done with it.
+func (c *EngineCache) giveBack(res *Result) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.results = append(c.results, res)
+}
+
+// run executes cfg on an engine of its structure, building one when none
+// is idle, and checks the engine back in after a successful run; on an
+// error the engine is discarded. res is passed to runResolved.
+func (c *EngineCache) run(cfg Config, res *Result) (*Result, error) {
 	resolved, err := resolveConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
 	id := structureOf(&resolved)
-	e := cache.checkout(id)
+	e := c.checkout(id)
 	if e == nil {
 		r, err := newRunner(resolved, id)
 		if err != nil {
@@ -387,10 +421,53 @@ func RunCached(cache *EngineCache, cfg Config) (*Result, error) {
 		}
 		e = &Engine{r: r}
 	}
-	res, err := e.runResolved(resolved, id)
-	if err != nil {
+	if res, err = e.runResolved(resolved, id, res); err != nil {
 		return nil, err
 	}
-	cache.checkin(id, e)
+	c.checkin(id, e)
 	return res, nil
+}
+
+// RunCached is Run through an engine cache: structurally compatible runs
+// reuse one engine's routes, pools and arena instead of rebuilding them.
+// Results are byte-identical to plain Run by the rearm contract, for custom
+// policies and attached observers (Tracer, Telemetry) too. The result is
+// owned by the caller, as Run's is: it never comes from or goes to the
+// cache's idle results. A nil cache falls back to a one-shot run. On a run
+// error the engine is discarded, not returned to the cache.
+func RunCached(cache *EngineCache, cfg Config) (*Result, error) {
+	if cache == nil {
+		return Run(cfg)
+	}
+	return cache.run(cfg, nil)
+}
+
+// RunBorrowed is RunCached for a caller that consumes the result in one
+// place: it runs cfg through the cache and passes the result to use, which
+// borrows it. The result is valid only until use returns; use must not
+// keep it, or anything it points to, past that. The cache then keeps it as
+// an idle result, and a later RunBorrowed through the same cache refills
+// it in place — on any engine, of any structure — instead of allocating
+// a new one: Deliveries keeps its backing array (re-made only when the
+// run's count bound exceeds its capacity), Flows and Nodes are cleared and
+// refilled with the same stats structs, every other field is zeroed, and
+// the manifest is built afresh. What use sees is byte-identical to Run's
+// result. A nil cache runs once, as Run does, and then calls use. A run
+// error is returned without calling use, and the result it was filling is
+// dropped; otherwise RunBorrowed returns use's error.
+func RunBorrowed(cache *EngineCache, cfg Config, use func(*Result) error) error {
+	if cache == nil {
+		res, err := Run(cfg)
+		if err != nil {
+			return err
+		}
+		return use(res)
+	}
+	res, err := cache.run(cfg, cache.borrow())
+	if err != nil {
+		return err
+	}
+	err = use(res)
+	cache.giveBack(res)
+	return err
 }

@@ -23,6 +23,15 @@ import (
 // manifest's wall-clock measurements, which legitimately vary between runs.
 func resultSignature(t *testing.T, res *Result) string {
 	t.Helper()
+	sig, err := signature(res)
+	if err != nil {
+		t.Fatalf("marshaling result: %v", err)
+	}
+	return sig
+}
+
+// signature is resultSignature for goroutines other than the test's.
+func signature(res *Result) (string, error) {
 	m := *res.Manifest
 	m.WallSeconds = 0
 	m.EventsPerSec = 0
@@ -30,10 +39,7 @@ func resultSignature(t *testing.T, res *Result) string {
 	stripped := *res
 	stripped.Manifest = &m
 	b, err := json.Marshal(&stripped)
-	if err != nil {
-		t.Fatalf("marshaling result: %v", err)
-	}
-	return string(b)
+	return string(b), err
 }
 
 // engineSpec is one randomly drawn simulation shape for the reuse property

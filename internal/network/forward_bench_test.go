@@ -46,7 +46,7 @@ func newForwardRunner(tb testing.TB, cfg func(*Config)) *runner {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := r.rearm(c, id); err != nil {
+	if err := r.rearm(c, id, nil); err != nil {
 		tb.Fatal(err)
 	}
 	return r

@@ -61,7 +61,11 @@ func (f *FlowStats) Dropped() uint64 {
 	return f.Created - f.Delivered
 }
 
-// Result is the outcome of one simulation run.
+// Result is the outcome of one simulation run. A result from Run,
+// Engine.Run or RunCached is owned by the caller: no later run touches it.
+// One that RunBorrowed passes to its callback is borrowed: valid only until
+// the callback returns, after which the engine cache refills it for a
+// later run.
 type Result struct {
 	// Deliveries lists sink arrivals in time order.
 	Deliveries []Delivery
@@ -101,6 +105,61 @@ type Result struct {
 	// fingerprint, seed, Go version and wall-clock performance. Always
 	// populated.
 	Manifest *telemetry.Manifest
+
+	// spareFlows and spareNodes keep the stats structs of a borrowed
+	// result's previous run, for the next run to refill instead of
+	// allocating. They stay empty on an owned result.
+	spareFlows []*FlowStats
+	spareNodes []*NodeStats
+}
+
+// recycle readies res for a run whose deliveries are bounded by bound (0
+// for a horizon-bound run): Deliveries is emptied, keeping its backing
+// array unless that is smaller than bound, the maps are emptied with their
+// stats structs kept as spares, and every other field is zeroed. On a
+// fresh result it just sizes Deliveries.
+func (res *Result) recycle(bound int) {
+	for _, f := range res.Flows {
+		res.spareFlows = append(res.spareFlows, f)
+	}
+	for _, n := range res.Nodes {
+		res.spareNodes = append(res.spareNodes, n)
+	}
+	clear(res.Flows)
+	clear(res.Nodes)
+	deliveries := res.Deliveries[:0]
+	if cap(deliveries) < bound {
+		deliveries = make([]Delivery, 0, bound)
+	}
+	*res = Result{
+		Deliveries: deliveries,
+		Flows:      res.Flows,
+		Nodes:      res.Nodes,
+		spareFlows: res.spareFlows,
+		spareNodes: res.spareNodes,
+	}
+}
+
+// flowStats returns a spare flow summary, or a new one.
+func (res *Result) flowStats() *FlowStats {
+	k := len(res.spareFlows)
+	if k == 0 {
+		return new(FlowStats)
+	}
+	f := res.spareFlows[k-1]
+	res.spareFlows = res.spareFlows[:k-1]
+	return f
+}
+
+// nodeStats returns a spare node summary, or a new one.
+func (res *Result) nodeStats() *NodeStats {
+	k := len(res.spareNodes)
+	if k == 0 {
+		return new(NodeStats)
+	}
+	n := res.spareNodes[k-1]
+	res.spareNodes = res.spareNodes[:k-1]
+	return n
 }
 
 // DeliveryRatio returns the fraction of created packets that reached the

@@ -48,6 +48,12 @@ func (r *runner) finalize() {
 	res := r.result
 	res.Duration = r.sched.Now()
 	res.Events = r.sched.Fired()
+	if len(res.Deliveries) == 0 && r.cfg.Horizon > 0 {
+		// A fresh result's horizon-bound log is nil until something is
+		// delivered; a refilled one, which kept its backing array, must
+		// read the same.
+		res.Deliveries = nil
+	}
 
 	// Each flow's latencies go into its source node's buffer, which is
 	// kept across runs and reset here. The adds run in delivery order, so
@@ -81,7 +87,8 @@ func (r *runner) finalize() {
 			continue // PolicyForward keeps no buffer state
 		}
 		hops, _ := r.routes.HopCount(n.id)
-		res.Nodes[n.id] = &NodeStats{
+		ns := res.nodeStats()
+		*ns = NodeStats{
 			ID:            n.id,
 			HopsToSink:    hops,
 			Arrivals:      st.Arrivals,
@@ -92,5 +99,6 @@ func (r *runner) finalize() {
 			MaxOccupancy:  st.Occupancy.Max(),
 			MeanHeldDelay: st.HeldDelays.Mean(),
 		}
+		res.Nodes[n.id] = ns
 	}
 }

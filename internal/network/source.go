@@ -19,20 +19,24 @@ import (
 type sourceState struct {
 	r      *runner
 	s      Source
-	src    *rng.Source
+	src    rng.Source
 	seq    uint32
 	tickFn func()
 }
 
 // scheduleSources arms the first creation event of every source.
 func (r *runner) scheduleSources() error {
+	master := rng.New(r.cfg.Seed)
 	for i, s := range r.cfg.Sources {
 		hops, ok := r.routes.HopCount(s.Node)
 		if !ok {
 			return fmt.Errorf("network: source %v not routed", s.Node)
 		}
-		r.result.Flows[s.Node] = &FlowStats{Source: s.Node, HopCount: hops}
-		st := &sourceState{r: r, s: s, src: rng.New(r.cfg.Seed).SplitIndexed("traffic", i)}
+		fs := r.result.flowStats()
+		*fs = FlowStats{Source: s.Node, HopCount: hops}
+		r.result.Flows[s.Node] = fs
+		st := &sourceState{r: r, s: s}
+		master.SplitIndexedInto(&st.src, "traffic", i)
 		st.tickFn = st.tick
 		st.arm()
 	}
@@ -47,7 +51,7 @@ func (st *sourceState) arm() {
 	if st.s.Count > 0 && int(st.seq) >= st.s.Count {
 		return
 	}
-	gap := st.s.Process.Next(st.src)
+	gap := st.s.Process.Next(&st.src)
 	when := st.r.sched.Now() + gap
 	if st.r.cfg.Horizon > 0 && when > st.r.cfg.Horizon {
 		return

@@ -14,9 +14,8 @@
 package rng
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
+	"strconv"
 )
 
 // Source is a deterministic stream of pseudo-random numbers. It is not safe
@@ -37,9 +36,16 @@ func splitMix64(x *uint64) uint64 {
 }
 
 // New returns a Source seeded from seed. Two Sources created with the same
-// seed produce identical streams.
+// seed produce identical streams. New is small enough to inline, so a
+// Source that does not outlive its caller stays off the heap.
 func New(seed uint64) *Source {
 	s := &Source{}
+	s.seed(seed)
+	return s
+}
+
+// seed sets s to the start of seed's stream.
+func (s *Source) seed(seed uint64) {
 	x := seed
 	for i := range s.state {
 		s.state[i] = splitMix64(&x)
@@ -49,33 +55,71 @@ func New(seed uint64) *Source {
 	if s.state[0]|s.state[1]|s.state[2]|s.state[3] == 0 {
 		s.state[0] = 0x9e3779b97f4a7c15
 	}
-	return s
 }
 
 // Split derives an independent substream identified by label. Splitting is
 // deterministic: the same parent state and label always yield the same
 // substream, and drawing from the child does not perturb the parent.
 func (s *Source) Split(label string) *Source {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(label)) // fnv.Write never returns an error
-	x := h.Sum64()
 	child := &Source{}
-	for i := range child.state {
-		// Mix the parent state with the label hash; do not advance the
-		// parent so Split is side-effect free.
-		seed := s.state[i] ^ x
-		child.state[i] = splitMix64(&seed)
-	}
-	if child.state[0]|child.state[1]|child.state[2]|child.state[3] == 0 {
-		child.state[0] = 1
-	}
+	s.SplitInto(child, label)
 	return child
 }
 
 // SplitIndexed is shorthand for Split with a label built from a name and an
 // index, e.g. per-node substreams ("node", 17).
 func (s *Source) SplitIndexed(name string, index int) *Source {
-	return s.Split(fmt.Sprintf("%s/%d", name, index))
+	child := &Source{}
+	s.SplitIndexedInto(child, name, index)
+	return child
+}
+
+// FNV-1a, 64-bit: the label hash substreams have always used (the
+// algorithm of hash/fnv's New64a, inlined so a split allocates nothing).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvAdd folds the bytes of b into the FNV-1a hash h.
+func fnvAdd[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// SplitInto is Split writing the substream into dst instead of a new
+// Source, so a component that keeps its Source can be reseeded without
+// allocating. dst may be s itself.
+func (s *Source) SplitInto(dst *Source, label string) {
+	s.splitHashInto(dst, fnvAdd(fnvOffset64, label))
+}
+
+// SplitIndexedInto is SplitIndexed writing into dst: it hashes the same
+// bytes as the label name + "/" + the decimal index, without building the
+// label.
+func (s *Source) SplitIndexedInto(dst *Source, name string, index int) {
+	var digits [20]byte // the longest int64, sign included
+	h := fnvAdd(fnvOffset64, name)
+	h = fnvAdd(h, "/")
+	h = fnvAdd(h, strconv.AppendInt(digits[:0], int64(index), 10))
+	s.splitHashInto(dst, h)
+}
+
+// splitHashInto derives the substream of label hash x into dst. Each state
+// word of dst depends only on the same word of s, so dst may alias s.
+func (s *Source) splitHashInto(dst *Source, x uint64) {
+	for i := range dst.state {
+		// Mix the parent state with the label hash; do not advance the
+		// parent so a split is side-effect free.
+		seed := s.state[i] ^ x
+		dst.state[i] = splitMix64(&seed)
+	}
+	if dst.state[0]|dst.state[1]|dst.state[2]|dst.state[3] == 0 {
+		dst.state[0] = 1
+	}
 }
 
 // SetTo overwrites s's state with o's, reseeding s in place. Long-lived

@@ -318,12 +318,22 @@ func runSimulation(m *SimulationSpec, seed uint64, title string, engines *networ
 		cfg.Sources = append(cfg.Sources, network.Source{Node: s, Process: proc, Count: m.Packets})
 	}
 
-	res, err := network.RunCached(engines, cfg)
+	var tab *report.Table
+	var tabErr error
+	err = network.RunBorrowed(engines, cfg, func(res *network.Result) error {
+		tab, tabErr = simulationTable(m, topo, cfg.Policy, title, sources, res)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario: simulating: %w", err)
 	}
+	return tab, tabErr
+}
 
-	est, err := buildAdversary(m, topo, cfg.Policy)
+// simulationTable scores a simulation scenario's result and tabulates it,
+// one row per source flow. It reads res only while it runs.
+func simulationTable(m *SimulationSpec, topo *topology.Topology, policy network.PolicyKind, title string, sources []packet.NodeID, res *network.Result) (*report.Table, error) {
+	est, err := buildAdversary(m, topo, policy)
 	if err != nil {
 		return nil, err
 	}

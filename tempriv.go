@@ -293,7 +293,8 @@ func NewEngineCache() *EngineCache { return network.NewEngineCache() }
 // RunCached is Run through an EngineCache: structurally matching configs
 // reuse a pooled engine, custom-policy and observed (tracer, telemetry)
 // runs included. Only a nil cache falls back to a fresh engine per run.
-// Results are byte-identical to Run either way.
+// Results are byte-identical to Run either way, and owned by the caller
+// as Run's are.
 func RunCached(cache *EngineCache, cfg Config) (*Result, error) {
 	return network.RunCached(cache, cfg)
 }
