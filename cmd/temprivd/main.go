@@ -252,7 +252,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 				ID: rj.ID, Spec: spec, Fingerprint: rj.Fingerprint,
 				State: rj.State, Attempts: rj.Attempt, CacheHit: rj.CacheHit,
 				Error: rj.Error, Submitted: rj.Submitted, Finished: rj.Finished,
-				ChunkHWM: rj.ChunkHWM,
 			})
 		}
 		st := journal.Stats()

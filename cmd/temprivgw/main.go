@@ -71,8 +71,8 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		addr           = fs.String("addr", "localhost:7070", "listen address (port 0 picks an ephemeral port)")
 		leaseTTL       = fs.Duration("lease-ttl", registry.DefaultLeaseTTL, "worker lease; a worker silent this long is dead and its jobs move")
 		reconcileEvery = fs.Duration("reconcile-every", 2*time.Second, "how often to sweep leases and hand off orphaned jobs")
-		submitAttempts = fs.Int("submit-attempts", 4, "max worker POSTs per dispatch across backpressure retries and failovers")
-		retryAfterMax  = fs.Duration("retry-after-max", 5*time.Second, "cap on honoring a worker's Retry-After")
+		submitAttempts = fs.Int("submit-attempts", 4, "max workers tried per dispatch, one POST each; a worker answering 429/503 is passed over for the next successor")
+		retryAfterMax  = fs.Duration("retry-after-max", 5*time.Second, "cap on the backpressure window a worker's Retry-After opens, and on the Retry-After of the gateway's own sheds")
 		ejectThreshold = fs.Float64("eject-threshold", 0, "rolling error rate that ejects a worker (0 = default 0.5)")
 		ejectCooldown  = fs.Duration("eject-cooldown", 0, "wait before an ejected worker gets a half-open probe (0 = default 10s)")
 		shedFactor     = fs.Float64("shed-factor", 0, "outstanding-routes-per-worker bound as a multiple of advertised capacity (0 = default 4)")

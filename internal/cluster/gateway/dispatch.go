@@ -39,12 +39,12 @@ func (e *workerError) Error() string {
 }
 
 // dispatch submits canonical spec bytes to the ring owner for fp, falling
-// over to ring successors when a worker is unreachable or persistently
-// shedding load. A 429/503 with Retry-After is honored (capped at
-// RetryAfterMax) before retrying the same worker — backpressure means the
-// worker is alive and the spec belongs there; moving it would forfeit
-// cache locality — while connection errors and 5xx failures advance to
-// the next successor immediately. At most submitAttempts POSTs total.
+// over to ring successors when a worker is unreachable, failing, or
+// shedding load. Each candidate gets one POST, and at most submitAttempts
+// candidates are tried. A 429/503 opens that worker's backpressure window
+// for its Retry-After (capped at RetryAfterMax) and dispatch moves on to
+// the next successor at once; connection errors and 5xx failures do the
+// same, and count against the worker's health.
 //
 // Candidates the health tracker has ejected are skipped outright, as are
 // workers inside an advertised Retry-After window or already carrying
@@ -60,11 +60,13 @@ func (g *Gateway) dispatch(ctx context.Context, specJSON []byte, fp, traceID, or
 	}
 
 	var lastErr error
-	attempts := 0
 	tried := 0
 	skipped := 0
 	var shedWait time.Duration
 	for _, id := range candidates {
+		if tried == g.submitAttempts {
+			break
+		}
 		worker, ok := workerByID(alive, id)
 		if !ok {
 			continue
@@ -88,46 +90,33 @@ func (g *Gateway) dispatch(ctx context.Context, specJSON []byte, fp, traceID, or
 			g.mFailover.Inc()
 		}
 		tried++
-		for attempts < g.submitAttempts {
-			attempts++
-			snap, retryAfter, err := g.postJob(ctx, worker.URL, specJSON, traceID, origin)
-			if err == nil {
-				g.health.observe(id, false)
-				g.mDispatch.Inc()
-				return dispatchResult{
-					WorkerID:    id,
-					WorkerURL:   worker.URL,
-					WorkerJobID: stringField(snap, "id"),
-					Snapshot:    snap,
-				}, nil
-			}
-			lastErr = err
-			var we *workerError
-			if errors.As(err, &we) && (we.Status == http.StatusTooManyRequests || we.Status == http.StatusServiceUnavailable) {
-				// Backpressure: the worker is alive and healthy, it just
-				// asked for breathing room — never an ejection signal.
-				g.health.observe(id, false)
-				g.health.observeBackpressure(id, retryAfter)
-				// Wait as instructed, then retry this worker.
-				if attempts < g.submitAttempts {
-					g.mRetryWaits.Inc()
-					g.sleep(retryAfter)
-					continue
-				}
-				break
-			}
-			if errors.As(err, &we) && we.Status >= 400 && we.Status < 500 {
-				// The spec itself is bad; every worker will say the same.
-				g.health.observe(id, false)
-				return dispatchResult{}, err
-			}
-			// Unreachable or 5xx: a real failure, then the next successor.
-			g.health.observe(id, true)
-			break
+		snap, retryAfter, err := g.postJob(ctx, worker.URL, specJSON, traceID, origin)
+		if err == nil {
+			g.health.observe(id, false)
+			g.mDispatch.Inc()
+			return dispatchResult{
+				WorkerID:    id,
+				WorkerURL:   worker.URL,
+				WorkerJobID: stringField(snap, "id"),
+				Snapshot:    snap,
+			}, nil
 		}
-		if attempts >= g.submitAttempts {
-			break
+		lastErr = err
+		var we *workerError
+		if errors.As(err, &we) && (we.Status == http.StatusTooManyRequests || we.Status == http.StatusServiceUnavailable) {
+			// Backpressure: the worker is alive and healthy, it just
+			// asked for breathing room — never an ejection signal.
+			g.health.observe(id, false)
+			g.health.observeBackpressure(id, retryAfter)
+			continue
 		}
+		if errors.As(err, &we) && we.Status >= 400 && we.Status < 500 {
+			// The spec itself is bad; every worker will say the same.
+			g.health.observe(id, false)
+			return dispatchResult{}, err
+		}
+		// Unreachable or 5xx: a real failure.
+		g.health.observe(id, true)
 	}
 	if tried == 0 && skipped > 0 {
 		// Every live candidate is ejected, backpressured, or saturated:
@@ -213,8 +202,8 @@ func (g *Gateway) postJob(ctx context.Context, baseURL string, specJSON []byte, 
 }
 
 // parseRetryAfter interprets a Retry-After header as delay seconds,
-// clamped to [1s, RetryAfterMax]. HTTP-date forms and garbage fall back
-// to 1s — waiting a beat is always safe.
+// clamped to [1s, RetryAfterMax]: the length of the backpressure window
+// it opens. HTTP-date forms and garbage fall back to 1s.
 func (g *Gateway) parseRetryAfter(h string) time.Duration {
 	d := time.Second
 	if secs, err := strconv.Atoi(h); err == nil && secs > 0 {

@@ -53,18 +53,15 @@ type Config struct {
 	// global timeout — per-request deadlines come from contexts, and the
 	// /events and ?partial=1 proxies are long-lived streams.
 	Client *http.Client
-	// SubmitAttempts bounds how many worker POSTs one dispatch may make
-	// across Retry-After waits and successor failovers (default 4).
+	// SubmitAttempts bounds how many workers one dispatch may try, one
+	// POST each (default 4).
 	SubmitAttempts int
-	// RetryAfterMax caps how long the gateway honors a worker's
-	// Retry-After header before retrying (default 5s).
+	// RetryAfterMax caps the backpressure window a worker's Retry-After
+	// opens, during which dispatch passes the worker by, and the
+	// Retry-After the gateway's own shed sends (default 5s).
 	RetryAfterMax time.Duration
 	// ReconcileEvery is the Run loop's sweep interval (default 2s).
 	ReconcileEvery time.Duration
-	// Sleep waits between retries; injectable so tests can observe the
-	// honored Retry-After without real delay. Defaults to a
-	// context-aware sleep.
-	Sleep func(d time.Duration)
 	// Clock is the health tracker's time source (default time.Now);
 	// injectable so tests drive ejection cooldowns deterministically.
 	Clock func() time.Time
@@ -107,7 +104,6 @@ type Gateway struct {
 	submitAttempts int
 	retryAfterMax  time.Duration
 	reconcileEvery time.Duration
-	sleep          func(time.Duration)
 	clock          func() time.Time
 
 	health            *healthTracker
@@ -126,7 +122,6 @@ type Gateway struct {
 	// Metrics (nil when no telemetry registry is configured).
 	mDispatch    *telemetry.Counter // jobs dispatched to a worker
 	mFailover    *telemetry.Counter // dispatch fell through to a successor
-	mRetryWaits  *telemetry.Counter // Retry-After waits honored
 	mHandoffs    *telemetry.Counter // crash handoffs performed
 	mHandoffFail *telemetry.Counter // handoffs that found no live worker
 	mEjections   *telemetry.Counter // workers ejected by health scoring
@@ -172,7 +167,6 @@ func New(cfg Config) *Gateway {
 		submitAttempts: cfg.SubmitAttempts,
 		retryAfterMax:  cfg.RetryAfterMax,
 		reconcileEvery: cfg.ReconcileEvery,
-		sleep:          cfg.Sleep,
 		routes:         make(map[string]*route),
 		mux:            http.NewServeMux(),
 	}
@@ -187,9 +181,6 @@ func New(cfg Config) *Gateway {
 	}
 	if g.reconcileEvery <= 0 {
 		g.reconcileEvery = 2 * time.Second
-	}
-	if g.sleep == nil {
-		g.sleep = time.Sleep
 	}
 	g.clock = cfg.Clock
 	if g.clock == nil {
@@ -215,7 +206,6 @@ func New(cfg Config) *Gateway {
 	if cfg.Telemetry != nil {
 		g.mDispatch = cfg.Telemetry.Counter("tempriv_cluster_dispatch_total")
 		g.mFailover = cfg.Telemetry.Counter("tempriv_cluster_dispatch_failover_total")
-		g.mRetryWaits = cfg.Telemetry.Counter("tempriv_cluster_retry_after_waits_total")
 		g.mHandoffs = cfg.Telemetry.Counter("tempriv_cluster_handoffs_total")
 		g.mHandoffFail = cfg.Telemetry.Counter("tempriv_cluster_handoff_failures_total")
 		g.mEjections = cfg.Telemetry.Counter("tempriv_cluster_ejections_total")

@@ -1,8 +1,8 @@
 package gateway
 
 // In-process cluster e2e: real temprivd API servers behind a real
-// gateway, with the registry clock and the gateway's retry sleep both
-// injectable so lease expiry and Retry-After handling run deterministic.
+// gateway, with the registry and health clocks injectable so lease expiry
+// and Retry-After windows run deterministic.
 
 import (
 	"context"
@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,13 +110,11 @@ func newWorker(t *testing.T, id, chunksDir string) *worker {
 
 // cluster bundles a gateway with its registry and instrumentation.
 type cluster struct {
-	gw     *Gateway
-	ts     *httptest.Server
-	reg    *registry.Registry
-	tel    *telemetry.Registry
-	clk    *fakeClock
-	mu     sync.Mutex
-	sleeps []time.Duration
+	gw  *Gateway
+	ts  *httptest.Server
+	reg *registry.Registry
+	tel *telemetry.Registry
+	clk *fakeClock
 }
 
 func newCluster(t *testing.T, ttl time.Duration) *cluster {
@@ -133,11 +132,6 @@ func newClusterWith(t *testing.T, ttl time.Duration, mut func(*Config)) *cluster
 		Telemetry: c.tel,
 		Tracer:    obs.New(obs.Options{}),
 		Clock:     c.clk.Now,
-		Sleep: func(d time.Duration) {
-			c.mu.Lock()
-			c.sleeps = append(c.sleeps, d)
-			c.mu.Unlock()
-		},
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -153,12 +147,6 @@ func (c *cluster) register(t *testing.T, id, url string) {
 	if _, _, err := c.reg.Register(registry.Worker{ID: id, URL: url, Capacity: 2}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func (c *cluster) recordedSleeps() []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]time.Duration(nil), c.sleeps...)
 }
 
 // gwSubmit posts a spec through the gateway and decodes the snapshot.
@@ -352,77 +340,84 @@ func TestClusterTracePropagation(t *testing.T) {
 	}
 }
 
-// TestGatewayHonorsRetryAfter: a worker shedding load with 503 +
-// Retry-After gets exactly the wait it asked for before the retry, and
-// the job still lands once the worker recovers.
-func TestGatewayHonorsRetryAfter(t *testing.T) {
-	c := newCluster(t, time.Minute)
+// failOverFromShedOwner registers a ring owner wa that answers every
+// POST with status and the given Retry-After, and a successor wb that
+// accepts. It submits one job owned by wa and checks that dispatch gave
+// the owner one POST and no wait, and placed the job on the successor.
+func failOverFromShedOwner(t *testing.T, c *cluster, status int, retryAfter string) {
+	t.Helper()
+	doc, _ := seedOwnedBy(t, "wa", []string{"wa", "wb"})
 
-	var mu sync.Mutex
-	rejections := 2
-	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	var ownerPosts, successorPosts atomic.Int32
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
 		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-			mu.Lock()
-			shed := rejections > 0
-			if shed {
-				rejections--
-			}
-			mu.Unlock()
-			w.Header().Set("Content-Type", "application/json")
-			if shed {
-				w.Header().Set("Retry-After", "3")
-				w.WriteHeader(http.StatusServiceUnavailable)
-				fmt.Fprint(w, `{"error":"draining","status":503}`)
-				return
-			}
-			w.WriteHeader(http.StatusAccepted)
-			fmt.Fprint(w, `{"id":"wjob-1","state":"queued","fingerprint":"abc"}`)
+			ownerPosts.Add(1)
+			w.Header().Set("Retry-After", retryAfter)
+			w.WriteHeader(status)
+			fmt.Fprintf(w, `{"error":"shedding load","status":%d}`, status)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, `{"jobs":[]}`)
 	}))
-	defer fake.Close()
-	c.register(t, "w1", fake.URL)
+	t.Cleanup(owner.Close)
+	successor := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			successorPosts.Add(1)
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprint(w, `{"id":"wjob-1","state":"queued"}`)
+			return
+		}
+		fmt.Fprint(w, `{"jobs":[]}`)
+	}))
+	t.Cleanup(successor.Close)
+	c.register(t, "wa", owner.URL)
+	c.register(t, "wb", successor.URL)
 
-	snap, _ := gwSubmit(t, c, specDoc(1), nil)
-	if stringField(snap, "worker_job") != "wjob-1" {
-		t.Fatalf("snapshot = %+v", snap)
+	snap, _ := gwSubmit(t, c, doc, nil)
+	if got := stringField(snap, "worker"); got != "wb" || stringField(snap, "worker_job") != "wjob-1" {
+		t.Fatalf("job placed on %q (%+v), want the successor wb", got, snap)
 	}
-	sleeps := c.recordedSleeps()
-	if len(sleeps) != 2 || sleeps[0] != 3*time.Second || sleeps[1] != 3*time.Second {
-		t.Fatalf("gateway slept %v, want [3s 3s] (Retry-After not honored)", sleeps)
+	if o, s := ownerPosts.Load(), successorPosts.Load(); o != 1 || s != 1 {
+		t.Fatalf("POSTs: owner %d, successor %d; want one each", o, s)
 	}
-	if got := c.tel.Counter("tempriv_cluster_retry_after_waits_total").Value(); got != 2 {
-		t.Fatalf("retry_after_waits_total = %d, want 2", got)
+	if got := c.tel.Counter("tempriv_cluster_dispatch_failover_total").Value(); got != 1 {
+		t.Fatalf("dispatch_failover_total = %d, want 1", got)
 	}
 }
 
-// TestGatewayRetryAfterCapped: an abusive Retry-After is clamped to
-// RetryAfterMax rather than stalling dispatch for minutes.
+// checkBackpressureWindow checks on the fake clock that worker id stays
+// backpressured for exactly d from now.
+func checkBackpressureWindow(t *testing.T, c *cluster, id string, d time.Duration) {
+	t.Helper()
+	c.clk.Advance(d - time.Millisecond)
+	if _, busy := c.gw.health.backpressured(id); !busy {
+		t.Fatalf("%s left its backpressure window before %v", id, d)
+	}
+	c.clk.Advance(time.Millisecond)
+	if remain, busy := c.gw.health.backpressured(id); busy {
+		t.Fatalf("%s still backpressured %v past %v", id, remain, d)
+	}
+}
+
+// TestGatewayHonorsRetryAfter: a ring owner shedding load with 503 +
+// Retry-After gets one POST and no wait; the job lands on the successor
+// at once, and the owner is passed by for exactly the Retry-After it
+// asked for.
+func TestGatewayHonorsRetryAfter(t *testing.T) {
+	c := newCluster(t, time.Minute)
+	failOverFromShedOwner(t, c, http.StatusServiceUnavailable, "3")
+	checkBackpressureWindow(t, c, "wa", 3*time.Second)
+}
+
+// TestGatewayRetryAfterCapped: an abusive Retry-After on a 429 is clamped
+// to RetryAfterMax (default 5s), so the backpressure window it opens does
+// not shut the owner out for minutes.
 func TestGatewayRetryAfterCapped(t *testing.T) {
 	c := newCluster(t, time.Minute)
-	rejected := false
-	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if !rejected {
-			rejected = true
-			w.Header().Set("Retry-After", "600")
-			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprint(w, `{"error":"full","status":429}`)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
-		fmt.Fprint(w, `{"id":"wjob-1","state":"queued"}`)
-	}))
-	defer fake.Close()
-	c.register(t, "w1", fake.URL)
-
-	gwSubmit(t, c, specDoc(1), nil)
-	sleeps := c.recordedSleeps()
-	if len(sleeps) != 1 || sleeps[0] != 5*time.Second {
-		t.Fatalf("gateway slept %v, want [5s] (RetryAfterMax cap)", sleeps)
-	}
+	failOverFromShedOwner(t, c, http.StatusTooManyRequests, "600")
+	checkBackpressureWindow(t, c, "wa", 5*time.Second)
 }
 
 // TestClusterCrashHandoff is the tentpole e2e: a worker dies mid-job,

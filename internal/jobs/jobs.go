@@ -80,23 +80,22 @@ type Result struct {
 // canceled) and report coarse progress through progress(stage, message).
 type Runner func(ctx context.Context, job *Job, progress func(stage, message string)) (*Result, error)
 
-// JournalSink receives durable notifications of queue activity. The queue
-// calls it synchronously under its lock, so implementations must be fast,
-// must never call back into the queue, and must swallow their own errors
-// (a sick journal degrades durability, not serving — see
-// internal/jobstore).
+// JournalSink receives the two facts recovery needs: that a job was
+// accepted, and how it ended. A job with no end record is re-enqueued on
+// the next boot, whatever it was doing when the process stopped; which of
+// its replicates survive is read from the result chunks, not the journal.
+// The queue calls the sink synchronously under its lock, so
+// implementations must be fast, must never call back into the queue, and
+// must swallow their own errors (a sick journal degrades durability, not
+// serving — see internal/jobstore).
 type JournalSink interface {
 	// Submitted records an accepted job before Submit returns. origin is
 	// the submission's provenance ("" for a direct client submission,
 	// OriginHandoff for a cluster crash handoff).
 	Submitted(id, fingerprint string, spec scenario.Spec, origin string, at time.Time)
-	// Transition records a state change. attempt is 1 once the job has
-	// started, else 0; cacheHit and errMsg qualify terminal states.
-	Transition(id string, state State, attempt int, cacheHit bool, errMsg string, at time.Time)
-	// Chunk records that a running job's persisted result-chunk high-water
-	// mark reached hwm replicates (see internal/resultstream), so a
-	// post-crash restore knows the job resumes rather than restarts.
-	Chunk(id string, hwm int, at time.Time)
+	// Finished records a job's terminal state. attempt is 1 once the job
+	// has started, else 0; cacheHit and errMsg qualify the state.
+	Finished(id string, state State, attempt int, cacheHit bool, errMsg string, at time.Time)
 }
 
 // Event is one progress record. Events are totally ordered per job by Seq,
@@ -140,10 +139,11 @@ type Job struct {
 	// restoredHit preserves the cache-hit flag of a journal-restored done
 	// job whose result bytes live in the result cache, not in memory.
 	restoredHit bool
-	// chunkHWM is the persisted result-chunk high-water mark: how many
-	// replicates of this job are durable on disk (internal/resultstream).
-	// Monotonic; survives restore via the journal's chunk records.
-	chunkHWM int
+	// chunksPersisted is how many replicates of this job are durable on
+	// disk as result chunks (internal/resultstream). Monotonic. The Runner
+	// reports it, so a restored job reads 0 until a worker starts it and
+	// finds its surviving chunks.
+	chunksPersisted int
 	// queue points back at the owning queue so NoteChunks can take its lock.
 	queue *Queue
 	// span is the job's root trace span (zero when the submission was
@@ -156,9 +156,9 @@ type Job struct {
 
 // NoteChunks records that the job's persisted result chunks now cover
 // `persisted` replicates. The Runner calls it (outside the queue lock) as
-// internal/resultstream confirms appends; the mark is monotonic, surfaces
-// as a "chunk" progress event and in Snapshot.ChunksPersisted, and is
-// journaled so a post-crash restore reports how much work survived.
+// internal/resultstream confirms appends; the mark is monotonic and
+// surfaces as a "chunk" progress event and in Snapshot.ChunksPersisted.
+// It is not journaled: the chunk files themselves are the durable record.
 func (j *Job) NoteChunks(persisted int) {
 	q := j.queue
 	if q == nil {
@@ -166,19 +166,16 @@ func (j *Job) NoteChunks(persisted int) {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if j.state.Terminal() || persisted <= j.chunkHWM {
+	if j.state.Terminal() || persisted <= j.chunksPersisted {
 		return
 	}
-	j.chunkHWM = persisted
+	j.chunksPersisted = persisted
 	q.appendEventLocked(j, Event{
 		State:   j.state,
 		Stage:   "chunk",
 		Message: fmt.Sprintf("%d replicate chunk(s) persisted", persisted),
 		Chunks:  persisted,
 	})
-	if q.opts.Journal != nil {
-		q.opts.Journal.Chunk(j.ID, persisted, time.Now())
-	}
 }
 
 // Snapshot is a consistent, copyable view of a job for status endpoints.
@@ -209,20 +206,16 @@ type RestoredJob struct {
 	ID          string
 	Spec        scenario.Spec
 	Fingerprint string
-	// State is the job's last journaled state. Terminal states are
-	// restored as-is (result bytes, if any, live in the result cache);
-	// queued and running jobs are re-enqueued from scratch.
+	// State is the job's journaled state. Terminal states are restored
+	// as-is (result bytes, if any, live in the result cache); any other
+	// job is re-enqueued, and its runner resumes from whatever result
+	// chunks survive.
 	State     State
 	Attempts  int
 	CacheHit  bool
 	Error     string
 	Submitted time.Time
 	Finished  time.Time
-	// ChunkHWM is the job's journaled result-chunk high-water mark: how
-	// many replicates were durable when the journal last heard. A restored
-	// non-terminal job with ChunkHWM > 0 resumes from the surviving chunks
-	// instead of recomputing them.
-	ChunkHWM int
 	// Origin is the journaled submission provenance (see Job.Origin).
 	Origin string
 }
@@ -239,7 +232,8 @@ type Options struct {
 	// RunTimeout bounds a job's run via context.WithTimeout; 0 means no
 	// deadline.
 	RunTimeout time.Duration
-	// Journal, when non-nil, durably records submissions and transitions.
+	// Journal, when non-nil, durably records submissions and terminal
+	// states.
 	Journal JournalSink
 	// Restore re-creates journal-replayed jobs before the workers start:
 	// terminal jobs become queryable history, queued/running jobs are
@@ -351,27 +345,20 @@ func (q *Queue) restore(r RestoredJob) {
 		j.cancel()
 		return
 	}
-	// Queued or running at crash time: back to the start of the line. Any
-	// journaled chunk high-water mark carries over so the re-run resumes
-	// from the surviving chunks instead of recomputing them.
+	// Unfinished at crash time: back to the start of the line. Its
+	// submit record already stands in the journal, so nothing is written.
 	j.state = StateQueued
 	j.attempts = 0
-	msg := "re-enqueued after journal replay"
-	if r.ChunkHWM > 0 {
-		j.chunkHWM = r.ChunkHWM
-		msg = fmt.Sprintf("re-enqueued after journal replay; %d replicate chunk(s) survive", r.ChunkHWM)
-	}
-	q.appendEventLocked(j, Event{State: StateQueued, Stage: "restored", Message: msg, Chunks: r.ChunkHWM})
-	q.journalTransition(j.ID, StateQueued, 0, false, "")
+	q.appendEventLocked(j, Event{State: StateQueued, Stage: "restored", Message: "re-enqueued after journal replay"})
 	q.pending <- j
 	q.queued++
 }
 
-// journalTransition forwards a state change to the journal sink (nil-safe).
-// Called with q.mu held (or from New before workers start).
-func (q *Queue) journalTransition(id string, state State, attempt int, cacheHit bool, errMsg string) {
+// journalFinished forwards a terminal state to the journal sink
+// (nil-safe). Called with q.mu held.
+func (q *Queue) journalFinished(id string, state State, attempt int, cacheHit bool, errMsg string) {
 	if q.opts.Journal != nil {
-		q.opts.Journal.Transition(id, state, attempt, cacheHit, errMsg, time.Now())
+		q.opts.Journal.Finished(id, state, attempt, cacheHit, errMsg, time.Now())
 	}
 }
 
@@ -521,7 +508,7 @@ func (q *Queue) Cancel(id string) (Snapshot, bool) {
 		if j.state == StateQueued {
 			j.state = StateCanceled
 			q.appendEventLocked(j, Event{State: StateCanceled, Stage: "canceled", Message: "canceled while queued"})
-			q.journalTransition(j.ID, StateCanceled, j.attempts, false, "canceled while queued")
+			q.journalFinished(j.ID, StateCanceled, j.attempts, false, "canceled while queued")
 			q.finishLocked(j)
 			canceledQueued = true
 		} else {
@@ -628,7 +615,6 @@ func (q *Queue) runOne(j *Job) {
 	j.started = time.Now()
 	j.attempts = 1
 	q.appendEventLocked(j, Event{State: StateRunning, Stage: "started"})
-	q.journalTransition(j.ID, StateRunning, j.attempts, false, "")
 	ctx := j.ctx
 	q.mu.Unlock()
 	j.queueSpan.End()
@@ -662,7 +648,7 @@ func (q *Queue) runOne(j *Job) {
 		j.state = StateCanceled
 		j.err = context.Canceled
 		q.appendEventLocked(j, Event{State: StateCanceled, Stage: "canceled", Message: "canceled while running"})
-		q.journalTransition(j.ID, StateCanceled, j.attempts, false, "canceled while running")
+		q.journalFinished(j.ID, StateCanceled, j.attempts, false, "canceled while running")
 	case err != nil:
 		j.state = StateFailed
 		j.err = err
@@ -671,7 +657,7 @@ func (q *Queue) runOne(j *Job) {
 		// gets no terminal journal record: the next boot's replay
 		// re-enqueues the job, as after a crash.
 		if q.baseCtx.Err() == nil {
-			q.journalTransition(j.ID, StateFailed, j.attempts, false, err.Error())
+			q.journalFinished(j.ID, StateFailed, j.attempts, false, err.Error())
 		}
 	default:
 		j.state = StateDone
@@ -681,7 +667,7 @@ func (q *Queue) runOne(j *Job) {
 			msg = "result cache hit"
 		}
 		q.appendEventLocked(j, Event{State: StateDone, Stage: "done", Message: msg})
-		q.journalTransition(j.ID, StateDone, j.attempts, res.CacheHit, "")
+		q.journalFinished(j.ID, StateDone, j.attempts, res.CacheHit, "")
 	}
 	state := j.state
 	elapsed := j.finished.Sub(j.started)
@@ -745,7 +731,7 @@ func (q *Queue) snapshotLocked(j *Job) Snapshot {
 		Started:         j.started,
 		Finished:        j.finished,
 		Replicates:      j.Spec.Replicates(),
-		ChunksPersisted: j.chunkHWM,
+		ChunksPersisted: j.chunksPersisted,
 		Origin:          j.Origin,
 	}
 	if j.err != nil {

@@ -304,8 +304,7 @@ func TestDrainTimeoutJournalsNothingTerminal(t *testing.T) {
 	}
 	q := New(runner, Options{Workers: 1, Journal: sink})
 
-	running, err := q.Submit(context.Background(), testSpec(t, 52), "")
-	if err != nil {
+	if _, err := q.Submit(context.Background(), testSpec(t, 52), ""); err != nil {
 		t.Fatal(err)
 	}
 	<-started
@@ -319,9 +318,8 @@ func TestDrainTimeoutJournalsNothingTerminal(t *testing.T) {
 	if err := q.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("drain err = %v, want deadline exceeded", err)
 	}
-	_, trns := sink.snapshot()
-	if got, want := strings.Join(trns, " "), running.ID+":running"; got != want {
-		t.Fatalf("transitions journaled: %q, want only %q", got, want)
+	if _, ends := sink.snapshot(); len(ends) != 0 {
+		t.Fatalf("end records journaled: %q, want none", ends)
 	}
 	if s, _ := q.Get(queued.ID); s.State != StateQueued {
 		t.Fatalf("queued job state %q after the hard drain, want queued", s.State)
@@ -631,10 +629,9 @@ func TestAdmissionBoundCountsBacklog(t *testing.T) {
 
 // recordingSink captures journal notifications for assertions.
 type recordingSink struct {
-	mu     sync.Mutex
-	subs   []string
-	trns   []string
-	chunks []string
+	mu   sync.Mutex
+	subs []string
+	ends []string
 }
 
 func (r *recordingSink) Submitted(id, fp string, spec scenario.Spec, origin string, at time.Time) {
@@ -646,22 +643,16 @@ func (r *recordingSink) Submitted(id, fp string, spec scenario.Spec, origin stri
 	r.subs = append(r.subs, id)
 }
 
-func (r *recordingSink) Transition(id string, state State, attempt int, cacheHit bool, errMsg string, at time.Time) {
+func (r *recordingSink) Finished(id string, state State, attempt int, cacheHit bool, errMsg string, at time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.trns = append(r.trns, fmt.Sprintf("%s:%s", id, state))
-}
-
-func (r *recordingSink) Chunk(id string, hwm int, at time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.chunks = append(r.chunks, fmt.Sprintf("%s:%d", id, hwm))
+	r.ends = append(r.ends, fmt.Sprintf("%s:%s", id, state))
 }
 
 func (r *recordingSink) snapshot() ([]string, []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]string(nil), r.subs...), append([]string(nil), r.trns...)
+	return append([]string(nil), r.subs...), append([]string(nil), r.ends...)
 }
 
 func TestJournalSinkSeesLifecycle(t *testing.T) {
@@ -673,18 +664,12 @@ func TestJournalSinkSeesLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTerminal(t, q, s.ID)
-	subs, trns := sink.snapshot()
+	subs, ends := sink.snapshot()
 	if len(subs) != 1 || subs[0] != s.ID {
 		t.Fatalf("submissions journaled: %v", subs)
 	}
-	want := []string{s.ID + ":running", s.ID + ":done"}
-	if len(trns) != len(want) {
-		t.Fatalf("transitions journaled: %v, want %v", trns, want)
-	}
-	for i := range want {
-		if trns[i] != want[i] {
-			t.Fatalf("transition %d = %s, want %s", i, trns[i], want[i])
-		}
+	if want := s.ID + ":done"; len(ends) != 1 || ends[0] != want {
+		t.Fatalf("end records journaled: %v, want [%s]", ends, want)
 	}
 }
 
@@ -714,15 +699,15 @@ func TestJournalSinkSeesQueuedCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.Cancel(queued.ID)
-	_, trns := sink.snapshot()
+	_, ends := sink.snapshot()
 	found := false
-	for _, tr := range trns {
-		if tr == queued.ID+":canceled" {
+	for _, end := range ends {
+		if end == queued.ID+":canceled" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("queued cancel not journaled: %v", trns)
+		t.Fatalf("queued cancel not journaled: %v", ends)
 	}
 }
 

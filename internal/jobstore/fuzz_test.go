@@ -21,6 +21,17 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte(`{"t":"state","job":"job-000001","state":"done"`)) // torn tail
 	f.Add([]byte(`{"t":"submit","job":"../../../etc/passwd","fp":"x","spec":{}}` + "\n"))
 	f.Add([]byte("\x00\xff\xfe garbage\n{\"t\":\"submit\"}\n"))
+	// Older journals: running, queued and chunk records, which replay skips.
+	f.Add([]byte(`{"t":"submit","job":"job-000001","fp":"ab","spec":{}}` + "\n" +
+		`{"t":"state","job":"job-000001","state":"running","attempt":1}` + "\n" +
+		`{"t":"chunk","job":"job-000001","hwm":0}` + "\n" +
+		`{"t":"chunk","job":"job-000001","hwm":3}` + "\n" +
+		`{"t":"state","job":"job-000001","state":"queued"}` + "\n"))
+	f.Add([]byte(`{"t":"submit","job":"job-000002","fp":"ab","spec":{}}` + "\n" +
+		`{"t":"state","job":"job-000002","state":"done","attempt":1}` + "\n" +
+		`{"t":"chunk","job":"job-000002","hwm":2}` + "\n" +
+		`{"t":"state","job":"job-000002","state":"running"}` + "\n" +
+		`{"t":"chunk","job":"job-000003","hwm":-1}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -1,19 +1,18 @@
 // Package jobstore is temprivd's durability layer: an append-only JSONL
-// write-ahead journal of every job submission and state transition. A crash
+// write-ahead journal of every job submission and every job's end. A crash
 // or redeploy no longer loses the queue — on startup the daemon replays the
-// journal, re-enqueues every job that was queued or running at crash time,
-// and compacts the log so it does not grow without bound.
+// journal, re-enqueues every job that has no end record, and compacts the
+// log so it does not grow without bound.
 //
-// Journal format (one JSON object per line, fsynced per append):
+// Journal format (one JSON object per line, fsynced per append): a submit
+// record when a job is accepted, and one state record when it is done,
+// failed or canceled.
 //
 //	{"t":"submit","job":"job-000001","fp":"<sha256>","spec":{...},"ts":"..."}
-//	{"t":"state","job":"job-000001","state":"running","attempt":1,"ts":"..."}
-//	{"t":"chunk","job":"job-000001","hwm":3,"ts":"..."}
-//	{"t":"state","job":"job-000001","state":"done","cache_hit":true,"ts":"..."}
+//	{"t":"state","job":"job-000001","state":"done","attempt":1,"cache_hit":true,"ts":"..."}
 //
-// Chunk records track a running job's persisted result-chunk high-water
-// mark (internal/resultstream): after a crash the restored job knows how
-// many replicates survive on disk and resumes instead of restarting.
+// Older journals also hold non-terminal state records and "chunk" records;
+// replay skips them, and the next compaction drops them.
 //
 // Replay is fail-closed: truncated tails (a crash mid-append), garbage
 // lines, duplicate submit records and orphan state records are counted and
@@ -24,10 +23,10 @@
 // seed-deterministic).
 //
 // Compaction rewrites the journal to one submit record (plus one state
-// record) per retained job: every non-terminal job survives, and the most
-// recent Options.RetainTerminal terminal jobs are kept so their IDs stay
-// resolvable across a restart (their result bytes live in the result
-// cache, addressed by fingerprint).
+// record for a finished job) per retained job: every non-terminal job
+// survives, and the most recent Options.RetainTerminal terminal jobs are
+// kept so their IDs stay resolvable across a restart (their result bytes
+// live in the result cache, addressed by fingerprint).
 //
 // All disk access goes through faultfs.FS, so ENOSPC, EIO, torn writes and
 // fsync failures are injectable in tests. An append failure degrades to
@@ -54,7 +53,7 @@ const journalFile = "journal.jsonl"
 
 // Record is one journal line.
 type Record struct {
-	// T discriminates the record type: "submit", "state" or "chunk".
+	// T discriminates the record type: "submit" or "state".
 	T string `json:"t"`
 	// Job is the queue-assigned job ID.
 	Job string `json:"job"`
@@ -69,15 +68,12 @@ type Record struct {
 	Attempt  int    `json:"attempt,omitempty"`
 	CacheHit bool   `json:"cache_hit,omitempty"`
 	Error    string `json:"error,omitempty"`
-	// HWM is set on chunk records: the persisted result-chunk high-water
-	// mark (how many replicates are durable on disk).
-	HWM int `json:"hwm,omitempty"`
 	// TS is the wall-clock time of the event.
 	TS time.Time `json:"ts,omitempty"`
 }
 
 // ReplayedJob is the aggregated view of one job after replay: its submit
-// record folded with its last valid state transition.
+// record folded with its terminal state record, if it has one.
 type ReplayedJob struct {
 	ID          string
 	Fingerprint string
@@ -88,9 +84,6 @@ type ReplayedJob struct {
 	Error       string
 	Submitted   time.Time
 	Finished    time.Time
-	// ChunkHWM is the job's last journaled result-chunk high-water mark
-	// (monotonic across records; 0 when no chunks were recorded).
-	ChunkHWM int
 	// Origin is the journaled submission provenance (see jobs.Job.Origin).
 	Origin string
 }
@@ -144,7 +137,7 @@ func (o Options) withDefaults() Options {
 
 // Journal is the write-ahead log. It implements jobs.JournalSink, so a
 // queue constructed with Options{Journal: j} records every submission and
-// transition durably. Safe for concurrent use.
+// terminal state durably. Safe for concurrent use.
 type Journal struct {
 	dir  string
 	path string
@@ -271,36 +264,22 @@ func (j *Journal) apply(line []byte) {
 			j.stats.OrphanStates++
 			return
 		}
-		job.State = jobs.State(rec.State)
+		state := jobs.State(rec.State)
+		if !state.Terminal() {
+			// An older journal's queued or running record: a job with no
+			// end record is re-enqueued whatever it was doing.
+			return
+		}
+		job.State = state
 		if rec.Attempt > 0 {
 			job.Attempt = rec.Attempt
 		}
 		job.CacheHit = rec.CacheHit
 		job.Error = rec.Error
-		if job.State.Terminal() {
-			job.Finished = rec.TS
-		}
+		job.Finished = rec.TS
 	case "chunk":
-		if rec.HWM <= 0 {
-			j.stats.CorruptLines++
-			return
-		}
-		job, ok := j.jobs[rec.Job]
-		if !ok {
-			j.stats.OrphanStates++
-			return
-		}
-		if job.State.Terminal() {
-			// Chunks after a terminal record are a duplicated tail: the
-			// finished result is already cached, ignore them.
-			j.stats.OrphanStates++
-			return
-		}
-		// The mark is monotonic; replay keeps the maximum so a reordered or
-		// duplicated record can never shrink the surviving-work estimate.
-		if rec.HWM > job.ChunkHWM {
-			job.ChunkHWM = rec.HWM
-		}
+		// An older journal's replicate high-water mark. Resume reads the
+		// chunk files themselves, so the record carries nothing to apply.
 	default:
 		j.stats.CorruptLines++
 	}
@@ -356,37 +335,18 @@ func (j *Journal) Submitted(id, fingerprint string, spec scenario.Spec, origin s
 	j.appendLocked(Record{T: "submit", Job: id, FP: fingerprint, Spec: canon, Origin: origin, TS: at})
 }
 
-// Transition implements jobs.JournalSink: it records a job state change.
-func (j *Journal) Transition(id string, state jobs.State, attempt int, cacheHit bool, errMsg string, at time.Time) {
+// Finished implements jobs.JournalSink: it records a job's terminal state.
+func (j *Journal) Finished(id string, state jobs.State, attempt int, cacheHit bool, errMsg string, at time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if job, ok := j.jobs[id]; ok {
 		job.State = state
-		if attempt > 0 {
-			job.Attempt = attempt
-		}
+		job.Attempt = attempt
 		job.CacheHit = cacheHit
 		job.Error = errMsg
-		if state.Terminal() {
-			job.Finished = at
-		}
+		job.Finished = at
 	}
 	j.appendLocked(Record{T: "state", Job: id, State: string(state), Attempt: attempt, CacheHit: cacheHit, Error: errMsg, TS: at})
-}
-
-// Chunk implements jobs.JournalSink: it records a running job's persisted
-// result-chunk high-water mark so a post-crash restore resumes from the
-// surviving chunks instead of recomputing them.
-func (j *Journal) Chunk(id string, hwm int, at time.Time) {
-	if hwm <= 0 {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if job, ok := j.jobs[id]; ok && !job.State.Terminal() && hwm > job.ChunkHWM {
-		job.ChunkHWM = hwm
-	}
-	j.appendLocked(Record{T: "chunk", Job: id, HWM: hwm, TS: at})
 }
 
 // appendLocked writes one record line and fsyncs it. On failure the record
@@ -449,10 +409,10 @@ func (j *Journal) noteAppendErrorLocked(err error) {
 	}
 }
 
-// Compact rewrites the journal to its minimal form: one submit (plus one
-// state) record per retained job. Non-terminal jobs always survive;
-// terminal jobs beyond RetainTerminal (oldest first) are dropped from both
-// the log and the aggregate view.
+// Compact rewrites the journal to its minimal form: one submit record per
+// retained job, plus one state record for each finished one. Non-terminal
+// jobs always survive; terminal jobs beyond RetainTerminal (oldest first)
+// are dropped from both the log and the aggregate view.
 func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -490,22 +450,12 @@ func (j *Journal) compactLocked() error {
 		}
 		buf = append(buf, sub...)
 		buf = append(buf, '\n')
-		if job.State != jobs.StateQueued {
+		if job.State.Terminal() {
 			st, err := json.Marshal(Record{T: "state", Job: id, State: string(job.State), Attempt: job.Attempt, CacheHit: job.CacheHit, Error: job.Error, TS: job.Finished})
 			if err != nil {
 				return fmt.Errorf("jobstore: compacting %s: %w", id, err)
 			}
 			buf = append(buf, st...)
-			buf = append(buf, '\n')
-		}
-		// Live jobs keep their chunk high-water mark across compaction;
-		// terminal jobs don't need one (their result is in the cache).
-		if !job.State.Terminal() && job.ChunkHWM > 0 {
-			ck, err := json.Marshal(Record{T: "chunk", Job: id, HWM: job.ChunkHWM, TS: job.Submitted})
-			if err != nil {
-				return fmt.Errorf("jobstore: compacting %s: %w", id, err)
-			}
-			buf = append(buf, ck...)
 			buf = append(buf, '\n')
 		}
 	}

@@ -40,9 +40,8 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Submitted("job-000001", fp, spec, "", ts(1))
-	j.Transition("job-000001", jobs.StateRunning, 1, false, "", ts(2))
 	j.Submitted("job-000002", fp, spec, "", ts(3))
-	j.Transition("job-000001", jobs.StateDone, 1, true, "", ts(4))
+	j.Finished("job-000001", jobs.StateDone, 1, true, "", ts(4))
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +161,79 @@ func TestReplayGarbageAndDuplicatesAndOrphans(t *testing.T) {
 	}
 }
 
+// TestReplayOlderJournal: older daemons also journaled running, queued and
+// chunk records. Those carry nothing recovery reads, so replay skips them
+// without counting them as damage, and compaction drops them.
+func TestReplayOlderJournal(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(t, 10)
+	canon, err := spec.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, _ := spec.Fingerprint()
+	lines := []string{
+		fmt.Sprintf(`{"t":"submit","job":"job-000001","fp":%q,"spec":%s,"ts":"1970-01-01T00:00:01Z"}`, fp, canon),
+		`{"t":"state","job":"job-000001","state":"running","attempt":1}`,
+		`{"t":"chunk","job":"job-000001","hwm":2}`,
+		`{"t":"chunk","job":"job-000001","hwm":0}`,
+		`{"t":"chunk","job":"job-000001","hwm":-3}`,
+		`{"t":"state","job":"job-000001","state":"queued"}`, // written at restore
+		fmt.Sprintf(`{"t":"submit","job":"job-000002","fp":%q,"spec":%s,"ts":"1970-01-01T00:00:02Z"}`, fp, canon),
+		`{"t":"state","job":"job-000002","state":"running","attempt":1}`,
+		`{"t":"chunk","job":"job-000002","hwm":1}`,
+		`{"t":"state","job":"job-000002","state":"done","attempt":1,"cache_hit":true,"ts":"1970-01-01T00:00:03Z"}`,
+		`{"t":"chunk","job":"job-000002","hwm":4}`,
+		`{"t":"chunk","job":"job-000099","hwm":1}`,
+	}
+	path := filepath.Join(dir, journalFile)
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(j *Journal) {
+		t.Helper()
+		got := j.Jobs()
+		if len(got) != 2 {
+			t.Fatalf("replayed %d jobs, want 2: %+v", len(got), got)
+		}
+		if live := got[0]; live.ID != "job-000001" || live.State != jobs.StateQueued {
+			t.Fatalf("live job = %+v, want job-000001 queued", live)
+		}
+		if done := got[1]; done.ID != "job-000002" || done.State != jobs.StateDone ||
+			done.Attempt != 1 || !done.CacheHit || !done.Finished.Equal(ts(3)) {
+			t.Fatalf("done job = %+v, want job-000002 done, attempt 1, cache hit, finished at 3s", done)
+		}
+		if st := j.Stats(); st.CorruptLines+st.OrphanStates+st.DuplicateSubmits != 0 {
+			t.Fatalf("older records counted as damage: %+v", st)
+		}
+	}
+	check(j)
+
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := strings.Count(string(data), `"t":"submit"`)
+	ends := strings.Count(string(data), `"t":"state"`)
+	if all := strings.Count(string(data), "\n"); subs != 2 || ends != 1 || all != 3 {
+		t.Fatalf("compacted journal holds %d submit, %d state and %d records in all, want 2, 1 and 3:\n%s", subs, ends, all, data)
+	}
+	j2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	check(j2)
+}
+
 func TestCompactionDropsOldTerminalKeepsLive(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{RetainTerminal: 2})
@@ -174,7 +246,7 @@ func TestCompactionDropsOldTerminalKeepsLive(t *testing.T) {
 		id := fmt.Sprintf("job-%06d", i)
 		j.Submitted(id, fp, spec, "", ts(i))
 		if i <= 4 { // first four finish; job 5 stays queued
-			j.Transition(id, jobs.StateDone, 1, false, "", ts(10+i))
+			j.Finished(id, jobs.StateDone, 1, false, "", ts(10+i))
 		}
 	}
 	before, err := os.Stat(filepath.Join(dir, journalFile))
@@ -204,7 +276,7 @@ func TestCompactionDropsOldTerminalKeepsLive(t *testing.T) {
 
 	// Appends still work after the handle swap, and a fresh replay of the
 	// compacted log matches.
-	j.Transition("job-000005", jobs.StateDone, 1, false, "", ts(99))
+	j.Finished("job-000005", jobs.StateDone, 1, false, "", ts(99))
 	j.Close()
 	j2, err := Open(dir, Options{})
 	if err != nil {
@@ -228,7 +300,7 @@ func TestAutoCompaction(t *testing.T) {
 	for i := 1; i <= 20; i++ {
 		id := fmt.Sprintf("job-%06d", i)
 		j.Submitted(id, fp, spec, "", ts(i))
-		j.Transition(id, jobs.StateDone, 1, false, "", ts(i))
+		j.Finished(id, jobs.StateDone, 1, false, "", ts(i))
 	}
 	if st := j.Stats(); st.Compactions == 0 {
 		t.Fatalf("no auto-compaction after 40 appends: %+v", st)
@@ -358,7 +430,7 @@ func TestOriginSurvivesReplayAndCompaction(t *testing.T) {
 	fp, _ := spec.Fingerprint()
 	j.Submitted("job-000001", fp, spec, jobs.OriginHandoff, ts(1))
 	j.Submitted("job-000002", fp, spec, "", ts(2))
-	j.Transition("job-000001", jobs.StateDone, 1, false, "", ts(3))
+	j.Finished("job-000001", jobs.StateDone, 1, false, "", ts(3))
 	j.Close()
 
 	j2, err := Open(dir, Options{})

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -355,10 +356,10 @@ func (l *Latency) Add(v float64) {
 	l.sorted = false
 }
 
-// Reset empties the collector for reuse, keeping its sample storage.
-func (l *Latency) Reset() {
+// Reset empties the collector for reuse, keeping room for n samples.
+func (l *Latency) Reset(n int) {
 	l.w = Welford{}
-	l.samples = l.samples[:0]
+	l.samples = slices.Grow(l.samples[:0], n)
 	l.sorted = false
 }
 

@@ -180,18 +180,6 @@ func (r *runner) rearm(cfg Config, id structure, res *Result) error {
 	res.recycle(bound)
 	r.result = res
 	clear(r.dead)
-	if cfg.ARQ != nil {
-		// Duplicates exist only when a delivered frame can be
-		// retransmitted, i.e. under ARQ; a reliable or ARQ-less run needs
-		// no filter.
-		if r.dedup == nil {
-			r.dedup = make(map[uint64]struct{})
-		} else {
-			clear(r.dedup)
-		}
-	} else {
-		r.dedup = nil
-	}
 	if cfg.Seal {
 		r.keyring = seal.NewKeyring([]byte(fmt.Sprintf("tempriv/network/%d", cfg.Seed)))
 	} else {
@@ -211,6 +199,7 @@ func (r *runner) rearm(cfg Config, id structure, res *Result) error {
 		}
 		n.dead = false
 		n.parent = n.parent0
+		n.delivered = n.delivered[:0]
 		n.dist = cfg.Delay
 		if d, ok := cfg.PerNodeDelay[n.id]; ok {
 			n.dist = d

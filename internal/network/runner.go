@@ -36,6 +36,10 @@ type node struct {
 	// lat collects the latencies of the flow this node sources; finalize
 	// resets and refills it each run, so its samples are allocated once.
 	lat metrics.Latency
+	// delivered has one bit per sequence number of the flow this node
+	// sources, set when that packet reaches the sink: the sink's ARQ
+	// duplicate filter. rearm empties it.
+	delivered []uint64
 }
 
 // runner holds one simulation's full state.
@@ -54,9 +58,6 @@ type runner struct {
 	// dead collects failed nodes so each route repair excludes every death
 	// so far, not just the latest.
 	dead map[packet.NodeID]bool
-	// dedup is the sink's (origin, seq) duplicate filter, allocated only
-	// when ARQ can produce duplicates.
-	dedup map[uint64]struct{}
 	// flights recycles the in-flight frame records of the link layer so the
 	// per-hop fast path never allocates. See link.go.
 	flights []*flight

@@ -17,15 +17,13 @@ import (
 func (r *runner) arriveAtSink(p *packet.Packet) {
 	defer r.arena.release(p)
 	now := r.sched.Now()
-	if r.dedup != nil {
-		key := uint64(p.Header.Origin)<<32 | uint64(p.Header.RoutingSeq)
-		if _, dup := r.dedup[key]; dup {
-			r.result.DuplicatesSuppressed++
-			r.tele.onDuplicate()
-			r.record(trace.Duplicate, topology.Sink, p)
-			return
-		}
-		r.dedup[key] = struct{}{}
+	// Duplicates exist only when a delivered frame can be retransmitted,
+	// i.e. under ARQ; a reliable or ARQ-less run needs no filter.
+	if r.cfg.ARQ != nil && r.nodes[p.Header.Origin].markDelivered(p.Header.RoutingSeq) {
+		r.result.DuplicatesSuppressed++
+		r.tele.onDuplicate()
+		r.record(trace.Duplicate, topology.Sink, p)
+		return
 	}
 	if r.keyring != nil {
 		reading, err := p.OpenReading(r.keyring)
@@ -42,6 +40,19 @@ func (r *runner) arriveAtSink(p *packet.Packet) {
 	})
 }
 
+// markDelivered records that packet seq of the flow n sources reached the
+// sink, and reports whether it already had. Each source numbers its
+// packets densely from 0, so one bit per packet suffices.
+func (n *node) markDelivered(seq uint32) bool {
+	w, bit := int(seq/64), uint64(1)<<(seq%64)
+	for len(n.delivered) <= w {
+		n.delivered = append(n.delivered, 0)
+	}
+	dup := n.delivered[w]&bit != 0
+	n.delivered[w] |= bit
+	return dup
+}
+
 // finalize computes the per-flow and per-node summaries once the event list
 // has drained.
 func (r *runner) finalize() {
@@ -56,10 +67,11 @@ func (r *runner) finalize() {
 	}
 
 	// Each flow's latencies go into its source node's buffer, which is
-	// kept across runs and reset here. The adds run in delivery order, so
-	// every percentile and moment equals a fresh accumulator's.
-	for flow := range res.Flows {
-		r.nodes[flow].lat.Reset()
+	// kept across runs and reset here with room for every packet the flow
+	// created. The adds run in delivery order, so every percentile and
+	// moment equals a fresh accumulator's.
+	for flow, fs := range res.Flows {
+		r.nodes[flow].lat.Reset(int(fs.Created))
 	}
 	for i := range res.Deliveries {
 		d := &res.Deliveries[i]
