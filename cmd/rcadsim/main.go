@@ -250,38 +250,51 @@ func run(args []string) (err error) {
 		fmt.Printf("debug server listening on http://%s (pprof, /debug/vars, /metrics)\n", srv.Addr())
 	}
 
-	// All seeds run through one engine: topology, routes, buffers,
-	// scheduler and packet arena are built once. Engine reuse is
-	// byte-identical to fresh runs, so the base seed's report does not
-	// depend on -replicate; the extra seeds only feed the replicate summary.
-	eng, err := tempriv.NewEngine(cfg)
-	if err != nil {
-		return err
-	}
-	runOnce := func(s uint64) (*tempriv.Result, error) {
-		c := cfg
-		c.Seed = s
-		return eng.Run(c)
-	}
-	res, err := runOnce(*seed)
-	if err != nil {
-		return err
-	}
-
-	est, err := buildAdversary(*advName, topo, *tau, *meanDelay, *capacity, *threshold, policy)
-	if err != nil {
-		return err
-	}
-	perFlow, err := tempriv.ScoreAdversaryPerFlow(est, res)
-	if err != nil {
-		return err
-	}
-
-	printReport(res, sources, perFlow, est.Name())
-	if *replicate > 1 {
-		if err := printReplicateSummary(runOnce, est, res, perFlow, sources, *seed, *replicate); err != nil {
+	// All seeds run through one engine cache, so topology, routes,
+	// buffers, scheduler and packet arena are built once. Each run's result
+	// is borrowed: it is scored, printed and folded into the replicate
+	// summary inside its callback. Engine reuse is byte-identical to fresh
+	// runs, so the base seed's report does not depend on -replicate; the
+	// extra seeds only feed the replicate summary.
+	cache := tempriv.NewEngineCache()
+	summary := newReplicateSummary(sources)
+	var est tempriv.Estimator
+	var manifest tempriv.RunManifest
+	err = tempriv.RunBorrowed(cache, cfg, func(res *tempriv.Result) error {
+		var err error
+		est, err = buildAdversary(*advName, topo, *tau, *meanDelay, *capacity, *threshold, policy)
+		if err != nil {
 			return err
 		}
+		perFlow, err := tempriv.ScoreAdversaryPerFlow(est, res)
+		if err != nil {
+			return err
+		}
+		printReport(res, sources, perFlow, est.Name())
+		summary.fold(res, perFlow)
+		manifest = *res.Manifest
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if *replicate > 1 {
+		for i := 1; i < *replicate; i++ {
+			c := cfg
+			c.Seed = *seed + uint64(i)
+			err := tempriv.RunBorrowed(cache, c, func(res *tempriv.Result) error {
+				perFlow, err := tempriv.ScoreAdversaryPerFlow(est, res)
+				if err != nil {
+					return err
+				}
+				summary.fold(res, perFlow)
+				return nil
+			})
+			if err != nil {
+				return fmt.Errorf("replicate seed %d: %w", c.Seed, err)
+			}
+		}
+		summary.print(est.Name(), *seed, *replicate)
 	}
 	if tracer != nil {
 		if err := tracer.Err(); err != nil {
@@ -293,16 +306,15 @@ func run(args []string) (err error) {
 		fmt.Printf("telemetry time series written to %s\n", *telemetryOut)
 	}
 	if *manifestOut != "" {
-		if err := res.Manifest.WriteJSON(*manifestOut); err != nil {
+		if err := manifest.WriteJSON(*manifestOut); err != nil {
 			return err
 		}
 	}
 	// Stdout stays byte-identical across identical-flag runs, so only the
 	// deterministic manifest fields are printed; wall-clock and heap live in
 	// the -manifest file.
-	m := res.Manifest
 	fmt.Printf("\nrun manifest: fingerprint=%s seed=%d events=%d deliveries=%d sim-duration=%g\n",
-		m.ConfigFingerprint, m.Seed, m.Events, m.Deliveries, m.SimDuration)
+		manifest.ConfigFingerprint, manifest.Seed, manifest.Events, manifest.Deliveries, manifest.SimDuration)
 	return nil
 }
 
@@ -588,47 +600,45 @@ func (w *meanStd) std() float64 {
 	return math.Sqrt(w.m2 / float64(w.n-1))
 }
 
-// printReplicateSummary runs seeds base+1..base+n-1 through runOnce (which
-// reuses the engine built for the base seed), scores each against the same
-// adversary, and prints per-flow mean ± sample stddev of the headline
-// metrics across all n seeds.
-func printReplicateSummary(runOnce func(uint64) (*tempriv.Result, error), est tempriv.Estimator,
-	first *tempriv.Result, firstMSE map[tempriv.NodeID]*tempriv.MSE, sources []tempriv.NodeID, base uint64, n int) error {
-	lat := make([]meanStd, len(sources))
-	mse := make([]meanStd, len(sources))
-	var delivered, dropped meanStd
-	fold := func(res *tempriv.Result, perFlow map[tempriv.NodeID]*tempriv.MSE) {
-		var del, drop float64
-		for i, s := range sources {
-			f := res.Flows[s]
-			lat[i].add(f.Latency.Mean)
-			if m, ok := perFlow[s]; ok {
-				mse[i].add(m.Value())
-			}
-			del += float64(f.Delivered)
-			drop += float64(f.Dropped())
-		}
-		delivered.add(del)
-		dropped.add(drop)
+// replicateSummary accumulates, across seeds, the per-flow mean ± sample
+// stddev of the headline metrics.
+type replicateSummary struct {
+	sources            []tempriv.NodeID
+	lat, mse           []meanStd
+	delivered, dropped meanStd
+}
+
+func newReplicateSummary(sources []tempriv.NodeID) *replicateSummary {
+	return &replicateSummary{
+		sources: sources,
+		lat:     make([]meanStd, len(sources)),
+		mse:     make([]meanStd, len(sources)),
 	}
-	fold(first, firstMSE)
-	for i := 1; i < n; i++ {
-		res, err := runOnce(base + uint64(i))
-		if err != nil {
-			return fmt.Errorf("replicate seed %d: %w", base+uint64(i), err)
+}
+
+// fold adds one seed's run, scored per flow against the adversary.
+func (s *replicateSummary) fold(res *tempriv.Result, perFlow map[tempriv.NodeID]*tempriv.MSE) {
+	var del, drop float64
+	for i, src := range s.sources {
+		f := res.Flows[src]
+		s.lat[i].add(f.Latency.Mean)
+		if m, ok := perFlow[src]; ok {
+			s.mse[i].add(m.Value())
 		}
-		perFlow, err := tempriv.ScoreAdversaryPerFlow(est, res)
-		if err != nil {
-			return err
-		}
-		fold(res, perFlow)
+		del += float64(f.Delivered)
+		drop += float64(f.Dropped())
 	}
+	s.delivered.add(del)
+	s.dropped.add(drop)
+}
+
+// print writes the summary of the n seeds base..base+n-1.
+func (s *replicateSummary) print(advName string, base uint64, n int) {
 	fmt.Printf("\nreplicates: %d seeds (%d..%d), one engine reused across runs\n", n, base, base+uint64(n)-1)
-	for i := range sources {
+	for i := range s.sources {
 		fmt.Printf("S%-7d lat-mean %.1f ± %.1f   %s-MSE %.4g ± %.3g\n",
-			i+1, lat[i].mean, lat[i].std(), est.Name(), mse[i].mean, mse[i].std())
+			i+1, s.lat[i].mean, s.lat[i].std(), advName, s.mse[i].mean, s.mse[i].std())
 	}
 	fmt.Printf("totals: delivered %.1f ± %.1f, dropped %.1f ± %.1f per run\n",
-		delivered.mean, delivered.std(), dropped.mean, dropped.std())
-	return nil
+		s.delivered.mean, s.delivered.std(), s.dropped.mean, s.dropped.std())
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
@@ -70,4 +71,48 @@ func waitChunks(t *testing.T, base, id string, n int) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("job %s never persisted %d chunk(s)", id, n)
+}
+
+// TestRestartKeepsJobOrigin: a job submitted with the handoff origin keeps
+// "origin":"handoff" in its snapshot after the daemon boots again on the
+// same journal.
+func TestRestartKeepsJobOrigin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-boot e2e")
+	}
+	args := []string{"-journal", t.TempDir()}
+	base, shutdown := startDaemon(t, args...)
+	waitReady(t, base)
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs", strings.NewReader(testScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Tempriv-Origin", "handoff")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job jobView
+	if err := decodeInto(resp, &job); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+	if v := awaitJob(t, base, job.ID); v.State != "done" {
+		t.Fatalf("job before restart: %+v", v)
+	}
+	if err := shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	base2, shutdown2 := startDaemon(t, args...)
+	waitReady(t, base2)
+	st, body := getBody(t, base2+"/v1/jobs/"+job.ID)
+	var snap struct {
+		Origin string `json:"origin"`
+	}
+	if err := json.Unmarshal(body, &snap); err != nil || st != http.StatusOK || snap.Origin != "handoff" {
+		t.Fatalf("job after restart: %d %s", st, body)
+	}
+	if err := shutdown2(); err != nil {
+		t.Fatalf("shutdown after restart: %v", err)
+	}
 }

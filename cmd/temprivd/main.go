@@ -249,7 +249,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 				continue
 			}
 			restored = append(restored, jobs.RestoredJob{
-				ID: rj.ID, Spec: spec, Fingerprint: rj.Fingerprint,
+				ID: rj.ID, Spec: spec, Fingerprint: rj.Fingerprint, Origin: rj.Origin,
 				State: rj.State, Attempts: rj.Attempt, CacheHit: rj.CacheHit,
 				Error: rj.Error, Submitted: rj.Submitted, Finished: rj.Finished,
 			})

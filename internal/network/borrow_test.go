@@ -56,10 +56,10 @@ func borrowedRun(t *testing.T, cache *EngineCache, build func() (Config, observe
 // TestBorrowedReuseAcrossConfigsMatchesRun is the property test behind
 // result recycling. One cache runs a random sequence of configs over
 // structures drawn across Line, Grid and Figure 1, the four built-in
-// policies, capacity and rate control, alternating RunCached with
-// RunBorrowed. The one idle result is therefore refilled by a different
-// engine and structure from step to step, with one to four flows, count
-// bounds going up and down, and horizon runs among them. Every borrowed
+// policies, capacity and rate control, alternating runCached (an owned
+// result) with RunBorrowed. The one idle result is therefore refilled by a
+// different engine and structure from step to step, with one to four
+// flows, count bounds going up and down, and horizon runs among them. Every borrowed
 // result, trace and sample series must equal a fresh Run, and so must
 // every owned result between them, which the cache never pools.
 func TestBorrowedReuseAcrossConfigsMatchesRun(t *testing.T) {
@@ -80,7 +80,7 @@ func TestBorrowedReuseAcrossConfigsMatchesRun(t *testing.T) {
 		var sig string
 		var events []trace.Event
 		var samples []telemetry.Sample
-		path := "RunCached"
+		path := "runCached"
 		if step%2 == 1 {
 			path = "RunBorrowed"
 			var lent *Result
@@ -91,7 +91,7 @@ func TestBorrowedReuseAcrossConfigsMatchesRun(t *testing.T) {
 				t.Fatalf("step %d: a serial borrower got a new result instead of the idle one", step)
 			}
 		} else {
-			sig, events, samples = observedRun(t, func(c Config) (*Result, error) { return RunCached(cache, c) }, build)
+			sig, events, samples = observedRun(t, func(c Config) (*Result, error) { return runCached(cache, c) }, build)
 		}
 		switch {
 		case sig != wantSig:
@@ -252,12 +252,12 @@ func TestWarmRearmAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := structureOf(&resolved)
-	eng, res := cache.checkout(id), cache.borrow()
-	if eng == nil || res == nil {
+	r, res := cache.checkout(id), cache.borrow()
+	if r == nil || res == nil {
 		t.Fatal("the cache kept no engine or no result")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := eng.r.rearm(resolved, id, res); err != nil {
+		if err := r.rearm(resolved, id, res); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -165,10 +165,11 @@ func observedRun(t *testing.T, run func(Config) (*Result, error), build func() (
 // TestCachedReuseAcrossConfigsMatchesRun is the property test behind the
 // structural key: for structures drawn across Line, Grid and Figure 1, the
 // four built-in policies, capacity and rate control, a random sequence of
-// configs that differ in everything rearm adopts runs through one cache
-// and one Engine, and every result, trace and sample series must equal a
-// fresh Run. The channel and ARQ go on, off and on again at the start of
-// every sequence, so link state left by a lossy run is exercised.
+// configs that differ in everything rearm adopts runs through one cache,
+// each config twice, owned and borrowed, and every result, trace and
+// sample series must equal a fresh Run. The channel and ARQ go on, off and
+// on again at the start of every sequence, so link state left by a lossy
+// run is exercised.
 func TestCachedReuseAcrossConfigsMatchesRun(t *testing.T) {
 	src := rng.New(20261017)
 	policies := []PolicyKind{PolicyForward, PolicyUnlimited, PolicyDropTail, PolicyRCAD}
@@ -178,37 +179,29 @@ func TestCachedReuseAcrossConfigsMatchesRun(t *testing.T) {
 		sh.rateCtl = sh.policy == PolicyRCAD && src.Bernoulli(0.5)
 		t.Run(fmt.Sprintf("topo%d-%v-k%d-rc%v", sh.topo, sh.policy, sh.capacity, sh.rateCtl), func(t *testing.T) {
 			cache := NewEngineCache()
-			var eng *Engine
 			for step := 0; step < steps; step++ {
 				lossy := []bool{true, false, true}[min(step, 2)]
 				if step > 2 {
 					lossy = src.Bernoulli(0.5)
 				}
 				build := randomReuseConfig(t, sh, src, lossy)
-				if eng == nil {
-					cfg, _ := build()
-					var err error
-					if eng, err = NewEngine(cfg); err != nil {
-						t.Fatal(err)
-					}
-				}
 				wantSig, wantEvents, wantSamples := observedRun(t, Run, build)
-				paths := []struct {
-					name string
-					run  func(Config) (*Result, error)
-				}{
-					{"RunCached", func(c Config) (*Result, error) { return RunCached(cache, c) }},
-					{"Engine.Run", eng.Run},
-				}
-				for _, path := range paths {
-					sig, events, samples := observedRun(t, path.run, build)
+				for _, path := range []string{"runCached", "RunBorrowed"} {
+					var sig string
+					var events []trace.Event
+					var samples []telemetry.Sample
+					if path == "runCached" {
+						sig, events, samples = observedRun(t, func(c Config) (*Result, error) { return runCached(cache, c) }, build)
+					} else {
+						sig, events, samples, _ = borrowedRun(t, cache, build)
+					}
 					switch {
 					case sig != wantSig:
-						t.Fatalf("step %d %s: result diverged from Run\nwant: %.300s\ngot:  %.300s", step, path.name, wantSig, sig)
+						t.Fatalf("step %d %s: result diverged from Run\nwant: %.300s\ngot:  %.300s", step, path, wantSig, sig)
 					case !reflect.DeepEqual(events, wantEvents):
-						t.Fatalf("step %d %s: trace diverged from Run", step, path.name)
+						t.Fatalf("step %d %s: trace diverged from Run", step, path)
 					case !reflect.DeepEqual(samples, wantSamples):
-						t.Fatalf("step %d %s: samples diverged from Run", step, path.name)
+						t.Fatalf("step %d %s: samples diverged from Run", step, path)
 					}
 				}
 			}
@@ -228,6 +221,22 @@ func stackSizes(c *EngineCache) map[structure]int {
 		out[id] = len(stack)
 	}
 	return out
+}
+
+// idleRunner returns the one engine a cache holds, failing unless it holds
+// exactly one.
+func idleRunner(t *testing.T, c *EngineCache) *runner {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var idle []*runner
+	for _, stack := range c.stacks {
+		idle = append(idle, stack...)
+	}
+	if len(idle) != 1 {
+		t.Fatalf("cache holds %d engines, want 1", len(idle))
+	}
+	return idle[0]
 }
 
 // TestEngineCacheConcurrentRunsMatchRun shares one cache between goroutines
@@ -264,7 +273,7 @@ func TestEngineCacheConcurrentRunsMatchRun(t *testing.T) {
 		go func(mine []job) {
 			defer wg.Done()
 			for i := range mine {
-				mine[i].got, mine[i].err = RunCached(cache, mine[i].cfg)
+				mine[i].got, mine[i].err = runCached(cache, mine[i].cfg)
 			}
 		}(jobs[g])
 	}
@@ -323,7 +332,7 @@ func TestEngineCacheStacksBoundedByWorkers(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for cfg := range points {
-					if _, err := RunCached(cache, cfg); err != nil {
+					if err := RunBorrowed(cache, cfg, func(*Result) error { return nil }); err != nil {
 						t.Error(err)
 					}
 				}
@@ -365,20 +374,19 @@ func TestEngineCacheStacksBoundedByWorkers(t *testing.T) {
 // need four without recycling at the sink.
 func TestArenaHoldsInFlightPeak(t *testing.T) {
 	for _, policy := range []PolicyKind{PolicyUnlimited, PolicyRCAD} {
-		eng, err := NewEngine(sweepPoint(t, policy, 2, 1000, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
+		cache := NewEngineCache()
 		for seed := uint64(1); seed <= 2; seed++ {
-			res, err := eng.Run(sweepPoint(t, policy, 2, 1000, seed))
+			err := RunBorrowed(cache, sweepPoint(t, policy, 2, 1000, seed), func(res *Result) error {
+				if len(res.Deliveries) != 4000 {
+					t.Fatalf("%v: delivered %d of 4000 packets", policy, len(res.Deliveries))
+				}
+				return nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Deliveries) != 4000 {
-				t.Fatalf("%v: delivered %d of 4000 packets", policy, len(res.Deliveries))
-			}
 		}
-		if slabs := len(eng.r.arena.slabs); slabs > 1 {
+		if slabs := len(idleRunner(t, cache).arena.slabs); slabs > 1 {
 			t.Errorf("%v: arena holds %d slabs of %d packets after a 4000-packet run, want 1", policy, slabs, pktSlabSize)
 		}
 	}

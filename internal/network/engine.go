@@ -1,12 +1,12 @@
 package network
 
-// Engine: the reusable form of the simulation runner. Construction
-// (NewEngine) builds only structure: routes, nodes and pools. Every Run,
-// the first one included, goes through rearm, which drains the scheduler,
-// rewinds the arena, reseeds the node substreams, builds or resets the
-// buffering policies and adopts the full config passed to Run. Structure is
-// reused; behaviour always comes from the caller's config, which is what
-// makes a reused engine byte-identical to a fresh one.
+// Engine reuse: newRunner builds only structure (routes, nodes and pools),
+// and every run, a fresh runner's only run included, goes through rearm,
+// which drains the scheduler, rewinds the arena, reseeds the node
+// substreams, builds or resets the buffering policies and adopts the run's
+// full config. Structure is reused; behaviour always comes from the run's
+// config, which is what makes a run on a reused runner byte-identical to
+// Run. An EngineCache keeps idle runners by structure for RunBorrowed.
 
 import (
 	"errors"
@@ -21,59 +21,11 @@ import (
 	"tempriv/internal/seal"
 )
 
-// Engine is a reusable simulation instance. It amortises the structural
-// work of a run — route building, buffering policies, timer/flight/entry
-// pools, the packet arena — across many runs of structurally compatible
-// configs (same topology, policy, capacity, victim rule and rate-control
-// design point; everything else, including the seed, delay distributions,
-// traffic processes and observers, is adopted fresh from the config passed
-// to each Run). Built-in buffering policies are built by the first Run and
-// reset by later ones; custom policies are run-scoped, so every Run calls
-// the CustomPolicy factory afresh.
-//
-// An Engine is not safe for concurrent use; give each worker goroutine its
-// own (see EngineCache for the checkout/checkin discipline the experiment
-// layer uses). The Result returned by Run is owned by the caller and is
-// never touched by later runs; only RunBorrowed lends results that a later
-// run refills.
-type Engine struct {
-	r *runner
-}
-
-// NewEngine validates cfg and builds the engine's structure (routes, nodes,
-// pools) without arming or executing anything. The config's structural
-// fields fix the engine's identity; Run may then be called any number of
-// times with configs that differ in seed, delays, traffic, failures,
-// observers or horizon. Errors from building a buffering policy surface
-// from Run, which builds the policies.
-func NewEngine(cfg Config) (*Engine, error) {
-	resolved, err := resolveConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	r, err := newRunner(resolved, structureOf(&resolved))
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{r: r}, nil
-}
-
-// Run executes one simulation of cfg on the engine, reusing the built
-// structure. It returns an error (and leaves the engine unusable for
-// reuse) if cfg is structurally incompatible with the construction config.
-func (e *Engine) Run(cfg Config) (*Result, error) {
-	resolved, err := resolveConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.runResolved(resolved, structureOf(&resolved), nil)
-}
-
-// runResolved is Run after resolveConfig: rearm, schedule, execute,
-// finalize. id is cfg's structural identity. res is the result to refill:
-// nil for a fresh, caller-owned one, or an idle borrowed one.
-func (e *Engine) runResolved(cfg Config, id structure, res *Result) (*Result, error) {
-	r := e.r
+// runResolved runs one simulation of a resolved config on r: rearm,
+// schedule, execute, finalize. id is cfg's structural identity. res is the
+// result to refill: nil for a fresh, caller-owned one, or an idle borrowed
+// one.
+func (r *runner) runResolved(cfg Config, id structure, res *Result) (*Result, error) {
 	if err := r.rearm(cfg, id, res); err != nil {
 		return nil, err
 	}
@@ -97,19 +49,19 @@ func (e *Engine) runResolved(cfg Config, id structure, res *Result) (*Result, er
 	}
 	res = r.result
 	res.Manifest = m
-	// The Result and the config belong to the caller: a kept engine holds
+	// The Result and the config belong to the caller: a kept runner holds
 	// only its structure and pools between runs, never the last run's
 	// deliveries, observers or traffic processes.
 	r.result, r.cfg, r.tele = nil, Config{}, nil
 	return res, nil
 }
 
-// structure is the part of a config that is baked into an engine's built
+// structure is the part of a config that is baked into a runner's built
 // objects and that rearm therefore cannot change: the routes and node
 // table (the topology's node count and sorted edge set), the buffer
 // capacities, the victim selectors and the Erlang design point. Every other
-// field is adopted fresh by each run. It is the engine's identity: an
-// EngineCache files engines under it, and rearm rejects a config whose
+// field is adopted fresh by each run. It is the runner's identity: an
+// EngineCache files runners under it, and rearm rejects a config whose
 // identity differs from the construction one. It is comparable and exact:
 // equal identities mean equal structure, with no hash in between.
 type structure struct {
@@ -149,7 +101,7 @@ func structureOf(cfg *Config) structure {
 }
 
 // rearm resets every piece of run-scoped state and adopts cfg as the run's
-// configuration. It is the one place a run is armed — a fresh engine's
+// configuration. It is the one place a run is armed — a fresh runner's
 // first run included — so every run travels the identical path. id is
 // cfg's structural identity; it must equal the construction identity. res
 // is the result the run fills: nil for a fresh one, or an idle borrowed
@@ -321,37 +273,35 @@ func (r *runner) clonePacket(p *packet.Packet) *packet.Packet {
 	return c
 }
 
-// EngineCache pools engines by structural identity so sweeps and replicate
-// batches reuse instances instead of rebuilding them per run. Every field
-// rearm adopts fresh (seed, traffic, delays, channel, ARQ, horizon,
-// failures, observers) may differ between runs that share an engine. Each
-// identity keeps a stack of idle engines: a run pops one, or builds one
-// when the stack is empty, and pushes it back when it succeeds, so a stack
-// never holds more engines than the peak number of concurrent runs of its
-// structure.
+// EngineCache pools engines (built runners) by structural identity so
+// sweeps and replicate batches reuse them instead of rebuilding one per
+// run; RunBorrowed is the way to run through it. Every field rearm adopts
+// fresh (seed, traffic, delays, channel, ARQ, horizon, failures, observers)
+// may differ between runs that share an engine. Each identity keeps a stack
+// of idle engines: a run pops one, or builds one when the stack is empty,
+// and pushes it back when it succeeds, so a stack never holds more engines
+// than the peak number of concurrent runs of its structure.
 //
-// The cache also keeps one stack of idle results, for RunBorrowed: a
-// borrowed run pops one, of whatever engine or structure filled it last,
-// and refills it in place; it goes back when the caller's callback
-// returns. That stack never holds more results than the peak number of
-// concurrent borrowed runs. RunCached's results are owned by the caller
-// and never enter it.
+// The cache also keeps one stack of idle results: a run pops one, of
+// whatever engine or structure filled it last, and refills it in place; it
+// goes back when the borrower's callback returns. That stack never holds
+// more results than the peak number of concurrent runs.
 //
 // It is safe for concurrent use: a checked-out engine or result belongs to
 // one run until it is checked back in.
 type EngineCache struct {
 	mu      sync.Mutex
-	stacks  map[structure][]*Engine
+	stacks  map[structure][]*runner
 	results []*Result
 }
 
 // NewEngineCache returns an empty engine cache.
 func NewEngineCache() *EngineCache {
-	return &EngineCache{stacks: make(map[structure][]*Engine)}
+	return &EngineCache{stacks: make(map[structure][]*runner)}
 }
 
 // checkout pops an idle engine of structure id, or returns nil.
-func (c *EngineCache) checkout(id structure) *Engine {
+func (c *EngineCache) checkout(id structure) *runner {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	stack := c.stacks[id]
@@ -359,17 +309,17 @@ func (c *EngineCache) checkout(id structure) *Engine {
 	if k == 0 {
 		return nil
 	}
-	e := stack[k-1]
+	r := stack[k-1]
 	stack[k-1] = nil
 	c.stacks[id] = stack[:k-1]
-	return e
+	return r
 }
 
 // checkin pushes an idle engine of structure id.
-func (c *EngineCache) checkin(id structure, e *Engine) {
+func (c *EngineCache) checkin(id structure, r *runner) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stacks[id] = append(c.stacks[id], e)
+	c.stacks[id] = append(c.stacks[id], r)
 }
 
 // borrow pops an idle result, or returns nil.
@@ -402,48 +352,35 @@ func (c *EngineCache) run(cfg Config, res *Result) (*Result, error) {
 		return nil, err
 	}
 	id := structureOf(&resolved)
-	e := c.checkout(id)
-	if e == nil {
-		r, err := newRunner(resolved, id)
-		if err != nil {
+	r := c.checkout(id)
+	if r == nil {
+		if r, err = newRunner(resolved, id); err != nil {
 			return nil, err
 		}
-		e = &Engine{r: r}
 	}
-	if res, err = e.runResolved(resolved, id, res); err != nil {
+	if res, err = r.runResolved(resolved, id, res); err != nil {
 		return nil, err
 	}
-	c.checkin(id, e)
+	c.checkin(id, r)
 	return res, nil
 }
 
-// RunCached is Run through an engine cache: structurally compatible runs
-// reuse one engine's routes, pools and arena instead of rebuilding them.
-// Results are byte-identical to plain Run by the rearm contract, for custom
-// policies and attached observers (Tracer, Telemetry) too. The result is
-// owned by the caller, as Run's is: it never comes from or goes to the
-// cache's idle results. A nil cache falls back to a one-shot run. On a run
-// error the engine is discarded, not returned to the cache.
-func RunCached(cache *EngineCache, cfg Config) (*Result, error) {
-	if cache == nil {
-		return Run(cfg)
-	}
-	return cache.run(cfg, nil)
-}
-
-// RunBorrowed is RunCached for a caller that consumes the result in one
-// place: it runs cfg through the cache and passes the result to use, which
-// borrows it. The result is valid only until use returns; use must not
-// keep it, or anything it points to, past that. The cache then keeps it as
-// an idle result, and a later RunBorrowed through the same cache refills
-// it in place — on any engine, of any structure — instead of allocating
-// a new one: Deliveries keeps its backing array (re-made only when the
-// run's count bound exceeds its capacity), Flows and Nodes are cleared and
-// refilled with the same stats structs, every other field is zeroed, and
-// the manifest is built afresh. What use sees is byte-identical to Run's
-// result. A nil cache runs once, as Run does, and then calls use. A run
-// error is returned without calling use, and the result it was filling is
-// dropped; otherwise RunBorrowed returns use's error.
+// RunBorrowed is Run through an engine cache, for a caller that consumes
+// the result in one place: structurally compatible runs reuse one engine's
+// routes, pools and arena instead of rebuilding them, custom-policy and
+// observed (Tracer, Telemetry) runs included, and the run's result is
+// passed to use, which borrows it. The result is valid only until use
+// returns; use must not keep it, or anything it points to, past that. The
+// cache then keeps it as an idle result, and a later RunBorrowed through
+// the same cache refills it in place — on any engine, of any structure —
+// instead of allocating a new one: Deliveries keeps its backing array
+// (re-made only when the run's count bound exceeds its capacity), Flows and
+// Nodes are cleared and refilled with the same stats structs, every other
+// field is zeroed, and the manifest is built afresh. What use sees is
+// byte-identical to Run's result, by the rearm contract. A nil cache runs
+// once, as Run does, and then calls use. A run error is returned without
+// calling use, and the engine and the result it was filling are dropped;
+// otherwise RunBorrowed returns use's error.
 func RunBorrowed(cache *EngineCache, cfg Config, use func(*Result) error) error {
 	if cache == nil {
 		res, err := Run(cfg)

@@ -42,6 +42,24 @@ func signature(res *Result) (string, error) {
 	return string(b), err
 }
 
+// runCached runs cfg through the cache into a fresh result the caller
+// owns: the path RunBorrowed takes when the cache holds no idle result.
+func runCached(cache *EngineCache, cfg Config) (*Result, error) { return cache.run(cfg, nil) }
+
+// borrowedSignature runs cfg through RunBorrowed and returns the signature
+// of the result it lent.
+func borrowedSignature(t *testing.T, cache *EngineCache, cfg Config) string {
+	t.Helper()
+	var sig string
+	if err := RunBorrowed(cache, cfg, func(res *Result) error {
+		sig = resultSignature(t, res)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return sig
+}
+
 // engineSpec is one randomly drawn simulation shape for the reuse property
 // test. buildConfig materialises a fresh Config (fresh traffic processes —
 // OnOff is stateful — and fresh distribution values) for a given seed, the
@@ -168,11 +186,12 @@ func randomEngineSpecs(t *testing.T, src *rng.Source, n int) []engineSpec {
 }
 
 // TestEngineReuseMatchesFreshRuns is the no-state-leakage property test: for
-// each randomly drawn simulation shape, running seeds s, s+1, s+2 through one
-// reused engine must produce byte-identical results to running each seed on
-// its own fresh engine. Any run-scoped state surviving rearm — a stale
-// route, a warm RNG, a dirty buffer, arena or dedup entry — shows up as a
-// signature mismatch.
+// each randomly drawn simulation shape, running seeds s, s+1, s+2 through
+// RunBorrowed on one cache, and so on one reused engine and one refilled
+// result, must produce byte-identical results to running each seed on its
+// own fresh engine. Any run-scoped state surviving rearm — a stale route, a
+// warm RNG, a dirty buffer, arena or dedup entry — shows up as a signature
+// mismatch.
 func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 	src := rng.New(20260808)
 	const seeds = 3
@@ -186,27 +205,19 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 				}
 				fresh[s] = resultSignature(t, res)
 			}
-			eng, err := NewEngine(spec.build(1000))
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
+			cache := NewEngineCache()
 			for s := 0; s < seeds; s++ {
-				res, err := eng.Run(spec.build(uint64(1000 + s)))
-				if err != nil {
-					t.Fatalf("reused run seed %d: %v", s, err)
-				}
-				if got := resultSignature(t, res); got != fresh[s] {
+				if got := borrowedSignature(t, cache, spec.build(uint64(1000+s))); got != fresh[s] {
 					t.Fatalf("seed %d: reused engine diverged from fresh run\nfresh:  %.200s\nreused: %.200s", s, fresh[s], got)
 				}
 			}
 			// Re-running the first seed after the others must also replay it
 			// exactly (reuse is order-independent, not just append-only).
-			res, err := eng.Run(spec.build(1000))
-			if err != nil {
-				t.Fatalf("replay run: %v", err)
-			}
-			if got := resultSignature(t, res); got != fresh[0] {
+			if got := borrowedSignature(t, cache, spec.build(1000)); got != fresh[0] {
 				t.Fatalf("replaying seed 0 after other seeds diverged")
+			}
+			if n := idleEngines(cache); n != 1 {
+				t.Fatalf("cache holds %d engines after a serial sweep of one structure, want 1", n)
 			}
 		})
 	}
@@ -237,10 +248,7 @@ func TestSparseNodeIDs(t *testing.T) {
 			Seed:     seed,
 		}
 	}
-	eng, err := NewEngine(build(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := NewEngineCache()
 	for seed := uint64(1); seed <= 3; seed++ {
 		fresh, err := Run(build(seed))
 		if err != nil {
@@ -252,11 +260,7 @@ func TestSparseNodeIDs(t *testing.T) {
 		if fresh.Nodes[900].Preemptions == 0 {
 			t.Fatalf("seed %d: the shared node never preempted; the test does not load it", seed)
 		}
-		reused, err := eng.Run(build(seed))
-		if err != nil {
-			t.Fatalf("seed %d: reused engine: %v", seed, err)
-		}
-		if resultSignature(t, reused) != resultSignature(t, fresh) {
+		if borrowedSignature(t, cache, build(seed)) != resultSignature(t, fresh) {
 			t.Fatalf("seed %d: reused engine diverged from network.Run", seed)
 		}
 	}
@@ -271,9 +275,9 @@ func idleEngines(c *EngineCache) int {
 	return n
 }
 
-// TestRunCachedMatchesRun pins the cache path: RunCached through one shared
-// cache must match plain Run for a seed sweep, and the cache must actually
-// retain an engine between calls.
+// TestRunCachedMatchesRun pins the cache path with owned results: runCached
+// through one shared cache must match plain Run for a seed sweep, and the
+// cache must actually retain an engine between calls.
 func TestRunCachedMatchesRun(t *testing.T) {
 	cache := NewEngineCache()
 	spec := randomEngineSpecs(t, rng.New(7), 1)[0]
@@ -283,12 +287,12 @@ func TestRunCachedMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plain run: %v", err)
 		}
-		got, err := RunCached(cache, spec.build(uint64(50+s)))
+		got, err := runCached(cache, spec.build(uint64(50+s)))
 		if err != nil {
 			t.Fatalf("cached run: %v", err)
 		}
 		if resultSignature(t, got) != resultSignature(t, want) {
-			t.Fatalf("seed %d: RunCached diverged from Run", s)
+			t.Fatalf("seed %d: runCached diverged from Run", s)
 		}
 	}
 	if n := idleEngines(cache); n != 1 {
@@ -323,46 +327,53 @@ func poolMix(s *sim.Scheduler, f buffer.Forward, src *rng.Source) (buffer.Policy
 // TestTimerArmingFactoryDeliversOnEveryPath pins the lifecycle for
 // policies that arm a timer when they are built: the timed mix schedules
 // its first flush inside the factory, so the factory must run after the
-// scheduler reset, on the first run of a fresh engine too. Run, a reused
-// Engine and RunCached must each deliver every packet and agree
-// byte-for-byte.
+// scheduler reset, on the first run of a fresh engine too. Run, RunBorrowed
+// and runCached, the last two sharing one cache and so one reused engine,
+// must each deliver every packet and agree byte-for-byte.
 func TestTimerArmingFactoryDeliversOnEveryPath(t *testing.T) {
 	const count = 40
-	eng, err := NewEngine(mixConfig(t, 1, count, timedMix))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cache := NewEngineCache()
 	for seed := uint64(1); seed <= 3; seed++ {
 		paths := []struct {
 			name string
-			run  func(Config) (*Result, error)
+			run  func(Config, func(*Result) error) error
 		}{
-			{"Run", Run},
-			{"Engine.Run", eng.Run},
-			{"RunCached", func(c Config) (*Result, error) { return RunCached(cache, c) }},
+			{"Run", func(c Config, use func(*Result) error) error { return RunBorrowed(nil, c, use) }},
+			{"RunBorrowed", func(c Config, use func(*Result) error) error { return RunBorrowed(cache, c, use) }},
+			{"runCached", func(c Config, use func(*Result) error) error {
+				res, err := runCached(cache, c)
+				if err != nil {
+					return err
+				}
+				return use(res)
+			}},
 		}
 		var want string
 		for _, path := range paths {
 			cfg := mixConfig(t, seed, count, timedMix)
-			res, err := path.run(cfg)
+			err := path.run(cfg, func(res *Result) error {
+				if got, sent := len(res.Deliveries), count*len(cfg.Sources); got != sent {
+					t.Fatalf("seed %d %s: delivered %d of %d packets", seed, path.name, got, sent)
+				}
+				sig := resultSignature(t, res)
+				if want == "" {
+					want = sig
+				} else if sig != want {
+					t.Fatalf("seed %d: %s diverged from Run", seed, path.name)
+				}
+				return nil
+			})
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, path.name, err)
 			}
-			if got, sent := len(res.Deliveries), count*len(cfg.Sources); got != sent {
-				t.Fatalf("seed %d %s: delivered %d of %d packets", seed, path.name, got, sent)
-			}
-			sig := resultSignature(t, res)
-			if want == "" {
-				want = sig
-			} else if sig != want {
-				t.Fatalf("seed %d: %s diverged from Run", seed, path.name)
-			}
 		}
+	}
+	if n := idleEngines(cache); n != 1 {
+		t.Fatalf("cache holds %d engines after serial runs of one structure, want 1", n)
 	}
 }
 
-// TestRunCachedBypasses pins that RunCached has no bypass left: observed
+// TestRunCachedBypasses pins that the cache has no bypass left: observed
 // runs (a trace recorder, a metrics registry and a sampler) and
 // custom-policy runs go through one shared cache. Over a seed sweep they
 // must match plain Run in trace events, samples, counter values and result
@@ -406,7 +417,7 @@ func TestRunCachedBypasses(t *testing.T) {
 		{"pool-mix", func(seed uint64) Config { return mixConfig(t, seed, 30, poolMix) }},
 	}
 	cache := NewEngineCache()
-	cached := func(c Config) (*Result, error) { return RunCached(cache, c) }
+	cached := func(c Config) (*Result, error) { return runCached(cache, c) }
 	for seed := uint64(1); seed <= 4; seed++ {
 		for _, sh := range shapes {
 			want := observe(t, Run, sh.build(seed))
@@ -431,9 +442,29 @@ func TestRunCachedBypasses(t *testing.T) {
 }
 
 // TestEngineRejectsStructuralMismatch locks in the rearm compatibility
-// contract: structural fields baked into the built engine cannot change
-// between runs.
+// contract: structural fields baked into a built runner cannot change
+// between runs. An EngineCache never hands a runner a config of another
+// structure, so the guard is driven on the runner directly.
 func TestEngineRejectsStructuralMismatch(t *testing.T) {
+	build := func(cfg Config) *runner {
+		t.Helper()
+		resolved, err := resolveConfig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := newRunner(resolved, structureOf(&resolved))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	run := func(r *runner, cfg Config) (*Result, error) {
+		resolved, err := resolveConfig(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return r.runResolved(resolved, structureOf(&resolved), nil)
+	}
 	topo, sources, err := topology.Figure1()
 	if err != nil {
 		t.Fatal(err)
@@ -449,10 +480,7 @@ func TestEngineRejectsStructuralMismatch(t *testing.T) {
 			Seed:     1,
 		}
 	}
-	eng, err := NewEngine(base())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := build(base())
 	for name, mutate := range map[string]func(*Config){
 		"policy":       func(c *Config) { c.Policy = PolicyUnlimited },
 		"capacity":     func(c *Config) { c.Capacity = 4 },
@@ -460,8 +488,8 @@ func TestEngineRejectsStructuralMismatch(t *testing.T) {
 	} {
 		cfg := base()
 		mutate(&cfg)
-		if _, err := eng.Run(cfg); err == nil {
-			t.Errorf("engine accepted a %s change across reuse", name)
+		if _, err := run(r, cfg); err == nil {
+			t.Errorf("runner accepted a %s change across reuse", name)
 		}
 	}
 	line, err := topology.Line(4)
@@ -471,11 +499,11 @@ func TestEngineRejectsStructuralMismatch(t *testing.T) {
 	cfg := base()
 	cfg.Topology = line
 	cfg.Sources = []Source{{Node: line.Sources()[0], Process: proc, Count: 10}}
-	if _, err := eng.Run(cfg); err == nil {
-		t.Error("engine accepted a topology change across reuse")
+	if _, err := run(r, cfg); err == nil {
+		t.Error("runner accepted a topology change across reuse")
 	}
 	// A topology mutated in place keeps its pointer but not its structure:
-	// the engine built on the six-hop line must not route the shortcut run
+	// the runner built on the six-hop line must not route the shortcut run
 	// over its stale routes.
 	line6, err := topology.Line(6)
 	if err != nil {
@@ -488,32 +516,26 @@ func TestEngineRejectsStructuralMismatch(t *testing.T) {
 		Delay:    mustDist(delay.NewExponential(10)),
 		Seed:     3,
 	}
-	lineEng, err := NewEngine(lineCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lineRunner := build(lineCfg)
 	if err := line6.AddLink(6, topology.Sink); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := lineEng.Run(lineCfg); err == nil {
-		t.Errorf("engine accepted a topology mutated in place (hop count %d)", res.Flows[6].HopCount)
+	if res, err := run(lineRunner, lineCfg); err == nil {
+		t.Errorf("runner accepted a topology mutated in place (hop count %d)", res.Flows[6].HopCount)
 	}
-	// The engine stays usable after a rejected rearm is not promised; a
-	// compatible config on a fresh engine must still work.
-	eng2, err := NewEngine(base())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The runner stays usable after a rejected rearm is not promised; a
+	// compatible config on a fresh runner must still work.
 	cfg = base()
 	cfg.Seed = 99
-	if _, err := eng2.Run(cfg); err != nil {
+	if _, err := run(build(base()), cfg); err != nil {
 		t.Fatalf("compatible rearm rejected: %v", err)
 	}
 }
 
 // BenchmarkEngineReuse measures the amortisation the arena-backed engine
 // buys: one sweep-point-like simulation run repeatedly through a reused
-// engine versus a fresh engine per run.
+// engine versus a fresh engine per run. Both sides return owned results, so
+// they differ only in building the engine.
 func BenchmarkEngineReuse(b *testing.B) {
 	build := func(seed uint64) Config {
 		topo, sources, err := topology.Figure1()
@@ -543,14 +565,14 @@ func BenchmarkEngineReuse(b *testing.B) {
 		}
 	})
 	b.Run("reused", func(b *testing.B) {
-		eng, err := NewEngine(build(0))
-		if err != nil {
+		cache := NewEngineCache()
+		if _, err := runCached(cache, build(0)); err != nil { // builds the engine
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(build(uint64(i))); err != nil {
+			if _, err := runCached(cache, build(uint64(i))); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -48,7 +48,6 @@ func (r *runner) failNode(n *node) {
 // loseToFailure counts and traces packets destroyed by a node death.
 func (r *runner) loseToFailure(at packet.NodeID, packets []*packet.Packet) {
 	r.result.LostToFailures += uint64(len(packets))
-	r.tele.onLost(uint64(len(packets)))
 	for _, p := range packets {
 		r.record(trace.Lost, at, p)
 	}

@@ -71,7 +71,6 @@ func (r *runner) attempt(n *node, p *packet.Packet, try int) {
 	dest := n.parent
 	if try > 0 {
 		r.result.Retransmissions++
-		r.tele.onRetransmit()
 		r.recordLink(trace.Retransmit, n.id, dest, p)
 	}
 	if n.link.frameLost() {
@@ -107,7 +106,6 @@ func (f *flight) arrive() {
 			r.retryOrDrop(n, dest, p, try)
 		} else {
 			r.result.LostToFailures++
-			r.tele.onLost(1)
 			r.record(trace.Lost, dest, p)
 		}
 		return
@@ -130,7 +128,6 @@ func (r *runner) retryOrDrop(n *node, dest packet.NodeID, p *packet.Packet, try 
 	arq := r.cfg.ARQ
 	if arq == nil || try >= arq.MaxRetries {
 		r.result.LinkDrops++
-		r.tele.onLinkDrop()
 		r.recordLink(trace.LinkDrop, n.id, dest, p)
 		return
 	}

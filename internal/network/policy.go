@@ -30,7 +30,6 @@ func (r *runner) attachPolicy(n *node) error {
 		kind := trace.Released
 		if preempted {
 			kind = trace.Preempted
-			r.tele.onPreempted()
 		}
 		r.record(kind, n.id, p)
 		r.transmit(n, p)
@@ -88,7 +87,6 @@ func (r *runner) attachPolicy(n *node) error {
 func (r *runner) deliver(n *node, p *packet.Packet) {
 	if n.dead {
 		r.result.LostToFailures++
-		r.tele.onLost(1)
 		r.record(trace.Lost, n.id, p)
 		return
 	}

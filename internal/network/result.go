@@ -61,11 +61,10 @@ func (f *FlowStats) Dropped() uint64 {
 	return f.Created - f.Delivered
 }
 
-// Result is the outcome of one simulation run. A result from Run,
-// Engine.Run or RunCached is owned by the caller: no later run touches it.
-// One that RunBorrowed passes to its callback is borrowed: valid only until
-// the callback returns, after which the engine cache refills it for a
-// later run.
+// Result is the outcome of one simulation run. A result from Run is owned
+// by the caller: no later run touches it. One that RunBorrowed passes to
+// its callback is borrowed: valid only until the callback returns, after
+// which the engine cache refills it for a later run.
 type Result struct {
 	// Deliveries lists sink arrivals in time order.
 	Deliveries []Delivery

@@ -139,20 +139,17 @@ func sameMSE(t *testing.T, label string, got, want *metrics.MSE) {
 }
 
 // TestEngineResultAllocatesOnce gates the copy-free result path on a reused
-// engine running Figure 1. Deliveries is allocated once, at the sources'
-// total count: a lossless run fills it exactly, with no room a regrowth
-// would have left. And nothing on the result path grows with the run's
-// length: the latency samples are sized before they are filled, so a run
-// of 1200 packets per source allocates exactly as often as one of 300.
-// (Both counts exceed 255, so boxing them into the config fingerprint
-// allocates alike.)
+// engine running Figure 1 into fresh, owned results. Deliveries is
+// allocated once, at the sources' total count: a lossless run fills it
+// exactly, with no room a regrowth would have left. And nothing on the
+// result path grows with the run's length: the latency samples are sized
+// before they are filled, so a run of 1200 packets per source allocates
+// exactly as often as one of 300. (Both counts exceed 255, so boxing them
+// into the config fingerprint allocates alike.)
 func TestEngineResultAllocatesOnce(t *testing.T) {
 	large, small := figure1Config(t, PolicyRCAD, 1200), figure1Config(t, PolicyRCAD, 300)
-	eng, err := NewEngine(large)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(large) // warms the pools and the arena at the larger size
+	cache := NewEngineCache()
+	res, err := runCached(cache, large) // warms the pools and the arena at the larger size
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +161,7 @@ func TestEngineResultAllocatesOnce(t *testing.T) {
 	}
 	run := func(cfg Config) func() {
 		return func() {
-			if _, err := eng.Run(cfg); err != nil {
+			if _, err := runCached(cache, cfg); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -65,24 +65,29 @@ type runner struct {
 	// rewinds it, so a reused engine creates packets without touching the
 	// heap. See engine.go.
 	arena pktArena
-	// tele is the telemetry attachment; nil when Config.Telemetry is nil,
-	// and every hook on a nil *telemetryState is a no-op.
+	// tele is the telemetry attachment; nil when Config.Telemetry is nil.
 	tele *telemetryState
 	// id is the construction config's structural identity, which every
 	// run's config must share.
 	id structure
 }
 
-// Run validates cfg, executes the simulation to completion, and returns the
-// result. It is the one-shot form of the engine lifecycle: every run —
-// fresh or on a reused Engine — flows through the identical rearm-and-go
-// path, which is what makes engine reuse byte-identical by construction.
+// Run validates cfg, builds a runner for it and runs the simulation once to
+// completion. The result belongs to the caller. Every run — this one or one
+// on a runner an EngineCache reuses — flows through the identical
+// rearm-and-go path, which is what makes engine reuse byte-identical by
+// construction.
 func Run(cfg Config) (*Result, error) {
-	e, err := NewEngine(cfg)
+	resolved, err := resolveConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(cfg)
+	id := structureOf(&resolved)
+	r, err := newRunner(resolved, id)
+	if err != nil {
+		return nil, err
+	}
+	return r.runResolved(resolved, id, nil)
 }
 
 // resolveConfig validates cfg and fills its defaults, returning the resolved
@@ -219,27 +224,24 @@ func newRunner(cfg Config, id structure) (*runner, error) {
 	return r, nil
 }
 
-// record emits a lifecycle event if tracing is enabled.
+// record is recordLink for an event with no far end.
 func (r *runner) record(kind trace.Kind, node packet.NodeID, p *packet.Packet) {
-	if r.cfg.Tracer == nil {
-		return
-	}
-	r.cfg.Tracer.Record(trace.Event{
-		At:   r.sched.Now(),
-		Kind: kind,
-		Node: node,
-		Flow: p.Truth.Flow,
-		Seq:  p.Truth.Seq,
-	})
+	r.recordLink(kind, node, 0, p)
 }
 
-// recordLink emits a link-layer event naming the far end of the link.
+// recordLink is the one observer call of a packet lifecycle event: it
+// counts the event on the live telemetry counters, if attached, and hands
+// it to the tracer, if any. dest names the far end of a link-layer event.
 func (r *runner) recordLink(kind trace.Kind, node, dest packet.NodeID, p *packet.Packet) {
+	now := r.sched.Now()
+	if r.tele != nil {
+		r.tele.count(kind, now-p.Truth.CreatedAt)
+	}
 	if r.cfg.Tracer == nil {
 		return
 	}
 	r.cfg.Tracer.Record(trace.Event{
-		At:   r.sched.Now(),
+		At:   now,
 		Kind: kind,
 		Node: node,
 		Flow: p.Truth.Flow,

@@ -21,7 +21,6 @@ func (r *runner) arriveAtSink(p *packet.Packet) {
 	// i.e. under ARQ; a reliable or ARQ-less run needs no filter.
 	if r.cfg.ARQ != nil && r.nodes[p.Header.Origin].markDelivered(p.Header.RoutingSeq) {
 		r.result.DuplicatesSuppressed++
-		r.tele.onDuplicate()
 		r.record(trace.Duplicate, topology.Sink, p)
 		return
 	}
@@ -31,7 +30,6 @@ func (r *runner) arriveAtSink(p *packet.Packet) {
 			r.result.SealFailures++
 		}
 	}
-	r.tele.onDelivered(now - p.Truth.CreatedAt)
 	r.record(trace.Delivered, topology.Sink, p)
 	r.result.Deliveries = append(r.result.Deliveries, Delivery{
 		At:     now,

@@ -83,7 +83,6 @@ func (r *runner) createPacket(s Source, seq uint32) {
 		}
 	}
 	r.result.Flows[s.Node].Created++
-	r.tele.onCreated()
 	r.record(trace.Created, s.Node, p)
 	r.deliver(r.nodes[s.Node], p)
 }

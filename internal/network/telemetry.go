@@ -7,12 +7,12 @@ import (
 	"tempriv/internal/packet"
 	"tempriv/internal/sim"
 	"tempriv/internal/telemetry"
+	"tempriv/internal/trace"
 )
 
-// telemetryState is the runner's telemetry attachment. A nil *telemetryState
-// is the disabled state: every hook method is a nil-guarded no-op and the
-// metric handles inside are nil no-ops themselves, so the simulation hot
-// path calls hooks unconditionally.
+// telemetryState is the runner's telemetry attachment; nil is the disabled
+// state. The metric handles inside are nil no-ops themselves when
+// Config.Telemetry carries no registry.
 type telemetryState struct {
 	created     *telemetry.Counter
 	delivered   *telemetry.Counter
@@ -56,54 +56,27 @@ func newTelemetryState(cfg *telemetry.Config) *telemetryState {
 	}
 }
 
-func (t *telemetryState) onCreated() {
-	if t == nil {
-		return
+// count updates the live counter of a packet lifecycle event. latency is
+// the packet's age, observed for a delivery. Admissions, releases and
+// frame losses have no counter.
+func (t *telemetryState) count(kind trace.Kind, latency float64) {
+	switch kind {
+	case trace.Created:
+		t.created.Inc()
+	case trace.Delivered:
+		t.delivered.Inc()
+		t.latency.Observe(latency)
+	case trace.Duplicate:
+		t.duplicates.Inc()
+	case trace.Retransmit:
+		t.retransmits.Inc()
+	case trace.LinkDrop:
+		t.linkDrops.Inc()
+	case trace.Lost:
+		t.lost.Inc()
+	case trace.Preempted:
+		t.preempted.Inc()
 	}
-	t.created.Inc()
-}
-
-func (t *telemetryState) onDelivered(latency float64) {
-	if t == nil {
-		return
-	}
-	t.delivered.Inc()
-	t.latency.Observe(latency)
-}
-
-func (t *telemetryState) onDuplicate() {
-	if t == nil {
-		return
-	}
-	t.duplicates.Inc()
-}
-
-func (t *telemetryState) onRetransmit() {
-	if t == nil {
-		return
-	}
-	t.retransmits.Inc()
-}
-
-func (t *telemetryState) onLinkDrop() {
-	if t == nil {
-		return
-	}
-	t.linkDrops.Inc()
-}
-
-func (t *telemetryState) onLost(n uint64) {
-	if t == nil {
-		return
-	}
-	t.lost.Add(n)
-}
-
-func (t *telemetryState) onPreempted() {
-	if t == nil {
-		return
-	}
-	t.preempted.Inc()
 }
 
 // attachSampler arms the sim-time sampler on the runner's scheduler. Probes

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tempriv/internal/telemetry"
+	"tempriv/internal/trace"
 )
 
 func TestManifestAlwaysPopulated(t *testing.T) {
@@ -93,34 +94,88 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	}
 }
 
+// TestRegistryCountersMatchResult holds each live counter to the Result
+// and to the trace. On a reliable RCAD line, on Figure 1 under ARQ with
+// frame and ACK loss, on Figure 1 with frame loss and no ARQ, and on Figure
+// 1 with a node failure, every counter must equal both the Result's count
+// of its event and the number of trace events of its kind, and the latency
+// histogram must hold every delivery. Between them the configs move every
+// counter.
 func TestRegistryCountersMatchResult(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	cfg := lineConfig(t, 3, PolicyRCAD, 2, 100)
-	cfg.Telemetry = &telemetry.Config{Registry: reg}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	arq := figure1Config(t, PolicyRCAD, 1000)
+	arq.Channel = &ChannelConfig{LossP: 0.2, AckLossP: 0.1}
+	arq.ARQ = DefaultARQ()
+	lossy := figure1Config(t, PolicyRCAD, 1000)
+	lossy.Channel = &ChannelConfig{LossP: 0.1}
+	failing := figure1Config(t, PolicyRCAD, 1000)
+	failing.NodeFailures = []NodeFailure{{Node: 3, At: 100}}
+	moved := make(map[string]bool)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"line", lineConfig(t, 3, PolicyRCAD, 2, 100)},
+		{"figure1-arq", arq},
+		{"figure1-lossy", lossy},
+		{"figure1-failure", failing},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			rec := &trace.Memory{}
+			cfg := tc.cfg
+			cfg.Telemetry = &telemetry.Config{Registry: reg}
+			cfg.Tracer = rec
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := make(map[trace.Kind]uint64)
+			for _, e := range rec.Events() {
+				events[e.Kind]++
+			}
+			var created, preempted uint64
+			for _, f := range res.Flows {
+				created += f.Created
+			}
+			for _, n := range res.Nodes {
+				preempted += n.Preemptions
+			}
+			for _, c := range []struct {
+				metric string
+				kind   trace.Kind
+				want   uint64
+			}{
+				{"tempriv_packets_created_total", trace.Created, created},
+				{"tempriv_packets_delivered_total", trace.Delivered, uint64(len(res.Deliveries))},
+				{"tempriv_duplicates_suppressed_total", trace.Duplicate, res.DuplicatesSuppressed},
+				{"tempriv_retransmissions_total", trace.Retransmit, res.Retransmissions},
+				{"tempriv_link_drops_total", trace.LinkDrop, res.LinkDrops},
+				{"tempriv_lost_to_failures_total", trace.Lost, res.LostToFailures},
+				{"tempriv_preemptions_total", trace.Preempted, preempted},
+			} {
+				got := reg.Counter(c.metric).Value()
+				if got != c.want || events[c.kind] != c.want {
+					t.Errorf("%s = %d and %v trace events = %d, want the result's %d", c.metric, got, c.kind, events[c.kind], c.want)
+				}
+				if got > 0 {
+					moved[c.metric] = true
+				}
+			}
+			h := reg.Histogram("tempriv_delivery_latency")
+			if h.Count() != uint64(len(res.Deliveries)) {
+				t.Fatalf("latency observations = %d, want %d", h.Count(), len(res.Deliveries))
+			}
+			var sum float64
+			for _, d := range res.Deliveries {
+				sum += d.At - d.Truth.CreatedAt
+			}
+			if math.Abs(h.Sum()-sum) > 1e-9*math.Max(1, sum) {
+				t.Fatalf("latency sum = %g, want %g", h.Sum(), sum)
+			}
+		})
 	}
-	var created uint64
-	for _, f := range res.Flows {
-		created += f.Created
-	}
-	if got := reg.Counter("tempriv_packets_created_total").Value(); got != created {
-		t.Fatalf("created counter = %d, want %d", got, created)
-	}
-	if got := reg.Counter("tempriv_packets_delivered_total").Value(); got != uint64(len(res.Deliveries)) {
-		t.Fatalf("delivered counter = %d, want %d", got, len(res.Deliveries))
-	}
-	h := reg.Histogram("tempriv_delivery_latency")
-	if h.Count() != uint64(len(res.Deliveries)) {
-		t.Fatalf("latency observations = %d, want %d", h.Count(), len(res.Deliveries))
-	}
-	var sum float64
-	for _, d := range res.Deliveries {
-		sum += d.At - d.Truth.CreatedAt
-	}
-	if math.Abs(h.Sum()-sum) > 1e-9*math.Max(1, sum) {
-		t.Fatalf("latency sum = %g, want %g", h.Sum(), sum)
+	if len(moved) != 7 {
+		t.Fatalf("only %d of 7 counters moved in any config: %v", len(moved), moved)
 	}
 }
 

@@ -92,7 +92,6 @@ type Scheduler struct {
 	free    []*timerNode // recycled nodes; steady-state At allocates nothing
 	stopped bool
 	fired   uint64
-	host    *processHost // lazily created by Spawn
 
 	// periodicPending counts queued periodic timers. When it equals the
 	// queue length and the FIFO is empty, only probes remain and the
@@ -166,8 +165,6 @@ func (s *Scheduler) Now() float64 { return s.now }
 // between-runs lifecycle operation, the drain half of the engine's
 // drain-and-rearm cycle.
 func (s *Scheduler) Reset() {
-	s.Shutdown() // joins any spawned processes; a no-op without Spawn
-	s.host = nil
 	for i, t := range s.queue {
 		s.queue[i] = nil
 		s.release(t)
@@ -342,16 +339,10 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty, then shuts down any spawned
-// processes and joins their goroutines. It returns the first process-body
-// error if one stopped the simulation, ErrStopped if halted by Stop, and
-// nil otherwise.
+// Run executes events until the queue is empty. It returns ErrStopped if
+// halted by Stop, and nil otherwise.
 func (s *Scheduler) Run() error {
 	for s.Step() {
-	}
-	s.Shutdown()
-	if err := s.processErr(); err != nil {
-		return err
 	}
 	if s.stopped {
 		return ErrStopped

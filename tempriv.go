@@ -114,13 +114,9 @@ type (
 	// VictimSelector picks the packet a full RCAD buffer preempts.
 	VictimSelector = buffer.VictimSelector
 	// Scheduler is the discrete-event simulation kernel, passed to
-	// Config.CustomPolicy factories. Besides callback scheduling (At/After)
-	// it supports process-oriented modelling via Spawn; see Proc.
+	// Config.CustomPolicy factories, which schedule their policy's
+	// callbacks on it (At/After).
 	Scheduler = sim.Scheduler
-	// Proc is a goroutine-backed simulation process created by
-	// Scheduler.Spawn: model code that sleeps in simulated time via Wait.
-	// Exactly one process runs at a time, so models stay deterministic.
-	Proc = sim.Proc
 	// Forward is the callback a buffering policy invokes to release a
 	// packet.
 	Forward = buffer.Forward
@@ -259,44 +255,29 @@ const (
 // k = 10, shortest-remaining victim selection).
 func Run(cfg Config) (*Result, error) { return network.Run(cfg) }
 
-// Engine is a reusable simulation instance: one Engine runs many configs
-// that share the same structural shape (topology, policy kind, capacity,
-// victim rule, rate-control setting), reusing its built routes, buffers,
-// scheduler and packet arena across runs. Every run, the first one
-// included, is armed the same way, and Config.CustomPolicy factories are
-// called again on every run, so Engine.Run(cfg) produces results
-// byte-identical to Run(cfg); reuse is purely an execution optimisation.
-// An Engine is not safe for concurrent use; give each goroutine its own,
-// or share an EngineCache.
-type Engine = network.Engine
-
-// NewEngine builds the structure of a reusable Engine for cfg's shape
-// without arming or running it. Pass each run's full Config to
-// Engine.Run — per-run state (seed, traffic processes, delay
-// distributions, failures, custom policies, tracer and telemetry) is
-// adopted fresh every run. An error from building a buffering policy
-// surfaces from Engine.Run.
-func NewEngine(cfg Config) (*Engine, error) { return network.NewEngine(cfg) }
-
-// EngineCache pools Engines by structural shape: the topology, policy
-// kind, capacity, victim rule and rate-control design point. Runs that
-// differ only in what every run adopts fresh (seed, traffic, delays,
-// channel, ARQ, horizon, failures, observers) share engines, so a sweep
-// builds at most one engine per shape for each run it executes at once,
-// and reuses them for every later point and replicate. Safe for concurrent
-// use: engines are checked out exclusively for the duration of a run.
+// EngineCache pools built simulation engines by structural shape: the
+// topology, policy kind, capacity, victim rule and rate-control design
+// point. Runs through RunBorrowed that differ only in what every run
+// adopts fresh (seed, traffic, delays, channel, ARQ, horizon, failures,
+// observers) share engines, so a sweep builds at most one engine per shape
+// for each run it executes at once, and reuses them for every later point
+// and replicate. The cache also recycles the results it lends. Safe for
+// concurrent use: an engine or a result belongs to one run at a time.
 type EngineCache = network.EngineCache
 
-// NewEngineCache returns an empty engine cache for use with RunCached.
+// NewEngineCache returns an empty engine cache for use with RunBorrowed.
 func NewEngineCache() *EngineCache { return network.NewEngineCache() }
 
-// RunCached is Run through an EngineCache: structurally matching configs
-// reuse a pooled engine, custom-policy and observed (tracer, telemetry)
-// runs included. Only a nil cache falls back to a fresh engine per run.
-// Results are byte-identical to Run either way, and owned by the caller
-// as Run's are.
-func RunCached(cache *EngineCache, cfg Config) (*Result, error) {
-	return network.RunCached(cache, cfg)
+// RunBorrowed is Run through an EngineCache, for a caller that is done
+// with the result when use returns: structurally matching configs reuse a
+// pooled engine, custom-policy and observed (tracer, telemetry) runs
+// included, and use borrows the run's Result, which the cache then refills
+// for a later run. use must not keep the result, or anything it points to.
+// What use sees is byte-identical to Run's result. A nil cache runs once,
+// as Run does. A run error is returned without calling use; otherwise
+// RunBorrowed returns use's error.
+func RunBorrowed(cache *EngineCache, cfg Config, use func(*Result) error) error {
+	return network.RunBorrowed(cache, cfg, use)
 }
 
 // NewLineTopology builds the §3.3 line network: a single source `hops` hops
@@ -641,16 +622,10 @@ func DefaultParams() Params { return experiment.Defaults() }
 
 // ReplicateExperiment runs an experiment under n consecutive seeds and
 // returns the across-seed means with 95% confidence half-widths — the
-// replication the paper's single-run evaluation lacks.
-func ReplicateExperiment(e Experiment, p Params, n int) (*Table, error) {
-	return experiment.ReplicateRun(e, p, n, experiment.ReplicateConfig{Workers: 1})
-}
-
-// ReplicateExperimentParallel is ReplicateExperiment with replications
-// spread over up to workers goroutines (workers <= 0 means one per CPU).
-// Seeds derive from the replication index, and reduction order is fixed,
-// so the table is byte-identical to the serial form for every worker
-// count.
-func ReplicateExperimentParallel(e Experiment, p Params, n, workers int) (*Table, error) {
+// replication the paper's single-run evaluation lacks. The replications
+// are spread over up to workers goroutines (workers <= 0 means one per
+// CPU). Seeds derive from the replication index, and reduction order is
+// fixed, so the table is byte-identical for every worker count.
+func ReplicateExperiment(e Experiment, p Params, n, workers int) (*Table, error) {
 	return experiment.ReplicateRun(e, p, n, experiment.ReplicateConfig{Workers: workers})
 }

@@ -2,6 +2,7 @@ package tempriv
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,46 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 	if mse.Value() <= 0 {
 		t.Fatal("RCAD produced zero adversary error under load")
+	}
+}
+
+// TestRunBorrowedFacade runs seeds through one EngineCache: each borrowed
+// result must hold exactly the deliveries of Run's result for its seed.
+func TestRunBorrowedFacade(t *testing.T) {
+	topo, err := NewLineTopology(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc, err := PeriodicTraffic(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := ExponentialDelay(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Topology: topo,
+		Sources:  []Source{{Node: 5, Process: proc, Count: 200}},
+		Policy:   PolicyRCAD,
+		Delay:    dist,
+	}
+	cache := NewEngineCache()
+	for seed := uint64(1); seed <= 3; seed++ {
+		cfg.Seed = seed
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = RunBorrowed(cache, cfg, func(res *Result) error {
+			if !reflect.DeepEqual(res.Deliveries, want.Deliveries) {
+				t.Fatalf("seed %d: borrowed deliveries differ from Run's", seed)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
