@@ -94,7 +94,7 @@ func run(args []string) (err error) {
 	// produce one stderr diagnostic and a non-zero exit, never a partial
 	// stdout report or a half-created artifact file.
 	if err := validateFlags(flagValues{
-		policy: *policyName, interarrival: *interarrival, packets: *packets,
+		policy: *policyName, adversary: *advName, interarrival: *interarrival, packets: *packets,
 		meanDelay: *meanDelay, capacity: *capacity, tau: *tau,
 		threshold: *threshold, targetLoss: *targetLoss,
 		hops: *hops, gridW: *gridW, gridH: *gridH,
@@ -226,12 +226,13 @@ func run(args []string) (err error) {
 		cleanups = append(cleanups, f.Close, em.Close)
 		emitters = append(emitters, em)
 	}
+	var promEm tempriv.TelemetryEmitter
 	if *promOut != "" {
-		em, err := tempriv.NewPromFileEmitter(reg, *promOut)
+		promEm, err = tempriv.NewPromFileEmitter(reg, *promOut)
 		if err != nil {
 			return err
 		}
-		emitters = append(emitters, em)
+		emitters = append(emitters, promEm)
 	}
 	if reg != nil {
 		tcfg := &tempriv.TelemetryConfig{Registry: reg, SampleHeap: true}
@@ -277,6 +278,15 @@ func run(args []string) (err error) {
 	})
 	if err != nil {
 		return err
+	}
+	if promEm != nil {
+		// The sampler's last tick falls at or before the run's last event,
+		// so the snapshot it left can miss the final deliveries. Rewrite it
+		// once with the final counters and the run's sim time.
+		reg.Gauge("tempriv_sim_time").Set(manifest.SimDuration)
+		if err := promEm.Emit(tempriv.TelemetrySample{At: manifest.SimDuration}); err != nil {
+			return err
+		}
 	}
 	if *replicate > 1 {
 		for i := 1; i < *replicate; i++ {
@@ -324,7 +334,7 @@ const maxPlacementAttempts = 10
 
 // flagValues carries the numeric flags through validation.
 type flagValues struct {
-	policy                              string
+	policy, adversary                   string
 	interarrival                        float64
 	packets, capacity                   int
 	meanDelay, tau, threshold           float64
@@ -338,10 +348,15 @@ type flagValues struct {
 	arqTimeout, arqBackoff, sampleEvery float64
 }
 
-// validateFlags range-checks every numeric flag up front, so misuse fails
-// before the simulator, the trace file or the debug server produce any
-// output.
+// validateFlags range-checks every numeric flag and checks the adversary
+// name up front, so misuse fails before the simulator, the trace file or the
+// debug server produce any output.
 func validateFlags(v flagValues) error {
+	switch v.adversary {
+	case "baseline", "adaptive", "path-aware":
+	default:
+		return fmt.Errorf("unknown adversary %q", v.adversary)
+	}
 	if !(v.interarrival > 0) {
 		return fmt.Errorf("-interarrival must be > 0, got %v", v.interarrival)
 	}

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -94,6 +96,85 @@ func TestPromFlagWritesSnapshot(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("prom snapshot missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	runErr := fn()
+	os.Stdout = stdout
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	text := <-out
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return text
+}
+
+// TestPromSnapshotMatchesReport: the -prom file holds the run's final
+// counters and sim time, as the printed report does, not those of the
+// sampler's last tick, which falls before the run's last delivery.
+func TestPromSnapshotMatchesReport(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "p.prom")
+	stdout := captureStdout(t, func() error {
+		return run([]string{"-policy", "delay-droptail", "-packets", "60", "-topo", "line", "-hops", "3",
+			"-prom", out})
+	})
+	m := regexp.MustCompile(`deliveries=(\d+) sim-duration=(\S+)`).FindStringSubmatch(stdout)
+	if m == nil {
+		t.Fatalf("no run manifest line in the report:\n%s", stdout)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom := map[string]string{}
+	for _, line := range strings.Split(string(b), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			prom[name] = value
+		}
+	}
+	if got := prom["tempriv_packets_delivered_total"]; got != m[1] {
+		t.Errorf("snapshot delivered %s, report %s", got, m[1])
+	}
+	wantTime, err := strconv.ParseFloat(m[2], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := strconv.ParseFloat(prom["tempriv_sim_time"], 64); err != nil || got != wantTime {
+		t.Errorf("snapshot sim time %q, report %v", prom["tempriv_sim_time"], wantTime)
+	}
+}
+
+// TestUnknownAdversaryCreatesNoArtifacts: an unknown -adversary is a flag
+// error, caught before the run, so it creates neither the trace nor the
+// telemetry file.
+func TestUnknownAdversaryCreatesNoArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	trace, tel := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "tel.jsonl")
+	err := run([]string{"-adversary", "bogus", "-packets", "50", "-trace", trace, "-telemetry", tel})
+	if err == nil || !strings.Contains(err.Error(), `unknown adversary "bogus"`) {
+		t.Fatalf("run = %v, want an unknown-adversary error", err)
+	}
+	for _, path := range []string{trace, tel} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s exists after the rejected run (stat: %v)", filepath.Base(path), err)
 		}
 	}
 }

@@ -14,6 +14,13 @@ import (
 // for either to finish. Neither may be journaled as failed: the next boot
 // on the same journal re-enqueues both, resumes the interrupted one from
 // its chunks, and runs both to done.
+// drainScenario is slowScenario with ten times the packets. After its first
+// chunk lands it still has seven replicates to run, far longer than the
+// 50 ms drain timeout, so the drain interrupts it even on a loaded host;
+// slowScenario's could finish inside the timeout and leave the restart
+// nothing to resume.
+const drainScenario = `{"version":1,"experiment":{"id":"fig3","packets":4000,"interarrivals":[2,4],"replicates":8,"seed":7}}`
+
 func TestDrainTimeoutRunsJobsAfterRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-boot e2e")
@@ -23,8 +30,8 @@ func TestDrainTimeoutRunsJobsAfterRestart(t *testing.T) {
 
 	base, shutdown := startDaemon(t, args...)
 	waitReady(t, base)
-	running := postJob(t, base, slowScenario)
-	queued := postJob(t, base, strings.Replace(slowScenario, `"seed":7`, `"seed":8`, 1))
+	running := postJob(t, base, drainScenario)
+	queued := postJob(t, base, strings.Replace(drainScenario, `"seed":7`, `"seed":8`, 1))
 	waitChunks(t, base, running.ID, 1)
 	if err := shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)

@@ -14,10 +14,10 @@
 // delay, which keeps realised delays closest to the intended distribution —
 // against alternatives.
 //
-// A buffer owns the release timing of the packets it holds: Admit schedules
-// a release event on the simulation scheduler, and the configured forward
-// function is invoked when the packet leaves. Buffers are not safe for
-// concurrent use; each simulated node owns one and the simulation is
+// A buffer owns the release timing of the packets it holds: Admit arms the
+// packet's release event on the simulation scheduler, and the configured
+// forward function is invoked when the packet leaves. Buffers are not safe
+// for concurrent use; each simulated node owns one and the simulation is
 // single-goroutine.
 package buffer
 
@@ -86,6 +86,8 @@ type Policy interface {
 
 // Entry is a buffered packet visible to victim selectors.
 type Entry struct {
+	release sim.Event // armed for ReleaseAt while the packet is buffered
+
 	// Packet is the buffered packet.
 	Packet *packet.Packet
 	// ArrivedAt is when the packet entered this buffer.
@@ -93,18 +95,20 @@ type Entry struct {
 	// ReleaseAt is when the packet's sampled delay expires.
 	ReleaseAt float64
 
-	timer sim.Timer
 	index int // position in the owning buffer's entries slice
-
-	// owner and fireFn are bound once when the entry is first minted by its
-	// buffer; recycled entries keep them, so a steady-state Admit schedules a
-	// pre-existing func value and allocates nothing.
-	owner  *base
-	fireFn func()
+	owner *base
 }
 
-// fire is the entry's release-timer callback: the sampled delay expired.
-func (e *Entry) fire() { e.owner.release(e, false) }
+// releaser is an Entry seen as the handler of its release event. The
+// conversion costs nothing, so binding the handler allocates nothing, and
+// Entry itself exposes no Fire method.
+type releaser Entry
+
+// Fire runs when the entry's sampled delay expires.
+func (r *releaser) Fire() {
+	e := (*Entry)(r)
+	e.owner.release(e, false)
+}
 
 // RemainingAt returns the delay remaining at time now.
 func (e *Entry) RemainingAt(now float64) float64 { return e.ReleaseAt - now }
@@ -210,7 +214,7 @@ func SelectorByName(name string) (VictimSelector, error) {
 }
 
 // base carries the machinery shared by all policies: the entries slice, the
-// release timers, and stats upkeep. Buffer sizes in every experiment are
+// release events, and stats upkeep. Buffer sizes in every experiment are
 // tens of slots, so linear scans over the entries slice are simpler and no
 // slower than maintaining auxiliary heaps per victim rule.
 type base struct {
@@ -218,6 +222,8 @@ type base struct {
 	forward Forward
 	entries []*Entry
 	free    []*Entry // recycled entries; steady-state Admit allocates nothing
+	spare   []Entry  // the newest chunk's entries not yet handed out
+	minted  int      // entries in all chunks so far
 	stats   Stats
 }
 
@@ -245,8 +251,11 @@ func (b *base) observeOccupancy() {
 	}
 }
 
-// acquireEntry pops a recycled entry or mints one with its release callback
-// bound.
+// acquireEntry pops a recycled entry, or hands out a fresh one from the
+// newest chunk. Each chunk is as large as all earlier ones together (4, 4,
+// 8, 16, …), so a buffer mints its entries in a handful of allocations and
+// never holds more than about twice its peak occupancy. A fresh entry's
+// release handler is bound here, once: recycled entries keep it.
 func (b *base) acquireEntry() *Entry {
 	if k := len(b.free); k > 0 {
 		e := b.free[k-1]
@@ -254,8 +263,14 @@ func (b *base) acquireEntry() *Entry {
 		b.free = b.free[:k-1]
 		return e
 	}
-	e := &Entry{owner: b}
-	e.fireFn = e.fire
+	if len(b.spare) == 0 {
+		b.spare = make([]Entry, max(4, b.minted))
+		b.minted += len(b.spare)
+	}
+	e := &b.spare[0]
+	b.spare = b.spare[1:]
+	e.owner = b
+	e.release.Bind((*releaser)(e))
 	return e
 }
 
@@ -265,13 +280,13 @@ func (b *base) recycleEntry(e *Entry) {
 	b.free = append(b.free, e)
 }
 
-// insert buffers p until now+delay and schedules its release.
+// insert buffers p until now+delay and arms its release.
 func (b *base) insert(p *packet.Packet, delay float64) *Entry {
 	now := b.sched.Now()
 	e := b.acquireEntry()
 	e.Packet, e.ArrivedAt, e.ReleaseAt, e.index = p, now, now+delay, len(b.entries)
 	b.entries = append(b.entries, e)
-	e.timer = b.sched.At(e.ReleaseAt, e.fireFn)
+	b.sched.Arm(&e.release, e.ReleaseAt)
 	b.observeOccupancy()
 	return e
 }
@@ -285,14 +300,14 @@ func (b *base) remove(e *Entry) {
 	b.entries = b.entries[:last]
 }
 
-// release forwards a buffered packet, due either to its timer expiring
+// release forwards a buffered packet, due either to its delay expiring
 // (preempted == false) or to preemption (preempted == true). The entry is
 // recycled before the forward call so downstream processing that lands a
 // packet back in this buffer (a preemption cascade, a short loop) reuses it
 // immediately — mirroring the kernel's release-before-run idiom.
 func (b *base) release(e *Entry, preempted bool) {
 	if preempted {
-		b.sched.Cancel(e.timer)
+		b.sched.Disarm(&e.release)
 	}
 	b.remove(e)
 	b.stats.Departures++
@@ -303,7 +318,7 @@ func (b *base) release(e *Entry, preempted bool) {
 	b.forward(p, preempted)
 }
 
-// Evacuate cancels every pending release and removes all buffered packets,
+// Evacuate disarms every pending release and removes all buffered packets,
 // returning them to the caller. The network simulator uses it to model node
 // failure: a dead node's buffer contents are lost. Evacuated packets count
 // as neither departures nor drops in the buffer's stats — the caller owns
@@ -311,7 +326,7 @@ func (b *base) release(e *Entry, preempted bool) {
 func (b *base) Evacuate() []*packet.Packet {
 	out := make([]*packet.Packet, 0, len(b.entries))
 	for i, e := range b.entries {
-		b.sched.Cancel(e.timer)
+		b.sched.Disarm(&e.release)
 		out = append(out, e.Packet)
 		b.recycleEntry(e)
 		b.entries[i] = nil
@@ -322,7 +337,7 @@ func (b *base) Evacuate() []*packet.Packet {
 }
 
 // Reset rearms the buffer for a fresh run on a reset scheduler: any leftover
-// entries are recycled (their release timers died with the scheduler reset)
+// entries are recycled (the scheduler reset disarmed their release events)
 // and the stats restart from zero, in place, so the pointer Stats returned
 // stays valid. The entry pool survives — a reset buffer re-enters steady
 // state warm. Policies holding private randomness (Preemptive) must

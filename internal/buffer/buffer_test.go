@@ -659,6 +659,65 @@ func TestResetSurvivesMidFlightEntries(t *testing.T) {
 	}
 }
 
+// TestEntryChunkAllocatesOnce: a fresh buffer mints its entries in chunks,
+// each as large as all earlier ones together (4, 4, 8, 16, …), so handing
+// out n fresh entries costs one allocation per chunk, and binding each
+// entry's release handler costs none. The pool never holds more than about
+// twice the entries handed out.
+func TestEntryChunkAllocatesOnce(t *testing.T) {
+	const runs = 10
+	for _, tc := range []struct{ n, chunks int }{
+		{1, 1}, {4, 1}, {5, 2}, {8, 2}, {9, 3}, {16, 3}, {17, 4}, {100, 6},
+	} {
+		fresh := make([]base, runs+1) // AllocsPerRun calls its function runs+1 times
+		k := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			b := &fresh[k]
+			k++
+			for i := 0; i < tc.n; i++ {
+				b.acquireEntry()
+			}
+		})
+		if allocs != float64(tc.chunks) {
+			t.Errorf("%d fresh entries: %v allocations, want %d (one per chunk)", tc.n, allocs, tc.chunks)
+		}
+		if minted := fresh[0].minted; minted > max(4, 2*tc.n) {
+			t.Errorf("%d fresh entries: the pool minted %d", tc.n, minted)
+		}
+	}
+}
+
+// TestWarmRCADCycleAllocationFree: once a k = 10 RCAD buffer has been
+// through one cycle, the next ones — admitting twelve packets, so the last
+// two each preempt a victim, then releasing the rest as their delays expire
+// — allocate nothing, and its pool holds 16 entries.
+func TestWarmRCADCycleAllocationFree(t *testing.T) {
+	sched := sim.NewScheduler()
+	buf, err := NewPreemptive(sched, func(*packet.Packet, bool) {}, 10, ShortestRemaining{}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	delays := rng.New(2)
+	p := packet.New(1, 0, 0)
+	cycle := func() {
+		for i := 0; i < 12; i++ {
+			buf.Admit(p, delays.Exponential(30))
+		}
+		for sched.Step() {
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("warm RCAD admit/preempt/release cycle allocates %v times, want 0", allocs)
+	}
+	if got := buf.Stats().Preemptions; got != 2*102 {
+		t.Errorf("preemptions = %d, want %d", got, 2*102)
+	}
+	if buf.minted != 16 {
+		t.Errorf("a k = 10 buffer minted %d entries, want 16", buf.minted)
+	}
+}
+
 // BenchmarkWarmAdmitRelease measures the pooled admit/release fast path the
 // engine hits for every forwarded packet once the entry pool is warm.
 func BenchmarkWarmAdmitRelease(b *testing.B) {

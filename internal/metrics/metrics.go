@@ -10,8 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Welford accumulates count, mean and variance in a single numerically
@@ -346,21 +346,18 @@ type LatencyReport struct {
 type Latency struct {
 	w       Welford
 	samples []float64
-	sorted  bool
 }
 
 // Add records one delivery latency.
 func (l *Latency) Add(v float64) {
 	l.w.Add(v)
 	l.samples = append(l.samples, v)
-	l.sorted = false
 }
 
 // Reset empties the collector for reuse, keeping room for n samples.
 func (l *Latency) Reset(n int) {
 	l.w = Welford{}
 	l.samples = slices.Grow(l.samples[:0], n)
-	l.sorted = false
 }
 
 // Count returns the number of recorded latencies.
@@ -369,29 +366,70 @@ func (l *Latency) Count() uint64 { return l.w.Count() }
 // Mean returns the average latency.
 func (l *Latency) Mean() float64 { return l.w.Mean() }
 
-// quantile returns the empirical q-quantile of the recorded samples.
-func (l *Latency) quantile(q float64) float64 {
-	if len(l.samples) == 0 {
-		return 0
-	}
-	if !l.sorted {
-		sort.Float64s(l.samples)
-		l.sorted = true
-	}
-	idx := int(q * float64(len(l.samples)-1))
-	return l.samples[idx]
-}
-
-// Report summarises the recorded latencies.
+// Report summarises the recorded latencies. Each percentile is the
+// empirical q-quantile, the order statistic at index ⌊q·(n−1)⌋, found by
+// selection rather than by sorting every sample. An order statistic's value
+// does not depend on how it is found, and latencies are at least one hop's
+// τ > 0, so there is no NaN, nor a ±0 whose sign an algorithm could pick.
+// Report leaves the samples reordered.
 func (l *Latency) Report() LatencyReport {
-	return LatencyReport{
+	r := LatencyReport{
 		Count: l.w.Count(),
 		Mean:  l.w.Mean(),
 		Std:   l.w.Std(),
 		Min:   l.w.Min(),
 		Max:   l.w.Max(),
-		P50:   l.quantile(0.50),
-		P95:   l.quantile(0.95),
-		P99:   l.quantile(0.99),
+	}
+	if n := len(l.samples); n > 0 {
+		s := l.samples
+		i50, i95, i99 := int(0.50*float64(n-1)), int(0.95*float64(n-1)), int(0.99*float64(n-1))
+		// Each selection leaves nothing smaller after its index, so the
+		// next, higher order statistic lies in the tail.
+		selectNth(s, i50)
+		selectNth(s[i50:], i95-i50)
+		selectNth(s[i95:], i99-i95)
+		r.P50, r.P95, r.P99 = s[i50], s[i95], s[i99]
+	}
+	return r
+}
+
+// selectNth reorders a so that a[k] holds the value sorting would put
+// there, with nothing larger before it and nothing smaller after. It is
+// quickselect with a median-of-three pivot and a three-way partition, so
+// runs of equal values (an undelayed flow's latencies are all one value)
+// stay linear; should the pivots keep failing, it sorts what is left, so
+// the worst case is O(n log n). a must hold no NaN.
+func selectNth(a []float64, k int) {
+	lo, hi := 0, len(a)
+	for budget := 2 * bits.Len(uint(len(a))); hi-lo > 1; budget-- {
+		if budget == 0 {
+			slices.Sort(a[lo:hi])
+			return
+		}
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi-1]
+		p := max(min(x, y), min(max(x, y), z))
+		// [lo, lt) < p, [lt, i) == p, [gt, hi) > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < p:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				a[gt], a[i] = v, a[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
 	}
 }

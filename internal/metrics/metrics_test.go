@@ -3,6 +3,7 @@ package metrics
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -294,11 +295,62 @@ func TestLatencyInterleavedAddAndReport(t *testing.T) {
 	var l Latency
 	l.Add(3)
 	l.Add(1)
-	_ = l.Report() // sorts
-	l.Add(2)       // must re-sort on next report
+	_ = l.Report() // reorders the samples
+	l.Add(2)       // the next report selects over all three
 	r := l.Report()
 	if r.P50 != 2 {
 		t.Fatalf("p50 after interleaved add = %v, want 2", r.P50)
+	}
+}
+
+// TestLatencySelectionMatchesSort holds Report's selected percentiles to the
+// sorted reference, bit for bit, for every n from 1 to 2000 on positive
+// inputs with many duplicates, and on runs that are constant, ascending and
+// descending.
+func TestLatencySelectionMatchesSort(t *testing.T) {
+	src := rng.New(20261019)
+	check := func(name string, xs []float64) {
+		t.Helper()
+		var l Latency
+		for _, x := range xs {
+			l.Add(x)
+		}
+		r := l.Report()
+		sorted := slices.Clone(xs)
+		slices.Sort(sorted)
+		n := len(xs)
+		for _, c := range []struct {
+			q   float64
+			got float64
+		}{{0.50, r.P50}, {0.95, r.P95}, {0.99, r.P99}} {
+			want := sorted[int(c.q*float64(n-1))]
+			if math.Float64bits(c.got) != math.Float64bits(want) {
+				t.Fatalf("%s, n=%d: P%v = %v, sorted reference %v", name, n, c.q*100, c.got, want)
+			}
+		}
+	}
+	for n := 1; n <= 2000; n++ {
+		levels := 1 + src.Intn(n) // a few distinct values, or nearly all distinct
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = 1 + float64(src.Intn(levels))*0.25
+			if src.Intn(4) == 0 {
+				xs[i] = 1 + src.Exponential(30)
+			}
+		}
+		check("random", xs)
+		if n%97 == 0 {
+			for i := range xs {
+				xs[i] = 4
+			}
+			check("constant", xs)
+			for i := range xs {
+				xs[i] = float64(1 + i)
+			}
+			check("ascending", xs)
+			slices.Reverse(xs)
+			check("descending", xs)
+		}
 	}
 }
 

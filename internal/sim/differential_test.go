@@ -2,16 +2,19 @@ package sim
 
 // Differential check of the refactored kernel against the pre-refactor
 // container/heap kernel (legacy_kernel_test.go): randomized workloads of
-// schedules, fixed-delay schedules, cancels, reschedules and periodic
-// probes — including same-instant ties and actions taken from inside firing
-// callbacks — run through RunUntil horizons, a Reset and a final Run, and
-// must produce the identical fired-event sequence on both. Every
-// Cancel/Reschedule call must report the identical outcome. Fixed-delay
-// events go through AfterFixed on the kernel and through plain After on the
-// legacy side, so the FIFO is held to the heap's (time, seq) order. This is
-// the determinism contract the kernel rides on: identical (time, seq) total
-// order means sweep tables, trace goldens and scenario fingerprint cache
-// keys stay byte-identical.
+// pooled schedules, owned events, fixed-delay schedules, disarms,
+// reschedules, re-arms and periodic probes — including same-instant ties
+// and actions taken from inside firing callbacks — run through RunUntil
+// horizons, a Reset and a final Run, and must produce the identical
+// fired-event sequence on both. Every disarm, reschedule and re-arm must
+// report the identical outcome. The kernel drives cancellable events as
+// owned Events (Arm, Disarm, Disarm then Arm); the legacy side uses its
+// timer handles, and re-arms by scheduling the fired or cancelled timer's
+// callback anew. Fixed-delay events go through AfterFixed on the kernel and
+// through plain After on the legacy side, so the FIFO is held to the heap's
+// (time, seq) order. This is the determinism contract the kernel rides on:
+// identical (time, seq) total order means sweep tables, trace goldens and
+// scenario fingerprint cache keys stay byte-identical.
 
 import (
 	"math"
@@ -23,22 +26,33 @@ import (
 
 // diffAction kinds.
 const (
-	actSchedule   = iota // After(delay) with its own script
-	actCancel            // Cancel(target)
-	actReschedule        // Reschedule(target, now+delay)
+	actSchedule   = iota // schedule delay ahead with its own script
+	actCancel            // disarm target
+	actReschedule        // move target to now+delay if it is queued
 	actFixed             // AfterFixed(delay) with its own script; no handle
+	actRearm             // arm target again at now+delay if it is not queued
 )
+
+// maxRearms bounds how often one id is re-armed, so an event that re-arms
+// itself, or two that re-arm each other, cannot run forever.
+const maxRearms = 2
+
+// pooledID reports whether a scheduled (non-fixed) event with this id goes
+// on a pooled, fire-and-forget event rather than an owned one. Pooled
+// events have no handle, so actions that target them do nothing on both
+// kernels.
+func pooledID(id int) bool { return id%3 == 2 }
 
 // diffAction is one scripted side effect a firing event performs.
 type diffAction struct {
 	kind   int
-	target int // timer id for cancel/reschedule
+	target int // event id for disarm/reschedule/re-arm
 	delay  float64
-	newID  int          // id of the timer a schedule action creates
-	script []diffAction // the created timer's own script
+	newID  int          // id of the event a schedule action creates
+	script []diffAction // the created event's own script
 }
 
-// diffEvent is one initially scheduled timer: at an absolute time, or —
+// diffEvent is one initially scheduled event: at an absolute time, or —
 // when fixed — through AfterFixed with delay when.
 type diffEvent struct {
 	id     int
@@ -60,8 +74,8 @@ type diffProgram struct {
 }
 
 // diffLog records what a kernel did: the fired sequence, each
-// cancel/reschedule outcome in call order, and the clock and pending count
-// after every RunUntil.
+// disarm/reschedule/re-arm outcome in call order, and the clock and pending
+// count after every RunUntil.
 type diffLog struct {
 	firedAt  []float64
 	firedID  []int
@@ -94,7 +108,7 @@ func genProgram(src *rng.Source, canReset bool) diffProgram {
 	genScript = func(depth, n int) []diffAction {
 		out := make([]diffAction, 0, n)
 		for i := 0; i < n; i++ {
-			switch k := src.Intn(4); k {
+			switch k := src.Intn(5); k {
 			case actSchedule, actFixed:
 				if depth >= 2 {
 					continue
@@ -106,11 +120,11 @@ func genProgram(src *rng.Source, canReset bool) diffProgram {
 				nextID++
 				a.script = genScript(depth+1, src.Intn(4))
 				out = append(out, a)
-			case actCancel, actReschedule:
+			case actCancel, actReschedule, actRearm:
 				// Target any id allocated so far; some will already have
-				// fired or been cancelled, some not created yet, and
-				// fixed-delay ones have no handle — each case must behave
-				// identically on both kernels.
+				// fired or been disarmed, some not created yet, and
+				// fixed-delay and pooled ones have no handle — each case
+				// must behave identically on both kernels.
 				if nextID == 0 {
 					continue
 				}
@@ -157,14 +171,16 @@ func genProgram(src *rng.Source, canReset bool) diffProgram {
 	return p
 }
 
-// diffKernel is the surface replay drives; H is the kernel's timer handle.
+// diffKernel is the surface replay drives; H is the kernel's handle to a
+// cancellable event.
 type diffKernel[H any] interface {
 	Now() float64
-	At(when float64, fn func()) H
-	After(delay float64, fn func()) H
-	Fixed(delay float64, fn func())
-	Cancel(h H) bool
-	Reschedule(h H, when float64) bool
+	At(when float64, fn func())        // pooled, fire-and-forget
+	Owned(when float64, fn func()) H   // cancellable
+	Fixed(delay float64, fn func())    // fixed delay, fire-and-forget
+	Cancel(h H) bool                   // disarm if queued
+	Reschedule(h H, when float64) bool // move if queued
+	Rearm(h H, when float64) bool      // arm again if not queued
 	Probe(interval float64, fn func(now float64))
 	RunUntil(horizon float64) error
 	Run() error
@@ -176,20 +192,33 @@ type diffKernel[H any] interface {
 func replay[H any](k diffKernel[H], p diffProgram) diffLog {
 	var lg diffLog
 	handles := make(map[int]H)
+	rearms := make(map[int]int)
 	var exec func(id int, script []diffAction) func()
+	schedule := func(id int, when float64, script []diffAction) {
+		if pooledID(id) {
+			k.At(when, exec(id, script))
+			return
+		}
+		handles[id] = k.Owned(when, exec(id, script))
+	}
 	perform := func(script []diffAction) {
 		for _, a := range script {
+			h, ok := handles[a.target]
 			switch a.kind {
 			case actSchedule:
-				handles[a.newID] = k.After(a.delay, exec(a.newID, a.script))
+				schedule(a.newID, k.Now()+a.delay, a.script)
 			case actFixed:
 				k.Fixed(a.delay, exec(a.newID, a.script))
 			case actCancel:
-				h, ok := handles[a.target]
 				lg.outcomes = append(lg.outcomes, ok && k.Cancel(h))
 			case actReschedule:
-				h, ok := handles[a.target]
 				lg.outcomes = append(lg.outcomes, ok && k.Reschedule(h, k.Now()+a.delay))
+			case actRearm:
+				ok = ok && rearms[a.target] < maxRearms && k.Rearm(h, k.Now()+a.delay)
+				if ok {
+					rearms[a.target]++
+				}
+				lg.outcomes = append(lg.outcomes, ok)
 			}
 		}
 	}
@@ -204,7 +233,7 @@ func replay[H any](k diffKernel[H], p diffProgram) diffLog {
 		if e.fixed {
 			k.Fixed(e.when, exec(e.id, e.script))
 		} else {
-			handles[e.id] = k.At(e.when, exec(e.id, e.script))
+			schedule(e.id, e.when, e.script)
 		}
 	}
 	for i, interval := range p.probes {
@@ -231,18 +260,23 @@ func replay[H any](k diffKernel[H], p diffProgram) diffLog {
 	return lg
 }
 
-// diffCoverage counts how often the trials reach the FIFO's and the heap's
-// edge cases, so the differential can prove it exercised each of them.
+// diffCoverage counts how often the trials reach the FIFO's, the heap's
+// and the owned events' edge cases, so the differential can prove it
+// exercised each of them.
 type diffCoverage struct {
-	ties         int // a FIFO event and a heap event fired at one instant
-	delayChange  int // AfterFixed fell back to the heap
-	splitStop    int // RunUntil stopped with FIFO and heap events both pending
-	probesOnly   int // a probe fired while the heap held only probes
-	resetFIFO    int // Reset with FIFO entries pending
-	siblingTies  int // a fire left two children of one heap parent at one time
-	partialGroup int // a fire left the heap's last parent with 1–3 children
-	negZero      int // an event fired at -0
-	posInf       int // an event fired at +Inf
+	ties          int // a FIFO event and a heap event fired at one instant
+	delayChange   int // AfterFixed fell back to the heap
+	splitStop     int // RunUntil stopped with FIFO and heap events both pending
+	probesOnly    int // a probe fired while the heap held only probes
+	resetFIFO     int // Reset with FIFO entries pending
+	siblingTies   int // a fire left two children of one heap parent at one time
+	partialGroup  int // a fire left the heap's last parent with 1–3 children
+	negZero       int // an event fired at -0
+	posInf        int // an event fired at +Inf
+	disarmQueued  int // an owned event disarmed while queued
+	disarmInside  int // ...from inside an event callback
+	rearmFired    int // an owned event armed again after it fired
+	climbingRefil int // a pop's refilled event climbed at least one level
 }
 
 // fifoKernel adapts the Scheduler to diffKernel and records coverage.
@@ -251,6 +285,27 @@ type fifoKernel struct {
 	cov       *diffCoverage
 	lastAt    float64
 	lastFixed int // 1 FIFO, 0 heap, -1 nothing fired yet
+	depth     int // callbacks running
+	fired     map[*Event]bool
+	refill    *Event // the heap's last event before the current Step
+}
+
+func newFifoKernel(cov *diffCoverage) *fifoKernel {
+	return &fifoKernel{Scheduler: NewScheduler(), cov: cov, lastFixed: -1, fired: make(map[*Event]bool)}
+}
+
+// run wraps fn as the callback of an event from the given queue (1 FIFO,
+// 0 heap); ev is the owned event it belongs to, or nil.
+func (k *fifoKernel) run(queue int, ev *Event, fn func()) func() {
+	return func() {
+		k.fire(queue)
+		if ev != nil {
+			k.fired[ev] = true
+		}
+		k.depth++
+		fn()
+		k.depth--
+	}
 }
 
 func (k *fifoKernel) Fixed(delay float64, fn func()) {
@@ -259,21 +314,75 @@ func (k *fifoKernel) Fixed(delay float64, fn func()) {
 		k.cov.delayChange++
 		queue = 0 // falls back to the heap
 	}
-	k.AfterFixed(delay, func() {
-		k.fire(queue)
-		fn()
-	})
+	k.AfterFixed(delay, k.run(queue, nil, fn))
 }
 
-func (k *fifoKernel) At(when float64, fn func()) Timer {
-	return k.Scheduler.At(when, func() {
-		k.fire(0)
-		fn()
-	})
+func (k *fifoKernel) At(when float64, fn func()) {
+	k.Scheduler.At(when, k.run(0, nil, fn))
 }
 
-func (k *fifoKernel) After(delay float64, fn func()) Timer {
-	return k.At(k.Now()+delay, fn)
+func (k *fifoKernel) Owned(when float64, fn func()) *Event {
+	ev := new(Event)
+	ev.Bind(HandlerFunc(k.run(0, ev, fn)))
+	k.Arm(ev, when)
+	return ev
+}
+
+func (k *fifoKernel) Cancel(ev *Event) bool {
+	if !k.Disarm(ev) {
+		return false
+	}
+	k.cov.disarmQueued++
+	if k.depth > 0 {
+		k.cov.disarmInside++
+	}
+	return true
+}
+
+func (k *fifoKernel) Reschedule(ev *Event, when float64) bool {
+	if !k.Disarm(ev) {
+		return false
+	}
+	k.Arm(ev, when)
+	return true
+}
+
+func (k *fifoKernel) Rearm(ev *Event, when float64) bool {
+	if ev.Queued() {
+		return false
+	}
+	if k.fired[ev] {
+		k.cov.rearmFired++
+	}
+	k.Arm(ev, when)
+	return true
+}
+
+// step notes the heap's last event, which a pop moves into the hole it
+// leaves, then steps the scheduler.
+func (k *fifoKernel) step() bool {
+	k.refill = nil
+	if n := len(k.queue); n > 1 {
+		k.refill = k.queue[n-1]
+	}
+	return k.Step()
+}
+
+func (k *fifoKernel) Run() error {
+	for k.step() {
+	}
+	return k.Scheduler.Run()
+}
+
+func (k *fifoKernel) RunUntil(horizon float64) error {
+	for !k.Stopped() && k.nextDue(horizon) {
+		k.step()
+	}
+	err := k.Scheduler.RunUntil(horizon) // nothing is due: it only moves the clock
+	if k.fixed.n > 0 && len(k.queue) > k.periodicPending {
+		k.cov.splitStop++
+	}
+	return err
 }
 
 // fire notes which queue the event now firing came from, the time it fired
@@ -291,6 +400,13 @@ func (k *fifoKernel) fire(fixed int) {
 		k.cov.posInf++
 	}
 	q := k.queue
+	if fixed == 0 && k.refill != nil {
+		// The pop sent its hole down to a leaf, which has no children. If
+		// the refilled event sits at a slot that has one, it climbed.
+		if j := int(k.refill.pos) - 1; 4*j+1 < len(q) {
+			k.cov.climbingRefil++
+		}
+	}
 	if len(q) > 1 && (len(q)-1)%4 != 0 {
 		k.cov.partialGroup++
 	}
@@ -302,8 +418,8 @@ func (k *fifoKernel) fire(fixed int) {
 	}
 }
 
-// siblingTie reports whether two nodes of a child group share a time.
-func siblingTie(group []*timerNode) bool {
+// siblingTie reports whether two events of a child group share a time.
+func siblingTie(group []*Event) bool {
 	for i, a := range group {
 		for _, b := range group[i+1:] {
 			if a.when == b.when {
@@ -324,19 +440,34 @@ func (k *fifoKernel) Probe(interval float64, fn func(now float64)) {
 	})
 }
 
-func (k *fifoKernel) RunUntil(horizon float64) error {
-	err := k.Scheduler.RunUntil(horizon)
-	if k.fixed.n > 0 && len(k.queue) > k.periodicPending {
-		k.cov.splitStop++
-	}
-	return err
-}
-
-// legacyKernel adapts the container/heap kernel; fixed-delay events are
-// plain After calls.
+// legacyKernel adapts the container/heap kernel: fixed-delay events are
+// plain After calls, and a cancellable event is a box holding its current
+// timer, which a re-arm replaces with a fresh timer for the same callback.
 type legacyKernel struct{ *legacyScheduler }
 
+type legacyOwned struct{ t *legacyTimer }
+
+func (k legacyKernel) At(when float64, fn func()) { k.legacyScheduler.At(when, fn) }
+
+func (k legacyKernel) Owned(when float64, fn func()) *legacyOwned {
+	return &legacyOwned{t: k.legacyScheduler.At(when, fn)}
+}
+
 func (k legacyKernel) Fixed(delay float64, fn func()) { k.After(delay, fn) }
+
+func (k legacyKernel) Cancel(h *legacyOwned) bool { return k.legacyScheduler.Cancel(h.t) }
+
+func (k legacyKernel) Reschedule(h *legacyOwned, when float64) bool {
+	return k.legacyScheduler.Reschedule(h.t, when)
+}
+
+func (k legacyKernel) Rearm(h *legacyOwned, when float64) bool {
+	if h.t.active() {
+		return false
+	}
+	h.t = k.legacyScheduler.At(when, h.t.fn)
+	return true
+}
 
 func (k legacyKernel) Probe(interval float64, fn func(now float64)) { k.Every(interval, fn) }
 
@@ -373,27 +504,31 @@ func TestDifferentialKernelEquivalence(t *testing.T) {
 
 		// One scheduler replays both workloads, reset in between; the
 		// legacy side starts each on a fresh scheduler.
-		k := &fifoKernel{Scheduler: NewScheduler(), cov: &cov, lastFixed: -1}
-		got := replay[Timer](k, first)
-		checkSameLog(t, trial, got, replay[*legacyTimer](legacyKernel{newLegacyScheduler()}, first))
+		k := newFifoKernel(&cov)
+		got := replay[*Event](k, first)
+		checkSameLog(t, trial, got, replay[*legacyOwned](legacyKernel{newLegacyScheduler()}, first))
 		if k.fixed.n > 0 {
 			cov.resetFIFO++
 		}
 		k.Reset()
 		k.lastFixed = -1
-		got = replay[Timer](k, second)
-		checkSameLog(t, trial, got, replay[*legacyTimer](legacyKernel{newLegacyScheduler()}, second))
+		got = replay[*Event](k, second)
+		checkSameLog(t, trial, got, replay[*legacyOwned](legacyKernel{newLegacyScheduler()}, second))
 	}
 	for name, n := range map[string]int{
-		"FIFO/heap same-instant ties":          cov.ties,
-		"delay changes while FIFO pending":     cov.delayChange,
-		"RunUntil stops between FIFO and heap": cov.splitStop,
-		"probe-only heap with FIFO pending":    cov.probesOnly,
-		"Reset with FIFO pending":              cov.resetFIFO,
-		"heap siblings tied on time":           cov.siblingTies,
-		"a partial last child group":           cov.partialGroup,
-		"events at -0":                         cov.negZero,
-		"events at +Inf":                       cov.posInf,
+		"FIFO/heap same-instant ties":               cov.ties,
+		"delay changes while FIFO pending":          cov.delayChange,
+		"RunUntil stops between FIFO and heap":      cov.splitStop,
+		"probe-only heap with FIFO pending":         cov.probesOnly,
+		"Reset with FIFO pending":                   cov.resetFIFO,
+		"heap siblings tied on time":                cov.siblingTies,
+		"a partial last child group":                cov.partialGroup,
+		"events at -0":                              cov.negZero,
+		"events at +Inf":                            cov.posInf,
+		"owned events disarmed while queued":        cov.disarmQueued,
+		"owned events disarmed inside a callback":   cov.disarmInside,
+		"owned events re-armed after they fired":    cov.rearmFired,
+		"pops whose refilled event climbed a level": cov.climbingRefil,
 	} {
 		if n == 0 {
 			t.Errorf("no trial covered %s", name)
@@ -407,7 +542,7 @@ func TestDifferentialKernelEquivalence(t *testing.T) {
 // from the edges of the integer time key — equal times, -0 against +0,
 // +Inf, subnormals, the largest finite time — crossed with extreme seqs.
 func TestLessMaskMatchesNodeLess(t *testing.T) {
-	check := func(a, b timerNode) {
+	check := func(a, b Event) {
 		t.Helper()
 		m := lessMask(timeKey(a.when), a.seq, timeKey(b.when), b.seq)
 		if want := nodeLess(&a, &b); m != 0 && m != ^uint64(0) || (m != 0) != want {
@@ -425,7 +560,7 @@ func TestLessMaskMatchesNodeLess(t *testing.T) {
 		for _, bt := range times {
 			for _, as := range seqs {
 				for _, bs := range seqs {
-					check(timerNode{when: at, seq: as}, timerNode{when: bt, seq: bs})
+					check(Event{when: at, seq: as}, Event{when: bt, seq: bs})
 				}
 			}
 		}
@@ -451,6 +586,6 @@ func TestLessMaskMatchesNodeLess(t *testing.T) {
 		return src.Uint64()
 	}
 	for i := 0; i < 200000; i++ {
-		check(timerNode{when: randTime(), seq: randSeq()}, timerNode{when: randTime(), seq: randSeq()})
+		check(Event{when: randTime(), seq: randSeq()}, Event{when: randTime(), seq: randSeq()})
 	}
 }

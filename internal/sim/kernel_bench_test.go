@@ -89,24 +89,27 @@ func BenchmarkLegacyScheduleDrain(b *testing.B) {
 }
 
 // BenchmarkKernelChurn measures the ARQ/buffer pattern: against a standing
-// queue of 256 events, each op cancels one, reschedules one, schedules a
-// replacement and fires the earliest.
+// queue of 256 owned events, each op disarms one, reschedules one (Disarm,
+// then Arm), arms the first again as a replacement and fires the earliest.
 func BenchmarkKernelChurn(b *testing.B) {
 	delays := benchDelays(4096)
 	s := NewScheduler()
 	const depth = 256
-	handles := make([]Timer, depth)
-	for i := range handles {
-		handles[i] = s.After(delays[i]+1, noop)
+	events := make([]Event, depth)
+	for i := range events {
+		events[i].Bind(HandlerFunc(noop))
+		s.Arm(&events[i], s.Now()+delays[i]+1)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := delays[i%len(delays)] + 1
 		j := i % depth
-		s.Cancel(handles[j])
-		s.Reschedule(handles[(j+1)%depth], s.Now()+d)
-		handles[j] = s.After(d, noop)
+		s.Disarm(&events[j])
+		if next := &events[(j+1)%depth]; s.Disarm(next) {
+			s.Arm(next, s.Now()+d)
+		}
+		s.Arm(&events[j], s.Now()+d)
 		s.Step()
 	}
 	b.StopTimer()
@@ -140,9 +143,9 @@ func BenchmarkLegacyChurn(b *testing.B) {
 }
 
 // TestKernelSteadyStateAllocationFree pins the kernel's steady-state hot
-// paths at zero allocations: once the node pool and the FIFO's ring are
-// warm, schedule/fire, schedule/cancel, reschedule and fixed-delay
-// schedule/fire churn must not touch the heap allocator.
+// paths at zero allocations: once the event pool and the FIFO's ring are
+// warm, pooled schedule/fire, owned arm/fire, arm/disarm and reschedule, and
+// fixed-delay schedule/fire churn must not touch the heap allocator.
 // This is the regression gate behind the refactor's "engine gets cheap"
 // claim — a closure, boxing or pool regression fails it immediately.
 func TestKernelSteadyStateAllocationFree(t *testing.T) {
@@ -158,27 +161,37 @@ func TestKernelSteadyStateAllocationFree(t *testing.T) {
 		s.After(1, noop)
 		s.Step()
 	}); allocs != 0 {
-		t.Errorf("schedule+fire allocates %v per run, want 0", allocs)
+		t.Errorf("pooled schedule+fire allocates %v per run, want 0", allocs)
+	}
+
+	var ev Event
+	ev.Bind(HandlerFunc(noop))
+	if allocs := testing.AllocsPerRun(1000, func() {
+		s.Arm(&ev, s.Now()+1)
+		s.Step()
+	}); allocs != 0 {
+		t.Errorf("owned arm+fire allocates %v per run, want 0", allocs)
 	}
 
 	if allocs := testing.AllocsPerRun(1000, func() {
-		tm := s.After(1, noop)
-		s.Cancel(tm)
+		s.Arm(&ev, s.Now()+1)
+		s.Disarm(&ev)
 	}); allocs != 0 {
-		t.Errorf("schedule+cancel allocates %v per run, want 0", allocs)
+		t.Errorf("owned arm+disarm allocates %v per run, want 0", allocs)
 	}
 
-	tm := s.After(100, noop)
+	s.Arm(&ev, s.Now()+100)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		s.Reschedule(tm, s.Now()+100)
+		s.Disarm(&ev)
+		s.Arm(&ev, s.Now()+100)
 	}); allocs != 0 {
-		t.Errorf("reschedule allocates %v per run, want 0", allocs)
+		t.Errorf("owned reschedule allocates %v per run, want 0", allocs)
 	}
-	s.Cancel(tm)
+	s.Disarm(&ev)
 
 	// The fixed-delay FIFO: warm its ring with a burst, reset with entries
 	// still pending (Reset keeps the ring), then push/fire beside a pending
-	// heap timer so every Step merges the two queues.
+	// heap event so every Step merges the two queues.
 	for i := 0; i < 64; i++ {
 		s.AfterFixed(1, noop)
 	}
@@ -195,52 +208,72 @@ func TestKernelSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
-// TestRecycledTimerHandleSafety pins the generation guard: a handle to a
-// fired or cancelled timer must stay inert forever, even after its pooled
-// node is recycled for an unrelated event — the double-fire/stale-packet
-// hazard the timer pool must never reintroduce.
-func TestRecycledTimerHandleSafety(t *testing.T) {
+// TestOwnedEventLifecycle pins what an owned event's owner relies on: a
+// disarmed event never fires, an event re-armed from its own handler fires
+// again, and Reset leaves every owned event disarmed, so none of them can
+// fire into the next run.
+func TestOwnedEventLifecycle(t *testing.T) {
 	s := NewScheduler()
-	firedOld := 0
-	old := s.At(1, func() { firedOld++ })
-	if !s.Step() {
-		t.Fatal("Step did not fire the first timer")
-	}
 
-	// The freed node is recycled for a new, unrelated timer.
-	firedNew := 0
-	fresh := s.At(2, func() { firedNew++ })
-	if fresh.node != old.node {
-		t.Fatal("pool did not recycle the fired timer's node (pooling broken)")
-	}
-	if old.Active() {
-		t.Error("stale handle reports active after its node was recycled")
-	}
-	if s.Cancel(old) {
-		t.Error("stale handle cancelled the recycled node's new timer")
-	}
-	if s.Reschedule(old, 50) {
-		t.Error("stale handle rescheduled the recycled node's new timer")
-	}
+	fired := 0
+	disarmed := owned(func() { fired++ })
+	s.Arm(disarmed, 3)
+	s.At(1, func() {
+		if !s.Disarm(disarmed) {
+			t.Error("Disarm of a queued event returned false")
+		}
+	})
+	var ticks []float64
+	var tick *Event
+	tick = owned(func() {
+		ticks = append(ticks, s.Now())
+		if tick.Queued() {
+			t.Error("an event is still queued while its handler runs")
+		}
+		if len(ticks) < 3 {
+			s.Arm(tick, s.Now()+2)
+		}
+	})
+	s.Arm(tick, 2)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if firedOld != 1 || firedNew != 1 {
-		t.Fatalf("fired old=%d new=%d, want 1 and 1 (no double fire, no lost fire)", firedOld, firedNew)
+	if fired != 0 {
+		t.Errorf("disarmed event fired %d times", fired)
+	}
+	if len(ticks) != 3 || ticks[0] != 2 || ticks[1] != 4 || ticks[2] != 6 {
+		t.Errorf("self-re-arming event fired at %v, want [2 4 6]", ticks)
 	}
 
-	// Same guard for a cancelled timer's handle.
-	cancelled := s.At(s.Now()+1, noop)
-	s.Cancel(cancelled)
-	replacement := s.At(s.Now()+1, noop)
-	if replacement.node != cancelled.node {
-		t.Fatal("pool did not recycle the cancelled timer's node")
+	// Reset with owned events queued, one of them periodic: all of them come
+	// out disarmed, the queue is empty, and none fires in the next run.
+	evs := []*Event{owned(func() { fired++ }), owned(func() { fired++ })}
+	for i, ev := range evs {
+		s.Arm(ev, s.Now()+float64(i+1))
 	}
-	if cancelled.Active() || s.Cancel(cancelled) {
-		t.Error("cancelled handle still operates on the recycled node")
+	p := s.Every(0.5, func(float64) { fired++ })
+	s.Reset()
+	for i, ev := range evs {
+		if ev.Queued() || s.Disarm(ev) {
+			t.Errorf("owned event %d still queued after Reset", i)
+		}
 	}
-	if !replacement.Active() {
-		t.Error("replacement timer inactive after stale-handle probing")
+	if p.Active() || s.Pending() != 0 {
+		t.Errorf("after Reset: probe active=%v, pending=%d; want false, 0", p.Active(), s.Pending())
 	}
-	s.Cancel(replacement)
+	s.At(10, noop)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 0 {
+		t.Errorf("events queued before Reset fired %d times after it", fired)
+	}
+	// A disarmed event can be armed again after the reset.
+	s.Arm(evs[0], s.Now()+1)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 1 {
+		t.Errorf("re-armed event fired %d times after Reset, want 1", fired)
+	}
 }

@@ -7,13 +7,15 @@
 // number), so two events scheduled for the same instant always fire in the
 // order they were scheduled — runs are bit-for-bit reproducible.
 //
-// The heap stores typed timer nodes directly (no interface boxing, no
-// container/heap indirection) and recycles fired or cancelled nodes through
-// a per-scheduler free list, so steady-state scheduling — the At/fire/At
-// churn every simulated packet generates — allocates nothing. Timer handles
-// carry a generation number checked against the node they reference: a
-// handle to a fired or cancelled timer can never observe, cancel or
-// reschedule the recycled node's next occupant.
+// The heap stores Events directly (no interface boxing, no container/heap
+// indirection), and an Event's storage is the heap node itself. An event
+// that may be cancelled is owned by the object it times — every buffered
+// packet's entry carries its release event, every Probe its tick — so
+// arming, disarming and re-arming it touches no pool and copies no handle:
+// the owner holds the event. At and After schedule fire-and-forget
+// callbacks on pooled events, which the scheduler recycles through a free
+// list, so steady-state scheduling — the At/fire/At churn every simulated
+// packet generates — allocates nothing either way.
 //
 // Beside the heap sits a FIFO for fire-and-forget events that share one
 // fixed delay (AfterFixed) — the network's per-hop arrivals, all scheduled
@@ -39,48 +41,44 @@ import (
 // rather than by draining the event list or reaching the horizon.
 var ErrStopped = errors.New("sim: stopped")
 
-// timerNode is the pooled storage behind a Timer handle. Nodes live on the
-// scheduler's heap while pending and on its free list afterwards; gen is
-// bumped on every release so stale handles go inert.
-type timerNode struct {
+// Handler is what an Event runs when it fires.
+type Handler interface {
+	Fire()
+}
+
+// HandlerFunc adapts a plain function to Handler. A func value is
+// pointer-shaped, so the conversion to Handler allocates nothing.
+type HandlerFunc func()
+
+// Fire implements Handler.
+func (f HandlerFunc) Fire() { f() }
+
+// Event is one entry of the future-event list: a time, a sequence number,
+// a heap position and the Handler it runs.
+//
+// An owned Event belongs to the caller, usually as a field of the object it
+// times. Bind its handler once; then Arm queues it, Disarm removes it, and
+// it may be armed again once it has fired or been disarmed, from its own
+// handler too. The zero value is a disarmed event with no handler. An Event
+// must not be copied while it is queued.
+//
+// Pooled events belong to the scheduler: At and After take one from its
+// free list, and Step returns it there before running its handler.
+type Event struct {
 	when     float64
 	seq      uint64
-	gen      uint64
-	fn       func()
-	index    int32 // heap index, -1 when not queued
-	periodic bool  // owned by a Probe; cannot keep the simulation alive
+	h        Handler
+	pos      int32 // heap index + 1 while queued, 0 otherwise
+	pooled   bool  // the scheduler's; back to the free list when it fires
+	periodic bool  // a Probe's tick; cannot keep the simulation alive
 }
 
-// Timer is a handle to a scheduled event, created by Scheduler.At and
-// Scheduler.After. It is a small value: copy it freely. The zero value is an
-// inert handle — Active reports false and Cancel/Reschedule are no-ops.
-//
-// The handle stays valid across Reschedule. Once the event fires or is
-// cancelled its node returns to the scheduler's free list; the handle then
-// permanently reports inactive, even after the node is recycled for a new
-// timer.
-type Timer struct {
-	node *timerNode
-	gen  uint64
-	when float64
-}
+// Bind sets the handler the event runs when it fires.
+func (e *Event) Bind(h Handler) { e.h = h }
 
-// When returns the simulated time at which the timer is scheduled to fire
-// (tracking Reschedule while the timer is pending). After the timer fires or
-// is cancelled it reports the last schedule time the handle observed.
-func (t Timer) When() float64 {
-	if n := t.node; n != nil && n.gen == t.gen {
-		return n.when
-	}
-	return t.when
-}
-
-// Active reports whether the timer is still pending: neither fired nor
-// cancelled.
-func (t Timer) Active() bool {
-	n := t.node
-	return n != nil && n.gen == t.gen && n.index >= 0
-}
+// Queued reports whether the event is armed: neither fired nor disarmed
+// since it was last armed.
+func (e *Event) Queued() bool { return e.pos != 0 }
 
 // Scheduler owns the simulation clock and the future-event list. It is not
 // safe for concurrent use: a simulation runs on a single goroutine, and the
@@ -88,12 +86,12 @@ func (t Timer) Active() bool {
 type Scheduler struct {
 	now     float64
 	seq     uint64
-	queue   []*timerNode // implicit 4-ary min-heap on (when, seq)
-	free    []*timerNode // recycled nodes; steady-state At allocates nothing
+	queue   []*Event // implicit 4-ary min-heap on (when, seq)
+	free    []*Event // pooled events; steady-state At allocates nothing
 	stopped bool
 	fired   uint64
 
-	// periodicPending counts queued periodic timers. When it equals the
+	// periodicPending counts queued periodic events. When it equals the
 	// queue length and the FIFO is empty, only probes remain and the
 	// simulation is over: Step drains them instead of letting them tick
 	// forever.
@@ -138,10 +136,10 @@ func (q *fixedQueue) pop() fixedEvent {
 	return e
 }
 
-// before reports whether the FIFO head fires before heap node t.
-func (q *fixedQueue) before(t *timerNode) bool {
+// before reports whether the FIFO head fires before heap event ev.
+func (q *fixedQueue) before(ev *Event) bool {
 	e := &q.buf[q.head]
-	return e.when < t.when || (e.when == t.when && e.seq < t.seq)
+	return e.when < ev.when || (e.when == ev.when && e.seq < ev.seq)
 }
 
 // NewScheduler returns a Scheduler with the clock at time 0 and an empty
@@ -154,23 +152,17 @@ func NewScheduler() *Scheduler {
 func (s *Scheduler) Now() float64 { return s.now }
 
 // Reset drains the scheduler and rearms it for a fresh run: the clock returns
-// to 0, the sequence and fired counters restart, any still-queued timers are
-// cancelled, and a Stop is cleared. The timer-node free list survives — that
-// is the point: a reset scheduler re-enters steady state with its pools warm,
-// so the next run's At/fire/At churn allocates nothing from the first event.
-// Every Timer handle issued before the reset goes inert (the generation bump
-// on release), exactly as if it had been cancelled.
+// to 0, the sequence and fired counters restart, every still-queued event is
+// disarmed (pooled ones return to the free list), and a Stop is cleared. The
+// free list survives — that is the point: a reset scheduler re-enters steady
+// state with its pool warm, so the next run's At/fire/At churn allocates
+// nothing from the first event.
 //
 // Reset must not be called from inside an event callback; it is a
 // between-runs lifecycle operation, the drain half of the engine's
 // drain-and-rearm cycle.
 func (s *Scheduler) Reset() {
-	for i, t := range s.queue {
-		s.queue[i] = nil
-		s.release(t)
-	}
-	s.queue = s.queue[:0]
-	s.periodicPending = 0
+	s.clear()
 	for s.fixed.n > 0 {
 		s.fixed.pop() // keeps the ring, drops the callbacks
 	}
@@ -180,66 +172,92 @@ func (s *Scheduler) Reset() {
 	s.stopped = false
 }
 
-// Pending returns the number of events still queued. Cancellation is eager —
-// Cancel removes the timer from the heap immediately — so cancelled events
+// Pending returns the number of events still queued. Disarming is eager —
+// Disarm removes the event from the heap immediately — so disarmed events
 // are never counted here.
 func (s *Scheduler) Pending() int { return len(s.queue) + s.fixed.n }
 
 // Fired returns the total number of events that have been executed.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// alloc takes a node from the free list, or grows the pool.
-func (s *Scheduler) alloc() *timerNode {
+// alloc takes a pooled event from the free list, or grows the pool.
+func (s *Scheduler) alloc() *Event {
 	if n := len(s.free); n > 0 {
-		t := s.free[n-1]
+		ev := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		return t
+		return ev
 	}
-	return &timerNode{index: -1}
+	return &Event{pooled: true}
 }
 
-// release retires a fired or cancelled node to the free list. The generation
-// bump is what makes every outstanding handle to it inert.
-func (s *Scheduler) release(t *timerNode) {
-	t.gen++
-	t.fn = nil
-	t.periodic = false
-	t.index = -1
-	s.free = append(s.free, t)
+// release returns a fired or drained pooled event to the free list.
+func (s *Scheduler) release(ev *Event) {
+	ev.h = nil
+	s.free = append(s.free, ev)
 }
 
-// At schedules fn to run at absolute simulated time when. Scheduling in the
-// past (when < Now) is a programmer error and panics; scheduling exactly at
-// Now is allowed and fires after all currently queued events at Now with a
-// lower sequence number. fn must not be nil.
-func (s *Scheduler) At(when float64, fn func()) Timer {
+// Arm queues ev to fire at absolute simulated time when, with the next
+// sequence number: it fires after every event already queued for the same
+// instant. ev must have a handler and must not be queued already; a
+// reschedule is Disarm then Arm. Arming in the past (when < Now) or at NaN
+// is a programmer error and panics; arming exactly at Now is allowed.
+func (s *Scheduler) Arm(ev *Event, when float64) {
+	if ev.pos != 0 {
+		panic("sim: Arm called on a queued event")
+	}
+	if ev.h == nil {
+		panic("sim: Arm called on an event with no handler")
+	}
+	if math.IsNaN(when) {
+		panic("sim: event scheduled at NaN")
+	}
+	if when < s.now {
+		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", when, s.now))
+	}
+	ev.when = when
+	ev.seq = s.seq
+	s.seq++
+	if ev.periodic {
+		s.periodicPending++
+	}
+	s.heapPush(ev)
+}
+
+// Disarm removes a queued event and reports whether it was queued (false if
+// it already fired or was disarmed). Removal is O(log n) and eager: the event
+// leaves the heap immediately, and its owner may arm it again at once.
+func (s *Scheduler) Disarm(ev *Event) bool {
+	if ev.pos == 0 {
+		return false
+	}
+	s.heapRemove(int(ev.pos) - 1)
+	if ev.periodic {
+		s.periodicPending--
+	}
+	return true
+}
+
+// At schedules fn to run at absolute simulated time when, on a pooled event
+// that cannot be cancelled. Scheduling in the past (when < Now) or at NaN
+// panics, as Arm does; scheduling exactly at Now is allowed and fires after
+// all currently queued events at Now. fn must not be nil.
+func (s *Scheduler) At(when float64, fn func()) {
 	if fn == nil {
 		panic("sim: At called with nil fn")
 	}
-	if math.IsNaN(when) {
-		panic("sim: At called with NaN time")
-	}
-	if when < s.now {
-		panic(fmt.Sprintf("sim: At called with time %v before now %v", when, s.now))
-	}
-	t := s.alloc()
-	t.when = when
-	t.seq = s.seq
-	t.fn = fn
-	s.seq++
-	s.heapPush(t)
-	return Timer{node: t, gen: t.gen, when: when}
+	ev := s.alloc()
+	ev.h = HandlerFunc(fn)
+	s.Arm(ev, when)
 }
 
 // After schedules fn to run delay time units from now. Negative delays
 // panic.
-func (s *Scheduler) After(delay float64, fn func()) Timer {
-	return s.At(s.now+delay, fn)
+func (s *Scheduler) After(delay float64, fn func()) {
+	s.At(s.now+delay, fn)
 }
 
-// AfterFixed schedules fn to run delay time units from now, like After, for
-// an event that is never cancelled or rescheduled and so needs no Timer. It
+// AfterFixed schedules fn to run delay time units from now, like After. It
 // draws its sequence number from the same counter as At, so it fires in
 // exactly the order After would give it. Events that all use one delay —
 // the per-hop transmission delay τ — queue in a FIFO at O(1) per event
@@ -255,46 +273,6 @@ func (s *Scheduler) AfterFixed(delay float64, fn func()) {
 	s.fixed.delay = delay
 	s.fixed.push(fixedEvent{when: when, seq: s.seq, fn: fn})
 	s.seq++
-}
-
-// Cancel removes a pending timer. It reports whether the timer was still
-// pending (true) or had already fired or been cancelled (false).
-// Cancellation is O(log n) and eager: the timer is removed from the heap
-// immediately and its node recycled, not lazily skipped.
-func (s *Scheduler) Cancel(t Timer) bool {
-	n := t.node
-	if n == nil || n.gen != t.gen || n.index < 0 {
-		return false
-	}
-	s.heapRemove(int(n.index))
-	if n.periodic {
-		s.periodicPending--
-	}
-	s.release(n)
-	return true
-}
-
-// Reschedule moves a pending timer to a new absolute time, preserving its
-// callback. It reports whether the move happened (false if the timer already
-// fired or was cancelled). The rescheduled event receives a fresh sequence
-// number, so it fires after same-time events scheduled before the move. The
-// handle remains valid for the moved event.
-func (s *Scheduler) Reschedule(t Timer, when float64) bool {
-	n := t.node
-	if n == nil || n.gen != t.gen || n.index < 0 {
-		return false
-	}
-	if math.IsNaN(when) {
-		panic("sim: Reschedule called with NaN time")
-	}
-	if when < s.now {
-		panic(fmt.Sprintf("sim: Reschedule to time %v before now %v", when, s.now))
-	}
-	n.when = when
-	n.seq = s.seq
-	s.seq++
-	s.heapFix(int(n.index))
-	return true
 }
 
 // Step executes the single earliest pending event, advancing the clock to
@@ -319,23 +297,24 @@ func (s *Scheduler) Step() bool {
 		// the simulation proper has drained, so retire them rather than
 		// ticking forever. Probes due exactly now still fire first, so
 		// the final instant of a run gets sampled.
-		s.drainPeriodic()
+		s.clear()
 		return false
 	}
-	t := s.heapPop()
-	if t.periodic {
+	ev := s.heapPop()
+	if ev.periodic {
 		s.periodicPending--
 	}
-	s.now = t.when
-	fn := t.fn
+	s.now = ev.when
+	h := ev.h
 	s.fired++
-	// Release before running fn: the node is immediately reusable, so a
-	// callback that re-arms itself (the dominant pattern — traffic chains,
-	// buffer releases, probes) recycles its own node without touching the
-	// heap's tail. The handle the callback may still hold went inert with
-	// the generation bump.
-	s.release(t)
-	fn()
+	// A pooled event goes back to the free list before its handler runs,
+	// so a callback that schedules its successor (the dominant pattern —
+	// traffic chains, ARQ retries) reuses it without growing the pool. An
+	// owned event is already disarmed here, so its handler may re-arm it.
+	if ev.pooled {
+		s.release(ev)
+	}
+	h.Fire()
 	return true
 }
 
@@ -372,13 +351,15 @@ func (s *Scheduler) nextDue(horizon float64) bool {
 		(len(s.queue) > 0 && s.queue[0].when <= horizon)
 }
 
-// drainPeriodic retires every queued timer. It is only called when all
-// remaining timers are periodic (periodicPending == len(queue)) and the FIFO
-// is empty.
-func (s *Scheduler) drainPeriodic() {
-	for i, t := range s.queue {
+// clear disarms every event on the heap, returning pooled ones to the free
+// list. Reset calls it, and so does Step once only probes remain.
+func (s *Scheduler) clear() {
+	for i, ev := range s.queue {
 		s.queue[i] = nil
-		s.release(t)
+		ev.pos = 0
+		if ev.pooled {
+			s.release(ev)
+		}
 	}
 	s.queue = s.queue[:0]
 	s.periodicPending = 0
@@ -386,16 +367,15 @@ func (s *Scheduler) drainPeriodic() {
 
 // nodeLess orders the heap: earlier time first, scheduling order breaking
 // ties. seq is unique, so the order is total and runs are reproducible.
-func nodeLess(a, b *timerNode) bool {
+func nodeLess(a, b *Event) bool {
 	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
 
 // timeKey maps an event time to an unsigned integer that orders exactly as
-// the time does, for every time the kernel admits: At and Reschedule reject
-// NaN and anything before Now, which never falls below zero, so only
-// non-negative floats reach the heap, and their bit patterns are already
-// monotonic. Shifting out the sign bit makes -0 tie with +0, as nodeLess
-// does.
+// the time does, for every time the kernel admits: Arm rejects NaN and
+// anything before Now, which never falls below zero, so only non-negative
+// floats reach the heap, and their bit patterns are already monotonic.
+// Shifting out the sign bit makes -0 tie with +0, as nodeLess does.
 func timeKey(when float64) uint64 { return math.Float64bits(when) << 1 }
 
 // lessMask is nodeLess on (timeKey, seq) pairs without a data-dependent
@@ -412,87 +392,109 @@ func lessMask(ak, as, bk, bs uint64) uint64 {
 // 4i+1..4i+4. Compared with the binary heap it halves the tree depth, so
 // the sift loops — the kernel's hottest code — touch fewer cache lines per
 // operation; the wider child scan reads four adjacent slots. All sift loops
-// hole-shift instead of swapping: the moving node is written once at its
+// hole-shift instead of swapping: the moving event is written once at its
 // final slot.
 
-// heapPush inserts t and restores heap order.
-func (s *Scheduler) heapPush(t *timerNode) {
+// heapPush inserts ev and restores heap order.
+func (s *Scheduler) heapPush(ev *Event) {
 	i := len(s.queue)
-	s.queue = append(s.queue, t)
-	t.index = int32(i)
+	s.queue = append(s.queue, ev)
 	s.siftUp(i)
 }
 
-// heapPop removes and returns the minimum node.
-func (s *Scheduler) heapPop() *timerNode {
+// heapPop removes and returns the earliest event. It refills the root
+// bottom-up: the hole at the root follows the least child down to a leaf,
+// each child on the way moving up a level, and only then does the heap's
+// last event fill the hole and sift up. The last event is a leaf, rarely
+// early, so it seldom climbs; the descent compares children only with each
+// other, never with the event being placed, so each level costs one key
+// compare less than siftDown and has no early exit to mispredict. The child
+// selection is siftDown's, written out again because a function for it does
+// not inline.
+func (s *Scheduler) heapPop() *Event {
 	q := s.queue
-	t := q[0]
+	top := q[0]
 	n := len(q) - 1
-	q[0] = q[n]
+	last := q[n]
 	q[n] = nil
-	s.queue = q[:n]
-	if n > 0 {
-		q[0].index = 0
-		s.siftDown(0)
+	q = q[:n]
+	s.queue = q
+	top.pos = 0
+	if n == 0 {
+		return top
 	}
-	t.index = -1
-	return t
+	i := 0
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		best, bk, bs := c, timeKey(q[c].when), q[c].seq
+		if c+3 < n {
+			g := q[c+1 : c+4 : c+4]
+			best, bk, bs = pick(best, bk, bs, c+1, g[0])
+			best, bk, bs = pick(best, bk, bs, c+2, g[1])
+			best, _, _ = pick(best, bk, bs, c+3, g[2])
+		} else {
+			for j := c + 1; j < n; j++ {
+				best, bk, bs = pick(best, bk, bs, j, q[j])
+			}
+		}
+		q[i] = q[best]
+		q[i].pos = int32(i) + 1
+		i = best
+	}
+	q[i] = last
+	s.siftUp(i)
+	return top
 }
 
-// heapRemove deletes the node at index i (eager cancellation).
+// heapRemove deletes the event at index i (eager disarming).
 func (s *Scheduler) heapRemove(i int) {
 	q := s.queue
-	t := q[i]
+	ev := q[i]
 	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	s.queue = q[:n]
 	if i != n {
-		q[i] = q[n]
-		q[n] = nil
-		s.queue = q[:n]
-		q[i].index = int32(i)
-		s.heapFix(i)
-	} else {
-		q[n] = nil
-		s.queue = q[:n]
+		q[i] = last
+		if !s.siftDown(i) {
+			s.siftUp(i)
+		}
 	}
-	t.index = -1
+	ev.pos = 0
 }
 
-// heapFix restores heap order after the node at index i changed key
-// (Reschedule) or was replaced (heapRemove).
-func (s *Scheduler) heapFix(i int) {
-	if !s.siftDown(i) {
-		s.siftUp(i)
-	}
-}
-
-// siftUp moves the node at index i toward the root until its parent is not
-// greater.
+// siftUp moves the event at index i toward the root until its parent is
+// not greater.
 func (s *Scheduler) siftUp(i int) {
 	q := s.queue
-	t := q[i]
+	ev := q[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !nodeLess(t, q[p]) {
+		if !nodeLess(ev, q[p]) {
 			break
 		}
 		q[i] = q[p]
-		q[i].index = int32(i)
+		q[i].pos = int32(i) + 1
 		i = p
 	}
-	q[i] = t
-	t.index = int32(i)
+	q[i] = ev
+	ev.pos = int32(i) + 1
 }
 
 // pick folds child j into a group's running minimum (best, bk, bs): the
 // index, time key and seq of the least child so far.
-func pick(best int, bk, bs uint64, j int, child *timerNode) (int, uint64, uint64) {
+func pick(best int, bk, bs uint64, j int, child *Event) (int, uint64, uint64) {
 	jk, js := timeKey(child.when), child.seq
 	m := lessMask(jk, js, bk, bs)
 	return best ^ (best^j)&int(m), bk ^ (bk^jk)&m, bs ^ (bs^js)&m
 }
 
-// siftDown moves the node at index i toward the leaves until no child is
-// smaller. It reports whether the node moved.
+// siftDown moves the event at index i toward the leaves until no child is
+// smaller. It reports whether the event moved. Only Disarm needs it, when
+// the heap's last event refills a slot in the middle of the heap.
 //
 // The least of up to four children is picked without a data-dependent
 // branch: pick compares each child's key with the running best by
@@ -504,8 +506,8 @@ func pick(best int, bk, bs uint64, j int, child *timerNode) (int, uint64, uint64
 func (s *Scheduler) siftDown(i int) bool {
 	q := s.queue
 	n := len(q)
-	t := q[i]
-	tk, ts := timeKey(t.when), t.seq
+	ev := q[i]
+	tk, ts := timeKey(ev.when), ev.seq
 	start := i
 	for {
 		c := i<<2 + 1
@@ -527,11 +529,11 @@ func (s *Scheduler) siftDown(i int) bool {
 			break
 		}
 		q[i] = q[best]
-		q[i].index = int32(i)
+		q[i].pos = int32(i) + 1
 		i = best
 	}
-	q[i] = t
-	t.index = int32(i)
+	q[i] = ev
+	ev.pos = int32(i) + 1
 	return i != start
 }
 
@@ -544,8 +546,7 @@ type Probe struct {
 	s        *Scheduler
 	interval float64
 	fn       func(now float64)
-	fire     func() // pre-bound tick, so periodic re-arming allocates nothing
-	timer    Timer
+	ev       Event // the next tick, re-armed by the tick before it
 	stopped  bool
 }
 
@@ -560,21 +561,16 @@ func (s *Scheduler) Every(interval float64, fn func(now float64)) *Probe {
 		panic(fmt.Sprintf("sim: Every called with invalid interval %v", interval))
 	}
 	p := &Probe{s: s, interval: interval, fn: fn}
-	p.fire = p.tick
-	p.arm()
+	p.ev.Bind(HandlerFunc(p.tick))
+	p.ev.periodic = true
+	s.Arm(&p.ev, s.now+interval)
 	return p
-}
-
-func (p *Probe) arm() {
-	p.timer = p.s.At(p.s.now+p.interval, p.fire)
-	p.timer.node.periodic = true
-	p.s.periodicPending++
 }
 
 func (p *Probe) tick() {
 	p.fn(p.s.now)
 	if !p.stopped && !p.s.stopped {
-		p.arm()
+		p.s.Arm(&p.ev, p.s.now+p.interval)
 	}
 }
 
@@ -584,11 +580,11 @@ func (p *Probe) Stop() bool {
 		return false
 	}
 	p.stopped = true
-	return p.s.Cancel(p.timer)
+	return p.s.Disarm(&p.ev)
 }
 
 // Active reports whether the probe is still scheduled to fire.
-func (p *Probe) Active() bool { return !p.stopped && p.timer.Active() }
+func (p *Probe) Active() bool { return !p.stopped && p.ev.Queued() }
 
 // Stop halts the simulation: subsequent Step calls are no-ops and a running
 // Run/RunUntil loop returns ErrStopped after the current event completes.

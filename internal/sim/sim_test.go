@@ -107,69 +107,91 @@ func TestScheduleFromCallback(t *testing.T) {
 	}
 }
 
+// owned returns a disarmed owned event that runs fn.
+func owned(fn func()) *Event {
+	ev := new(Event)
+	ev.Bind(HandlerFunc(fn))
+	return ev
+}
+
 func TestCancelPreventsFiring(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	tm := s.At(5, func() { fired = true })
-	if !s.Cancel(tm) {
-		t.Fatal("Cancel returned false for a pending timer")
+	ev := owned(func() { fired = true })
+	s.Arm(ev, 5)
+	if !s.Disarm(ev) {
+		t.Fatal("Disarm returned false for a queued event")
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if fired {
-		t.Fatal("cancelled timer fired")
+		t.Fatal("disarmed event fired")
 	}
-	if s.Cancel(tm) {
-		t.Fatal("second Cancel returned true")
+	if s.Disarm(ev) {
+		t.Fatal("second Disarm returned true")
 	}
 }
 
 func TestCancelAfterFire(t *testing.T) {
 	s := NewScheduler()
-	tm := s.At(1, func() {})
+	ev := owned(func() {})
+	s.Arm(ev, 1)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Cancel(tm) {
-		t.Fatal("Cancel of fired timer returned true")
+	if ev.Queued() || s.Disarm(ev) {
+		t.Fatal("Disarm of a fired event returned true")
 	}
 }
 
 func TestCancelFromCallback(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	victim := s.At(10, func() { fired = true })
-	s.At(5, func() { s.Cancel(victim) })
+	victim := owned(func() { fired = true })
+	s.Arm(victim, 10)
+	s.At(5, func() { s.Disarm(victim) })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if fired {
-		t.Fatal("timer cancelled from an earlier event still fired")
+		t.Fatal("event disarmed from an earlier event still fired")
 	}
+}
+
+// reschedule moves a queued event, as the kernel's callers do: Disarm, then
+// Arm with a fresh sequence number. It reports whether ev was queued.
+func reschedule(s *Scheduler, ev *Event, when float64) bool {
+	if !s.Disarm(ev) {
+		return false
+	}
+	s.Arm(ev, when)
+	return true
 }
 
 func TestReschedule(t *testing.T) {
 	s := NewScheduler()
 	var at float64
-	tm := s.At(5, func() { at = s.Now() })
-	if !s.Reschedule(tm, 20) {
-		t.Fatal("Reschedule returned false for pending timer")
+	ev := owned(func() { at = s.Now() })
+	s.Arm(ev, 5)
+	if !reschedule(s, ev, 20) {
+		t.Fatal("reschedule returned false for a queued event")
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if at != 20 {
-		t.Fatalf("rescheduled timer fired at %v, want 20", at)
+		t.Fatalf("rescheduled event fired at %v, want 20", at)
 	}
 }
 
 func TestRescheduleEarlier(t *testing.T) {
 	s := NewScheduler()
 	var order []string
-	tm := s.At(50, func() { order = append(order, "moved") })
+	ev := owned(func() { order = append(order, "moved") })
+	s.Arm(ev, 50)
 	s.At(10, func() { order = append(order, "fixed") })
-	s.At(1, func() { s.Reschedule(tm, 2) })
+	s.At(1, func() { reschedule(s, ev, 2) })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,42 +200,58 @@ func TestRescheduleEarlier(t *testing.T) {
 	}
 }
 
+// TestRescheduleInactive: a fired event is not queued, so moving it is a
+// no-op; arming it again is how its owner schedules it anew.
 func TestRescheduleInactive(t *testing.T) {
 	s := NewScheduler()
-	tm := s.At(1, func() {})
+	n := 0
+	ev := owned(func() { n++ })
+	s.Arm(ev, 1)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Reschedule(tm, 10) {
-		t.Fatal("Reschedule of fired timer returned true")
+	if reschedule(s, ev, 10) || s.Pending() != 0 {
+		t.Fatal("reschedule of a fired event queued it again")
+	}
+	s.Arm(ev, 10)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 || s.Now() != 10 {
+		t.Fatalf("re-armed event: fired %d times, clock %v; want 2 and 10", n, s.Now())
 	}
 }
 
-// TestRescheduleRejectsNaN holds Reschedule to At's rule: a NaN time panics
-// before anything changes, so the heap never holds a time that neither
-// comparator orders. The timer stays pending at its old time and seq.
+// TestRescheduleRejectsNaN holds Arm to At's rule: a NaN time panics before
+// anything is queued, so the heap never holds a time that neither comparator
+// orders. Arming a queued event panics too, so a reschedule must disarm
+// first; the queued event keeps its time and seq.
 func TestRescheduleRejectsNaN(t *testing.T) {
 	s := NewScheduler()
 	var order []string
-	tm := s.At(1, func() { order = append(order, "first") })
+	ev := owned(func() { order = append(order, "first") })
+	s.Arm(ev, 1)
 	s.At(1, func() { order = append(order, "second") })
-	func() {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Reschedule to NaN did not panic")
+				t.Fatalf("%s did not panic", what)
 			}
 		}()
-		s.Reschedule(tm, math.NaN())
-	}()
-	if !tm.Active() || tm.When() != 1 || s.Pending() != 2 {
-		t.Fatalf("after the rejected Reschedule: active=%v when=%v pending=%d, want true 1 2",
-			tm.Active(), tm.When(), s.Pending())
+		fn()
+	}
+	mustPanic("Arm of a queued event", func() { s.Arm(ev, 0.5) })
+	mustPanic("Arm at NaN", func() { s.Arm(owned(func() {}), math.NaN()) })
+	mustPanic("Arm with no handler", func() { s.Arm(new(Event), 1) })
+	if !ev.Queued() || s.Pending() != 2 {
+		t.Fatalf("after the rejected Arms: queued=%v pending=%d, want true 2", ev.Queued(), s.Pending())
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
-		t.Fatalf("order = %v, want [first second]: the timer lost its seq", order)
+		t.Fatalf("order = %v, want [first second]: the event lost its seq", order)
 	}
 }
 
@@ -349,7 +387,7 @@ func TestOrderingProperty(t *testing.T) {
 	}
 }
 
-// Property: cancelling a random subset of timers fires exactly the
+// Property: disarming a random subset of owned events fires exactly the
 // complement.
 func TestCancelSubsetProperty(t *testing.T) {
 	src := rng.New(99)
@@ -357,16 +395,17 @@ func TestCancelSubsetProperty(t *testing.T) {
 		count := int(n%50) + 1
 		s := NewScheduler()
 		firedSet := make(map[int]bool)
-		timers := make([]Timer, count)
+		events := make([]*Event, count)
 		for i := 0; i < count; i++ {
 			i := i
-			timers[i] = s.At(float64(i%10), func() { firedSet[i] = true })
+			events[i] = owned(func() { firedSet[i] = true })
+			s.Arm(events[i], float64(i%10))
 		}
 		cancelled := make(map[int]bool)
 		for i := 0; i < count; i++ {
 			if src.Bernoulli(0.5) {
 				cancelled[i] = true
-				s.Cancel(timers[i])
+				s.Disarm(events[i])
 			}
 		}
 		if err := s.Run(); err != nil {
@@ -423,24 +462,31 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 // TestResetReplaysIdentically is the drain-and-rearm property: a scheduler
 // that ran a full workload and was Reset must replay a fresh workload exactly
 // as a brand-new scheduler would — same firing order, same clock, same
-// counters — with stale Timer handles from before the reset gone inert.
+// counters — with the events still queued at the reset left disarmed.
 func TestResetReplaysIdentically(t *testing.T) {
-	workload := func(s *Scheduler, seed uint64) (order []float64, stale []Timer) {
+	workload := func(s *Scheduler, seed uint64) (order []float64, events []*Event) {
 		src := rng.New(seed)
 		for i := 0; i < 40; i++ {
 			at := 50 * src.Float64()
-			stale = append(stale, s.At(at, func() { order = append(order, at) }))
+			fn := func() { order = append(order, at) }
+			if i%2 == 0 {
+				s.At(at, fn) // pooled events see churn on the free list
+				continue
+			}
+			ev := owned(fn)
+			s.Arm(ev, at)
+			events = append(events, ev)
 		}
-		// Cancel a deterministic subset so the free list sees churn.
-		for i, tm := range stale {
+		// Disarm a deterministic subset of the owned ones.
+		for i, ev := range events {
 			if i%3 == 0 {
-				s.Cancel(tm)
+				s.Disarm(ev)
 			}
 		}
 		if err := s.Run(); err != nil {
 			t.Fatalf("workload run: %v", err)
 		}
-		return order, stale
+		return order, events
 	}
 
 	fresh := NewScheduler()
@@ -449,12 +495,21 @@ func TestResetReplaysIdentically(t *testing.T) {
 
 	reused := NewScheduler()
 	_, stale := workload(reused, 7) // different seed: different churn pattern
+	// Queue the stale events again, then reset with them pending.
+	for _, ev := range stale {
+		reused.Arm(ev, reused.Now()+1)
+	}
 	reused.Stop()
 	reused.Reset()
 
 	if reused.Now() != 0 || reused.Fired() != 0 || reused.Pending() != 0 || reused.Stopped() {
 		t.Fatalf("Reset left state behind: now=%v fired=%d pending=%d stopped=%v",
 			reused.Now(), reused.Fired(), reused.Pending(), reused.Stopped())
+	}
+	for _, ev := range stale {
+		if ev.Queued() || reused.Disarm(ev) {
+			t.Fatal("an owned event queued before Reset is still queued after it")
+		}
 	}
 	gotOrder, _ := workload(reused, 42)
 	if len(gotOrder) != len(wantOrder) {
@@ -468,14 +523,6 @@ func TestResetReplaysIdentically(t *testing.T) {
 	if reused.Now() != wantNow || reused.Fired() != wantFired {
 		t.Fatalf("reset scheduler clock/counter diverged: now %v vs %v, fired %d vs %d",
 			reused.Now(), wantNow, reused.Fired(), wantFired)
-	}
-
-	// Handles issued before the reset are inert, even though their nodes were
-	// recycled into the replay workload.
-	for _, tm := range stale {
-		if reused.Cancel(tm) || reused.Reschedule(tm, 99) {
-			t.Fatal("stale pre-reset timer handle still live after Reset")
-		}
 	}
 }
 
