@@ -137,9 +137,9 @@ func run(args []string) (err error) {
 		return err
 	}
 
-	policy, err := parsePolicy(*policyName)
+	policy, err := tempriv.PolicyByName(*policyName)
 	if err != nil {
-		return err
+		return fmt.Errorf("unknown policy %q", *policyName)
 	}
 	victim, err := tempriv.VictimByName(*victimName)
 	if err != nil {
@@ -498,21 +498,6 @@ func buildTopology(kind string, hops, w, h, fieldNodes int, fieldSide, fieldRadi
 		return topo, topo.Sources(), nil
 	default:
 		return nil, nil, fmt.Errorf("unknown topology %q", kind)
-	}
-}
-
-func parsePolicy(name string) (tempriv.PolicyKind, error) {
-	switch name {
-	case "no-delay":
-		return tempriv.PolicyForward, nil
-	case "delay-unlimited":
-		return tempriv.PolicyUnlimited, nil
-	case "delay-droptail":
-		return tempriv.PolicyDropTail, nil
-	case "rcad":
-		return tempriv.PolicyRCAD, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", name)
 	}
 }
 

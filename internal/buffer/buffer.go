@@ -8,6 +8,9 @@
 //   - Preemptive: at most k packets buffered; an arrival that finds the
 //     buffer full forces a victim packet out for immediate transmission —
 //     the RCAD mechanism of §5 (evaluation case 3, "Delay&LimitedBuffers").
+//     An RCAD node is this buffer plus the node's delay draw, which the
+//     network layer makes from the node's distribution or, under rate
+//     control, from a core.RateController's plan.
 //
 // Victim selection is pluggable (VictimSelector) so the abl-victim ablation
 // can compare the paper's choice — the packet with the shortest remaining
@@ -80,8 +83,6 @@ type Policy interface {
 	// Stats returns the buffer's counters. The pointer stays valid for the
 	// buffer's lifetime.
 	Stats() *Stats
-	// Name returns a short identifier used in reports.
-	Name() string
 }
 
 // Entry is a buffered packet visible to victim selectors.
@@ -254,8 +255,11 @@ func (b *base) observeOccupancy() {
 // acquireEntry pops a recycled entry, or hands out a fresh one from the
 // newest chunk. Each chunk is as large as all earlier ones together (4, 4,
 // 8, 16, …), so a buffer mints its entries in a handful of allocations and
-// never holds more than about twice its peak occupancy. A fresh entry's
-// release handler is bound here, once: recycled entries keep it.
+// never holds more than about twice its peak occupancy. Every minted entry
+// is buffered, free or still spare, so neither the entries nor the free
+// slice ever holds more than minted: minting a chunk grows both to that
+// size in one step, instead of letting appends double them. A fresh
+// entry's release handler is bound here, once: recycled entries keep it.
 func (b *base) acquireEntry() *Entry {
 	if k := len(b.free); k > 0 {
 		e := b.free[k-1]
@@ -266,12 +270,23 @@ func (b *base) acquireEntry() *Entry {
 	if len(b.spare) == 0 {
 		b.spare = make([]Entry, max(4, b.minted))
 		b.minted += len(b.spare)
+		b.entries = withCap(b.entries, b.minted)
+		b.free = withCap(b.free, b.minted)
 	}
 	e := &b.spare[0]
 	b.spare = b.spare[1:]
 	e.owner = b
 	e.release.Bind((*releaser)(e))
 	return e
+}
+
+// withCap returns s, moved to a new backing array of capacity n if its own
+// is smaller: one allocation, where append doubling would make several.
+func withCap(s []*Entry, n int) []*Entry {
+	if cap(s) >= n {
+		return s
+	}
+	return append(make([]*Entry, 0, n), s...)
 }
 
 // recycleEntry drops the entry's packet reference and returns it to the pool.
@@ -340,8 +355,9 @@ func (b *base) Evacuate() []*packet.Packet {
 // entries are recycled (the scheduler reset disarmed their release events)
 // and the stats restart from zero, in place, so the pointer Stats returned
 // stays valid. The entry pool survives — a reset buffer re-enters steady
-// state warm. Policies holding private randomness (Preemptive) must
-// additionally be reseeded by their owner; see core.RCAD.Reset.
+// state warm. A Preemptive buffer's random source is not reset: its owner
+// reseeds that Source in place, as the network's rearm does for each RCAD
+// node's victim substream.
 func (b *base) Reset() {
 	for i, e := range b.entries {
 		b.recycleEntry(e)
@@ -374,9 +390,6 @@ func (u *Unlimited) Admit(p *packet.Packet, delay float64) {
 	u.insert(p, delay)
 }
 
-// Name implements Policy.
-func (u *Unlimited) Name() string { return "unlimited" }
-
 // DropTail buffers at most capacity packets and drops arrivals that find the
 // buffer full (M/M/k/k with blocking, §4).
 type DropTail struct {
@@ -407,12 +420,6 @@ func (d *DropTail) Admit(p *packet.Packet, delay float64) {
 	}
 	d.insert(p, delay)
 }
-
-// Name implements Policy.
-func (d *DropTail) Name() string { return "drop-tail" }
-
-// Capacity returns the buffer size k.
-func (d *DropTail) Capacity() int { return d.capacity }
 
 // Preemptive is the RCAD buffer (§5): at most capacity packets are held, and
 // an arrival that finds the buffer full forces the selector's victim out for
@@ -456,12 +463,3 @@ func (r *Preemptive) Admit(p *packet.Packet, delay float64) {
 	}
 	r.insert(p, delay)
 }
-
-// Name implements Policy.
-func (r *Preemptive) Name() string { return "preemptive" }
-
-// Capacity returns the buffer size k.
-func (r *Preemptive) Capacity() int { return r.capacity }
-
-// Selector returns the victim-selection rule in use.
-func (r *Preemptive) Selector() VictimSelector { return r.selector }

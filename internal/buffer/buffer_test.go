@@ -266,6 +266,100 @@ func TestPreemptionShortensEffectiveDelay(t *testing.T) {
 	}
 }
 
+// TestRCADNeverDropsUnderOverload: at the paper's highest-load point
+// (k = 10, 1/λ = 2, 1/µ = 30, a 15× overload) RCAD delivers every packet,
+// preempting instead of dropping.
+func TestRCADNeverDropsUnderOverload(t *testing.T) {
+	const k, n = 10, 1000
+	sched := sim.NewScheduler()
+	delivered := 0
+	buf, err := NewPreemptive(sched, func(*packet.Packet, bool) { delivered++ }, k, ShortestRemaining{}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(2)
+	for i := 0; i < n; i++ {
+		i := i
+		at := float64(i) * 2
+		sched.At(at, func() {
+			buf.Admit(packet.New(1, uint32(i), at), src.Exponential(30))
+		})
+	}
+	if err := sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != n {
+		t.Fatalf("delivered %d of %d packets", delivered, n)
+	}
+	s := buf.Stats()
+	if s.Drops != 0 {
+		t.Fatalf("RCAD dropped %d packets", s.Drops)
+	}
+	if s.Preemptions == 0 {
+		t.Fatal("no preemptions under 15× overload")
+	}
+}
+
+// TestEffectiveDelayTracksKOverLambda verifies §5.4's analysis at the
+// paper's point: under heavy load the effective per-node delay becomes
+// ≈ k/λ = 20 instead of 1/µ = 30.
+func TestEffectiveDelayTracksKOverLambda(t *testing.T) {
+	const k = 10
+	const interarrival = 2.0 // λ = 0.5 → k/λ = 20 < 1/µ = 30
+	sched := sim.NewScheduler()
+	buf, err := NewPreemptive(sched, func(*packet.Packet, bool) {}, k, ShortestRemaining{}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(4)
+	const n = 5000
+	for i := 0; i < n; i++ {
+		i := i
+		at := float64(i) * interarrival
+		sched.At(at, func() {
+			buf.Admit(packet.New(1, uint32(i), at), src.Exponential(30))
+		})
+	}
+	if err := sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	held := buf.Stats().HeldDelays.Mean()
+	want := float64(k) * interarrival // k/λ
+	if math.Abs(held-want) > 3 {
+		t.Fatalf("effective delay %v, want ≈ k/λ = %v", held, want)
+	}
+}
+
+// TestLowLoadPreservesDistribution: at low load (1/λ = 100 ≫ 1/µ = 30)
+// preemptions are rare and realised delays keep the sampled distribution's
+// mean.
+func TestLowLoadPreservesDistribution(t *testing.T) {
+	sched := sim.NewScheduler()
+	buf, err := NewPreemptive(sched, func(*packet.Packet, bool) {}, 10, ShortestRemaining{}, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(5)
+	const n = 3000
+	for i := 0; i < n; i++ {
+		i := i
+		at := float64(i) * 100 // λ = 0.01 → ρ = 0.3 ≪ k
+		sched.At(at, func() {
+			buf.Admit(packet.New(1, uint32(i), at), src.Exponential(30))
+		})
+	}
+	if err := sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	s := buf.Stats()
+	if rate := s.PreemptionRate(); rate > 0.001 {
+		t.Fatalf("preemption rate at low load = %v", rate)
+	}
+	if math.Abs(s.HeldDelays.Mean()-30) > 2 {
+		t.Fatalf("held delay mean %v, want ≈ 30", s.HeldDelays.Mean())
+	}
+}
+
 func TestVictimSelectors(t *testing.T) {
 	now := 100.0
 	entries := []*Entry{
@@ -329,32 +423,6 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewPreemptive(sched, fwd, 1, ShortestRemaining{}, nil); err == nil {
 		t.Fatal("nil source accepted")
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	sched := sim.NewScheduler()
-	fwd := func(*packet.Packet, bool) {}
-	u, err := NewUnlimited(sched, fwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDropTail(sched, fwd, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPreemptive(sched, fwd, 1, ShortestRemaining{}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Name() != "unlimited" || d.Name() != "drop-tail" || p.Name() != "preemptive" {
-		t.Fatalf("names = %q %q %q", u.Name(), d.Name(), p.Name())
-	}
-	if d.Capacity() != 1 || p.Capacity() != 1 {
-		t.Fatal("capacity accessors wrong")
-	}
-	if p.Selector().Name() != "shortest-remaining" {
-		t.Fatal("selector accessor wrong")
 	}
 }
 
@@ -660,12 +728,30 @@ func TestResetSurvivesMidFlightEntries(t *testing.T) {
 }
 
 // TestEntryChunkAllocatesOnce: a fresh buffer mints its entries in chunks,
-// each as large as all earlier ones together (4, 4, 8, 16, …), so handing
-// out n fresh entries costs one allocation per chunk, and binding each
-// entry's release handler costs none. The pool never holds more than about
-// twice the entries handed out.
+// each as large as all earlier ones together (4, 4, 8, 16, …), and grows
+// its entries and free slices to the pool's new size with each chunk. So
+// handing out n fresh entries costs three allocations per chunk — the
+// chunk and one growth of each slice — binding each entry's release
+// handler costs none, and the pool never holds more than about twice the
+// entries handed out. Filling a fresh buffer with n packets and draining
+// it costs no more: the slices never regrow between chunks.
 func TestEntryChunkAllocatesOnce(t *testing.T) {
 	const runs = 10
+	sched := sim.NewScheduler()
+	fwd := func(*packet.Packet, bool) {}
+	p := packet.New(1, 0, 0)
+	fill := func(u *Unlimited, n int) {
+		for i := 0; i < n; i++ {
+			u.Admit(p, float64(i%7)+1)
+		}
+		for sched.Step() {
+		}
+	}
+	warm, err := NewUnlimited(sched, fwd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(warm, 100) // sizes the scheduler's heap, so only buffers allocate below
 	for _, tc := range []struct{ n, chunks int }{
 		{1, 1}, {4, 1}, {5, 2}, {8, 2}, {9, 3}, {16, 3}, {17, 4}, {100, 6},
 	} {
@@ -678,11 +764,26 @@ func TestEntryChunkAllocatesOnce(t *testing.T) {
 				b.acquireEntry()
 			}
 		})
-		if allocs != float64(tc.chunks) {
-			t.Errorf("%d fresh entries: %v allocations, want %d (one per chunk)", tc.n, allocs, tc.chunks)
+		if allocs != float64(3*tc.chunks) {
+			t.Errorf("%d fresh entries: %v allocations, want %d (three per chunk)", tc.n, allocs, 3*tc.chunks)
 		}
 		if minted := fresh[0].minted; minted > max(4, 2*tc.n) {
 			t.Errorf("%d fresh entries: the pool minted %d", tc.n, minted)
+		}
+
+		buffers := make([]Unlimited, runs+1)
+		for i := range buffers {
+			if buffers[i].base, err = newBase(sched, fwd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k = 0
+		allocs = testing.AllocsPerRun(runs, func() {
+			fill(&buffers[k], tc.n)
+			k++
+		})
+		if allocs > float64(3*tc.chunks) {
+			t.Errorf("a fresh buffer filled with %d packets and drained: %v allocations, want at most %d (three per chunk)", tc.n, allocs, 3*tc.chunks)
 		}
 	}
 }

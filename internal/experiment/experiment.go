@@ -245,15 +245,7 @@ func (f figure1Net) paths() (map[packet.NodeID][]packet.NodeID, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: routing: %w", err)
 	}
-	paths := make(map[packet.NodeID][]packet.NodeID, len(f.sources))
-	for _, s := range f.sources {
-		full, err := routes.Path(s)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: path for %v: %w", s, err)
-		}
-		paths[s] = full[:len(full)-1] // drop the sink: it does not buffer
-	}
-	return paths, nil
+	return routes.FlowPaths(f.sources)
 }
 
 // figure1Run executes one simulation of the paper's evaluation network:

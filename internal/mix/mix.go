@@ -149,9 +149,6 @@ func (m *ThresholdMix) Admit(p *packet.Packet, _ float64) {
 	}
 }
 
-// Name implements buffer.Policy.
-func (m *ThresholdMix) Name() string { return "threshold-mix" }
-
 // TimedMix flushes its whole buffer every interval, in random order. The
 // first flush is scheduled on construction.
 type TimedMix struct {
@@ -204,9 +201,6 @@ func (m *TimedMix) Admit(p *packet.Packet, _ float64) {
 
 // Stop ends the periodic flush chain after at most one more flush.
 func (m *TimedMix) Stop() { m.stopped = true }
-
-// Name implements buffer.Policy.
-func (m *TimedMix) Name() string { return "timed-mix" }
 
 // LatencyVariance is the scheme-independent privacy score used by the mix
 // comparison: the variance of delivery latency, which equals the MSE of the

@@ -204,22 +204,12 @@ func TestConstructorValidation(t *testing.T) {
 	}
 }
 
-func TestNamesAndStats(t *testing.T) {
+func TestThresholdMixStats(t *testing.T) {
 	sched := sim.NewScheduler()
 	fwd := func(*packet.Packet, bool) {}
 	tm, err := NewThresholdMix(sched, fwd, 2, 1, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if tm.Name() != "threshold-mix" {
-		t.Fatalf("name = %q", tm.Name())
-	}
-	ti, err := NewTimedMix(sched, fwd, 3, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ti.Name() != "timed-mix" {
-		t.Fatalf("name = %q", ti.Name())
 	}
 	sched.At(0, func() {
 		tm.Admit(packet.New(1, 0, 0), 0)

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"tempriv/internal/buffer"
 	"tempriv/internal/packet"
 	"tempriv/internal/rng"
 	"tempriv/internal/seal"
@@ -144,7 +145,6 @@ func (r *runner) rearm(cfg Config, id structure, res *Result) error {
 	// factories' scheduler calls do. Every substream a node keeps is
 	// derived in place, so a warm rearm allocates none.
 	master := rng.New(cfg.Seed)
-	var victim rng.Source
 	for _, n := range r.nodes {
 		if n == nil {
 			continue
@@ -167,17 +167,14 @@ func (r *runner) rearm(cfg Config, id structure, res *Result) error {
 			n.link.bad = false
 			n.src.SplitInto(n.link.src, "link")
 		}
-		switch {
-		case n.rcad != nil:
-			// Reseeds the buffer's shared victim stream and re-derives the
-			// controller's planned-delay cap from the adopted distribution.
-			n.src.SplitInto(&victim, "victim")
-			n.rcad.Reset(n.dist, &victim)
-		case n.policy != nil && cfg.Policy != PolicyCustom:
-			if p, ok := n.policy.(interface{ Reset() }); ok {
-				p.Reset()
-			}
-		default:
+		n.draw = n.src
+		if cfg.Policy == PolicyRCAD {
+			// Reseeds the preemptive buffer's victim stream in place; the
+			// node's delays draw from it too.
+			n.src.SplitInto(&n.victim, "victim")
+			n.draw = &n.victim
+		}
+		if n.policy == nil || cfg.Policy == PolicyCustom {
 			// A built-in policy is built on the engine's first run. A
 			// custom policy is run-scoped: its factory may close over
 			// caller state or arm timers on the scheduler just reset, so
@@ -185,6 +182,24 @@ func (r *runner) rearm(cfg Config, id structure, res *Result) error {
 			if err := r.attachPolicy(n); err != nil {
 				return err
 			}
+			continue
+		}
+		// A switch on the concrete built-ins, not an assertion to an
+		// interface: the runtime caches interface assertions per call
+		// site and allocates, at random, while it fills that cache, and a
+		// warm rearm allocates nothing.
+		switch p := n.policy.(type) {
+		case *buffer.Unlimited:
+			p.Reset()
+		case *buffer.DropTail:
+			p.Reset()
+		case *buffer.Preemptive:
+			p.Reset()
+		}
+		if n.ctrl != nil {
+			// Re-derives the planned-delay cap from the adopted
+			// distribution.
+			n.ctrl.Reset(n.dist.Mean())
 		}
 	}
 	return nil

@@ -26,17 +26,8 @@ func (r *runner) failNode(n *node) {
 	n.dead = true
 	r.dead[n.id] = true
 	var evacuated []*packet.Packet
-	var holder evacuator
-	switch {
-	case n.rcad != nil:
-		holder = n.rcad
-	case n.policy != nil:
-		if ev, ok := n.policy.(evacuator); ok {
-			holder = ev
-		}
-	}
-	if holder != nil {
-		evacuated = holder.Evacuate()
+	if ev, ok := n.policy.(evacuator); ok {
+		evacuated = ev.Evacuate()
 	}
 	if !r.cfg.RouteRepair {
 		r.loseToFailure(n.id, evacuated)

@@ -1,6 +1,6 @@
-// Package network assembles topology, routing, traffic, buffering and the
-// RCAD engine into a runnable simulated sensor network — the event-driven
-// simulator of §5.
+// Package network assembles topology, routing, traffic and buffering —
+// RCAD's preemptive buffers, optionally with the §4 rate controller — into
+// a runnable simulated sensor network: the event-driven simulator of §5.
 //
 // The simulation model follows §5.2: PHY and MAC are abstracted to a
 // constant per-hop transmission delay τ (1 time unit by default); every
@@ -93,6 +93,18 @@ func (k PolicyKind) String() string {
 	default:
 		return fmt.Sprintf("policy(%d)", int(k))
 	}
+}
+
+// PolicyByName returns the built-in policy kind whose String is name:
+// "no-delay", "delay-unlimited", "delay-droptail" or "rcad". It rejects
+// "custom", which needs a CustomPolicy factory, and unknown names.
+func PolicyByName(name string) (PolicyKind, error) {
+	for k := PolicyForward; k < PolicyCustom; k++ { // the built-ins precede PolicyCustom
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("network: unknown policy %q", name)
 }
 
 // Source declares one traffic source.

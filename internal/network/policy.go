@@ -57,27 +57,18 @@ func (r *runner) attachPolicy(n *node) error {
 		}
 		n.policy = pol
 	case PolicyRCAD:
-		var ctrl *core.RateController
 		if rc := r.cfg.RateControl; rc != nil {
-			var err error
-			ctrl, err = core.NewRateController(r.cfg.Capacity, rc.TargetLoss, rc.Smoothing, n.dist.Mean())
+			ctrl, err := core.NewRateController(r.cfg.Capacity, rc.TargetLoss, rc.Smoothing, n.dist.Mean())
 			if err != nil {
 				return fmt.Errorf("network: node %v: %w", n.id, err)
 			}
+			n.ctrl = ctrl
 		}
-		eng, err := core.New(core.Config{
-			Scheduler:  r.sched,
-			Forward:    forward,
-			Capacity:   r.cfg.Capacity,
-			Delay:      n.dist,
-			Victim:     r.cfg.Victim,
-			Source:     n.src.Split("victim"),
-			Controller: ctrl,
-		})
+		pol, err := buffer.NewPreemptive(r.sched, forward, r.cfg.Capacity, r.cfg.Victim, &n.victim)
 		if err != nil {
 			return fmt.Errorf("network: node %v: %w", n.id, err)
 		}
-		n.rcad = eng
+		n.policy = pol
 	}
 	return nil
 }
@@ -90,14 +81,21 @@ func (r *runner) deliver(n *node, p *packet.Packet) {
 		r.record(trace.Lost, n.id, p)
 		return
 	}
-	switch {
-	case n.rcad != nil:
-		r.record(trace.Admitted, n.id, p)
-		n.rcad.OnPacket(r.sched.Now(), p)
-	case n.policy != nil:
-		r.record(trace.Admitted, n.id, p)
-		n.policy.Admit(p, n.dist.Sample(n.src))
-	default: // PolicyForward
+	if n.policy == nil { // PolicyForward
 		r.transmit(n, p)
+		return
 	}
+	r.record(trace.Admitted, n.id, p)
+	n.policy.Admit(p, n.delay(r.sched.Now()))
+}
+
+// delay draws the buffering delay of a packet n admits at now: from the
+// rate controller's plan when the node has one, else from the node's
+// distribution.
+func (n *node) delay(now float64) float64 {
+	if n.ctrl != nil {
+		n.ctrl.Observe(now)
+		return n.draw.Exponential(n.ctrl.MeanDelay())
+	}
+	return n.dist.Sample(n.draw)
 }

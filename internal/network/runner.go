@@ -24,10 +24,22 @@ import (
 type node struct {
 	id     packet.NodeID
 	parent packet.NodeID
-	policy buffer.Policy // nil for PolicyForward
-	rcad   *core.RCAD    // non-nil only when rate control is enabled
-	dist   delay.Distribution
-	src    *rng.Source
+	// policy buffers the node's admitted packets: a *buffer.Preemptive
+	// under PolicyRCAD, and nil under PolicyForward, which transmits
+	// inline.
+	policy buffer.Policy
+	// ctrl re-plans the mean delay from the observed arrival rate (§4); it
+	// is non-nil only on a rate-controlled RCAD node.
+	ctrl *core.RateController
+	dist delay.Distribution
+	src  *rng.Source
+	// victim is an RCAD node's "victim" substream of src, which its
+	// preemptive buffer picks victims from. draw is the stream delay
+	// draws from: &victim under PolicyRCAD, so an RCAD node draws each
+	// packet's delay and then, inside Admit, its victim pick from one
+	// stream, and src under every other policy.
+	victim rng.Source
+	draw   *rng.Source
 	link   *linkChannel // nil when Config.Channel is nil (reliable link)
 	dead   bool
 	// parent0 is the routing parent the build assigned, restored by rearm so

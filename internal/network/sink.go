@@ -5,7 +5,6 @@ package network
 // per-node summaries once the event list has drained.
 
 import (
-	"tempriv/internal/buffer"
 	"tempriv/internal/packet"
 	"tempriv/internal/topology"
 	"tempriv/internal/trace"
@@ -85,17 +84,10 @@ func (r *runner) finalize() {
 	}
 
 	for _, n := range r.nodes {
-		var st *buffer.Stats
-		switch {
-		case n == nil:
-			continue // the sink or an unused ID
-		case n.rcad != nil:
-			st = n.rcad.Stats()
-		case n.policy != nil:
-			st = n.policy.Stats()
-		default:
-			continue // PolicyForward keeps no buffer state
+		if n == nil || n.policy == nil {
+			continue // the sink, an unused ID, or PolicyForward's bufferless node
 		}
+		st := n.policy.Stats()
 		hops, _ := r.routes.HopCount(n.id)
 		ns := res.nodeStats()
 		*ns = NodeStats{

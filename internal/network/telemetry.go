@@ -123,19 +123,11 @@ func (r *runner) buildSample(now float64) telemetry.Sample {
 	occ := make(map[packet.NodeID]int, r.cfg.Topology.NodeCount())
 	buffered := 0
 	for _, n := range r.nodes {
-		var ln int
-		switch {
-		case n == nil:
-			continue // the sink or an unused ID
-		case n.rcad != nil:
-			ln = n.rcad.Len()
-			bufferDrops += n.rcad.Stats().Drops
-		case n.policy != nil:
-			ln = n.policy.Len()
-			bufferDrops += n.policy.Stats().Drops
-		default:
-			continue // PolicyForward holds nothing
+		if n == nil || n.policy == nil {
+			continue // the sink, an unused ID, or PolicyForward's bufferless node
 		}
+		ln := n.policy.Len()
+		bufferDrops += n.policy.Stats().Drops
 		occ[n.id] = ln
 		buffered += ln
 	}

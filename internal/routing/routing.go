@@ -111,6 +111,22 @@ func (t *Table) Path(n packet.NodeID) ([]packet.NodeID, error) {
 	return path, nil
 }
 
+// FlowPaths returns, for each source, the buffering nodes on its routing
+// path: the source first, through the last relay, with the sink dropped
+// because it does not buffer. It is the path-aware adversary's input;
+// routing is deterministic, so it matches every run's routes.
+func (t *Table) FlowPaths(sources []packet.NodeID) (map[packet.NodeID][]packet.NodeID, error) {
+	paths := make(map[packet.NodeID][]packet.NodeID, len(sources))
+	for _, s := range sources {
+		full, err := t.Path(s)
+		if err != nil {
+			return nil, err
+		}
+		paths[s] = full[:len(full)-1]
+	}
+	return paths, nil
+}
+
 // Nodes returns every node in the tree, sorted ascending.
 func (t *Table) Nodes() []packet.NodeID {
 	out := make([]packet.NodeID, 0, len(t.hops))

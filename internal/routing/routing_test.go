@@ -133,6 +133,43 @@ func TestPath(t *testing.T) {
 	}
 }
 
+func TestFlowPaths(t *testing.T) {
+	topo, sources, err := topology.Figure1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := BuildTree(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := table.FlowPaths(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != len(sources) {
+		t.Fatalf("%d paths for %d sources", len(paths), len(sources))
+	}
+	for _, s := range sources {
+		full, err := table.Path(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := paths[s]
+		hops, _ := table.HopCount(s)
+		if len(got) != hops || got[0] != s {
+			t.Fatalf("flow %v: path %v, want %d buffering nodes from the source", s, got, hops)
+		}
+		for i := range got {
+			if got[i] != full[i] || got[i] == topology.Sink {
+				t.Fatalf("flow %v: path %v, full route %v", s, got, full)
+			}
+		}
+	}
+	if _, err := table.FlowPaths([]packet.NodeID{99}); err == nil {
+		t.Fatal("FlowPaths of an unknown source succeeded")
+	}
+}
+
 func TestChildren(t *testing.T) {
 	topo, sources, err := topology.MergeTree([]int{4, 4}, 2)
 	if err != nil {

@@ -268,24 +268,17 @@ func runSimulation(m *SimulationSpec, seed uint64, title string, engines *networ
 	if err != nil {
 		return nil, err
 	}
+	policy, err := network.PolicyByName(m.Policy) // normalize has rejected unknown names
+	if err != nil {
+		return nil, err
+	}
 	cfg := network.Config{
 		Topology:          topo,
+		Policy:            policy,
 		Capacity:          m.Capacity,
 		TransmissionDelay: m.Tau,
 		Seed:              seed,
 		Seal:              m.Seal,
-	}
-	switch m.Policy {
-	case "no-delay":
-		cfg.Policy = network.PolicyForward
-	case "delay-unlimited":
-		cfg.Policy = network.PolicyUnlimited
-	case "delay-droptail":
-		cfg.Policy = network.PolicyDropTail
-	case "rcad":
-		cfg.Policy = network.PolicyRCAD
-	default:
-		return nil, invalidf("simulation.policy %q unknown", m.Policy)
 	}
 	if m.Delay != nil {
 		if m.Delay.Dist == "pareto" {
@@ -440,13 +433,9 @@ func buildAdversary(m *SimulationSpec, topo *topology.Topology, policy network.P
 		if err != nil {
 			return nil, fmt.Errorf("scenario: routing: %w", err)
 		}
-		paths := make(map[packet.NodeID][]packet.NodeID)
-		for _, s := range topo.Sources() {
-			full, err := routes.Path(s)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: path for %v: %w", s, err)
-			}
-			paths[s] = full[:len(full)-1]
+		paths, err := routes.FlowPaths(topo.Sources())
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
 		}
 		return adversary.NewPathAware(m.Tau, known, m.Capacity, m.Threshold, paths)
 	default:

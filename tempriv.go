@@ -123,8 +123,10 @@ type (
 	// RandomSource is a deterministic random stream (each custom policy
 	// receives its own substream).
 	RandomSource = rng.Source
-	// BufferPolicy is a node's store-and-forward buffering behaviour; see
-	// Config.CustomPolicy for installing your own. A policy must not read a
+	// BufferPolicy is a node's store-and-forward buffering behaviour: Admit,
+	// Len and Stats. Every buffering node holds one — under PolicyRCAD a
+	// preemptive buffer fed with the node's delay draws — and
+	// Config.CustomPolicy installs your own. A policy must not read a
 	// packet after passing it to Forward: once the packet reaches the sink,
 	// the engine reuses its memory for a new packet.
 	BufferPolicy = buffer.Policy
@@ -372,6 +374,11 @@ var (
 // ("shortest-remaining", "longest-remaining", "oldest", "random").
 func VictimByName(name string) (VictimSelector, error) { return buffer.SelectorByName(name) }
 
+// PolicyByName returns a built-in policy kind from its report name
+// ("no-delay", "delay-unlimited", "delay-droptail", "rcad"). PolicyCustom
+// has no name to look up: it needs a CustomPolicy factory.
+func PolicyByName(name string) (PolicyKind, error) { return network.PolicyByName(name) }
+
 // NewBaselineAdversary returns the §2.1 adversary: it estimates each
 // packet's creation time as arrival − h·(τ + meanDelay), where h is the
 // cleartext hop count. Use meanDelay 0 against a non-delaying network.
@@ -428,15 +435,7 @@ func FlowPaths(topo *Topology) (map[NodeID][]NodeID, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tempriv: routing: %w", err)
 	}
-	out := make(map[NodeID][]NodeID)
-	for _, s := range topo.Sources() {
-		full, err := routes.Path(s)
-		if err != nil {
-			return nil, fmt.Errorf("tempriv: path for %v: %w", s, err)
-		}
-		out[s] = full[:len(full)-1]
-	}
-	return out, nil
+	return routes.FlowPaths(topo.Sources())
 }
 
 // HopCounts returns each marked source's routing-path length to the sink.

@@ -177,6 +177,14 @@ func TestVictimAndDelayFactories(t *testing.T) {
 	if ShortestRemainingVictim.Name() != "shortest-remaining" {
 		t.Fatal("default victim selector wrong")
 	}
+	for _, k := range []PolicyKind{PolicyForward, PolicyUnlimited, PolicyDropTail, PolicyRCAD} {
+		if got, err := PolicyByName(k.String()); err != nil || got != k {
+			t.Fatalf("PolicyByName(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	if _, err := PolicyByName(PolicyCustom.String()); err == nil {
+		t.Fatal("PolicyByName accepted custom, which needs a factory")
+	}
 }
 
 func TestTrafficFactories(t *testing.T) {
