@@ -14,18 +14,23 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"tempriv"
 	"tempriv/internal/buildinfo"
 	"tempriv/internal/profiling"
+	"tempriv/internal/scenario"
+	"tempriv/internal/telemetry"
 )
 
 func main() {
@@ -92,26 +97,109 @@ func run(args []string) (err error) {
 
 	// Flag validation happens before any output or side effect: bad flags
 	// produce one stderr diagnostic and a non-zero exit, never a partial
-	// stdout report or a half-created artifact file.
-	if err := validateFlags(flagValues{
-		policy: *policyName, adversary: *advName, interarrival: *interarrival, packets: *packets,
-		meanDelay: *meanDelay, capacity: *capacity, tau: *tau,
-		threshold: *threshold, targetLoss: *targetLoss,
-		hops: *hops, gridW: *gridW, gridH: *gridH,
-		fieldNodes: *fieldNodes, fieldSide: *fieldSide, fieldRadius: *fieldRadius,
-		linkLoss: *linkLoss, burstLoss: *burstLoss, ackLoss: *ackLoss,
-		burstLen: *burstLen, goodRun: *goodRun,
-		arq: *arq, arqRetries: *arqRetries, arqTimeout: *arqTimeout, arqBackoff: *arqBackoff,
-		sampleEvery: *sampleEvery,
-	}); err != nil {
-		return err
-	}
+	// stdout report or a half-created artifact file. The flags describe a
+	// scenario spec, which is normalized and compiled before anything else
+	// happens; only -replicate and the observer flags are rcadsim's own.
 	if *replicate < 1 {
 		return fmt.Errorf("-replicate must be >= 1, got %d", *replicate)
 	}
 	if *replicate > 1 && (*traceFile != "" || *telemetryOut != "" || *promOut != "") {
 		return errors.New("-replicate > 1 cannot be combined with -trace, -telemetry or -prom (observers would interleave runs)")
 	}
+	if !(*sampleEvery > 0) {
+		return fmt.Errorf("-sample-every must be > 0, got %v", *sampleEvery)
+	}
+	// The spec reads a zero as its default, so a flag set to 0 would run
+	// the default instead; it is rejected.
+	for _, f := range []struct {
+		name string
+		zero bool
+	}{
+		{"hops", *hops == 0}, {"grid-w", *gridW == 0}, {"grid-h", *gridH == 0},
+		{"field-nodes", *fieldNodes == 0}, {"field-side", *fieldSide == 0}, {"field-radius", *fieldRadius == 0},
+		{"interarrival", *interarrival == 0}, {"packets", *packets == 0}, {"capacity", *capacity == 0},
+		{"mean-delay", *meanDelay == 0 && *policyName != "no-delay"}, {"tau", *tau == 0},
+		{"threshold", *threshold == 0}, {"seed", *seed == 0}, {"arq-retries", *arqRetries == 0},
+	} {
+		if f.zero {
+			return fmt.Errorf("-%s must not be 0", f.name)
+		}
+	}
+	// Each flag group is range-checked by the spec part that owns it, also
+	// where the chosen topology or mode ignores the group.
+	for _, part := range []interface{ Validate() error }{
+		scenario.TopologySpec{Kind: "line", Hops: *hops},
+		scenario.TopologySpec{Kind: "grid", Width: *gridW, Height: *gridH},
+		scenario.TopologySpec{Kind: "random", Nodes: *fieldNodes, Side: *fieldSide, Radius: *fieldRadius},
+		scenario.RateControlSpec{TargetLoss: *targetLoss},
+		scenario.ARQSpec{MaxRetries: *arqRetries, Timeout: *arqTimeout, Backoff: *arqBackoff},
+		scenario.ChannelSpec{LossP: *linkLoss, Burst: true, BurstLossP: *burstLoss, MeanGoodRun: *goodRun, MeanBurstLen: *burstLen, AckLossP: *ackLoss},
+	} {
+		if err := part.Validate(); err != nil {
+			return err
+		}
+	}
+	failures, err := parseFailures(*failSpec)
+	if err != nil {
+		return err
+	}
+
+	sim := &scenario.SimulationSpec{
+		Topology:   scenario.TopologySpec{Kind: *topoKind},
+		Traffic:    scenario.TrafficSpec{Kind: "periodic", Interval: *interarrival},
+		Policy:     *policyName,
+		Capacity:   *capacity,
+		Victim:     *victimName,
+		Tau:        *tau,
+		Seed:       *seed,
+		Packets:    *packets,
+		Seal:       *sealed,
+		Adversary:  *advName,
+		Threshold:  *threshold,
+		Failures:   failures,
+		Replicates: 1, // rcadsim runs its own seeds
+	}
+	switch *topoKind {
+	case "line":
+		sim.Topology.Hops = *hops
+	case "grid":
+		sim.Topology.Width, sim.Topology.Height = *gridW, *gridH
+	case "random":
+		sim.Topology.Nodes, sim.Topology.Side, sim.Topology.Radius = *fieldNodes, *fieldSide, *fieldRadius
+	}
+	if *policyName != "no-delay" {
+		sim.Delay = &scenario.DelaySpec{Dist: *distName, Mean: *meanDelay}
+	}
+	if *rateControl {
+		sim.RateControl = &scenario.RateControlSpec{TargetLoss: *targetLoss}
+	}
+	if *linkLoss > 0 || *burst || *ackLoss > 0 {
+		sim.Channel = &scenario.ChannelSpec{LossP: *linkLoss, Burst: *burst, AckLossP: *ackLoss}
+		if *burst {
+			sim.Channel.BurstLossP, sim.Channel.MeanGoodRun, sim.Channel.MeanBurstLen = *burstLoss, *goodRun, *burstLen
+		}
+	}
+	if *arq {
+		sim.ARQ = &scenario.ARQSpec{MaxRetries: *arqRetries, Timeout: *arqTimeout, Backoff: *arqBackoff}
+	}
+	if len(failures) > 0 {
+		sim.RouteRepair = *routeRepair
+	}
+	spec, err := scenario.Spec{Version: scenario.CurrentVersion, Simulation: sim}.Normalize()
+	if err != nil {
+		return err
+	}
+	fingerprint, err := spec.Fingerprint()
+	if err != nil {
+		return err
+	}
+	compiled, err := scenario.Compile(spec.Simulation)
+	if err != nil {
+		return err
+	}
+	// The traffic is periodic, which keeps no state, so the one compiled
+	// config serves every seed.
+	cfg, sources := compiled.Config, compiled.Sources
 
 	// Buffered outputs are flushed and closed on every exit path, error
 	// returns included; their errors surface rather than vanish. Cleanups
@@ -124,74 +212,15 @@ func run(args []string) (err error) {
 		}
 	}()
 
-	// Profiles are registered first so they cover everything after flag
-	// validation and are flushed on every exit path, error returns included.
+	// Profiles are registered first so they cover everything after the
+	// spec is compiled and are flushed on every exit path, error returns
+	// included.
 	profCleanups, err := profiling.Start(*cpuProfile, *memProfile)
 	cleanups = append(cleanups, profCleanups...)
 	if err != nil {
 		return err
 	}
 
-	topo, sources, err := buildTopology(*topoKind, *hops, *gridW, *gridH, *fieldNodes, *fieldSide, *fieldRadius, *seed)
-	if err != nil {
-		return err
-	}
-
-	policy, err := tempriv.PolicyByName(*policyName)
-	if err != nil {
-		return fmt.Errorf("unknown policy %q", *policyName)
-	}
-	victim, err := tempriv.VictimByName(*victimName)
-	if err != nil {
-		return err
-	}
-	var dist tempriv.DelayDistribution
-	if policy != tempriv.PolicyForward {
-		dist, err = tempriv.DelayByName(*distName, *meanDelay)
-		if err != nil {
-			return err
-		}
-	}
-	proc, err := tempriv.PeriodicTraffic(*interarrival)
-	if err != nil {
-		return err
-	}
-
-	cfg := tempriv.Config{
-		Topology:          topo,
-		Policy:            policy,
-		Delay:             dist,
-		Capacity:          *capacity,
-		Victim:            victim,
-		TransmissionDelay: *tau,
-		Seed:              *seed,
-		Seal:              *sealed,
-	}
-	for _, s := range sources {
-		cfg.Sources = append(cfg.Sources, tempriv.Source{Node: s, Process: proc, Count: *packets})
-	}
-	if *rateControl {
-		cfg.RateControl = &tempriv.RateControl{TargetLoss: *targetLoss, Smoothing: 0.3}
-	}
-	if *linkLoss > 0 || *burst || *ackLoss > 0 {
-		cfg.Channel = &tempriv.ChannelConfig{
-			LossP:        *linkLoss,
-			Burst:        *burst,
-			BurstLossP:   *burstLoss,
-			MeanGoodRun:  *goodRun,
-			MeanBurstLen: *burstLen,
-			AckLossP:     *ackLoss,
-		}
-	}
-	if *arq {
-		cfg.ARQ = &tempriv.ARQConfig{MaxRetries: *arqRetries, Timeout: *arqTimeout, Backoff: *arqBackoff}
-	}
-	failures, err := parseFailures(*failSpec)
-	if err != nil {
-		return err
-	}
-	cfg.NodeFailures = failures
-	cfg.RouteRepair = *routeRepair
 	var tracer *tempriv.JSONLTracer
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -208,7 +237,8 @@ func run(args []string) (err error) {
 	}
 
 	// Any telemetry flag turns on the live registry; the sampler needs an
-	// emitter too.
+	// emitter too. The heap readings of the samples feed the manifest's
+	// peak.
 	var reg *tempriv.TelemetryRegistry
 	if *telemetryOut != "" || *promOut != "" || *pprofAddr != "" {
 		reg = tempriv.NewTelemetryRegistry()
@@ -234,11 +264,13 @@ func run(args []string) (err error) {
 		}
 		emitters = append(emitters, promEm)
 	}
+	heap := &heapPeak{}
 	if reg != nil {
 		tcfg := &tempriv.TelemetryConfig{Registry: reg, SampleHeap: true}
 		if len(emitters) > 0 {
 			tcfg.SampleEvery = *sampleEvery
-			tcfg.Emitter = tempriv.MultiTelemetryEmitter(emitters...)
+			heap.TelemetryEmitter = tempriv.MultiTelemetryEmitter(emitters...)
+			tcfg.Emitter = heap
 		}
 		cfg.Telemetry = tcfg
 	}
@@ -254,26 +286,31 @@ func run(args []string) (err error) {
 	// All seeds run through one engine cache, so topology, routes,
 	// buffers, scheduler and packet arena are built once. Each run's result
 	// is borrowed: it is scored, printed and folded into the replicate
-	// summary inside its callback. Engine reuse is byte-identical to fresh
-	// runs, so the base seed's report does not depend on -replicate; the
-	// extra seeds only feed the replicate summary.
+	// summary inside its callback, with an estimator of its own. Engine
+	// reuse is byte-identical to fresh runs, so the base seed's report does
+	// not depend on -replicate; the extra seeds only feed the replicate
+	// summary.
 	cache := tempriv.NewEngineCache()
 	summary := newReplicateSummary(sources)
-	var est tempriv.Estimator
-	var manifest tempriv.RunManifest
+	var estName string
+	var manifest runManifest
+	start := time.Now()
 	err = tempriv.RunBorrowed(cache, cfg, func(res *tempriv.Result) error {
-		var err error
-		est, err = buildAdversary(*advName, topo, *tau, *meanDelay, *capacity, *threshold, policy)
+		wall := time.Since(start).Seconds()
+		manifest = runManifest{
+			SpecFingerprint: fingerprint, Seed: cfg.Seed, GoVersion: runtime.Version(),
+			SimDuration: res.Duration, Events: res.Events, Deliveries: len(res.Deliveries),
+			WallSeconds: wall, PeakHeapBytes: max(heap.peak, telemetry.HeapAlloc()),
+		}
+		if wall > 0 {
+			manifest.EventsPerSec = float64(res.Events) / wall
+		}
+		perFlow, err := score(compiled, res, &estName)
 		if err != nil {
 			return err
 		}
-		perFlow, err := tempriv.ScoreAdversaryPerFlow(est, res)
-		if err != nil {
-			return err
-		}
-		printReport(res, sources, perFlow, est.Name())
+		printReport(res, sources, perFlow, estName)
 		summary.fold(res, perFlow)
-		manifest = *res.Manifest
 		return nil
 	})
 	if err != nil {
@@ -293,7 +330,7 @@ func run(args []string) (err error) {
 			c := cfg
 			c.Seed = *seed + uint64(i)
 			err := tempriv.RunBorrowed(cache, c, func(res *tempriv.Result) error {
-				perFlow, err := tempriv.ScoreAdversaryPerFlow(est, res)
+				perFlow, err := score(compiled, res, &estName)
 				if err != nil {
 					return err
 				}
@@ -304,7 +341,7 @@ func run(args []string) (err error) {
 				return fmt.Errorf("replicate seed %d: %w", c.Seed, err)
 			}
 		}
-		summary.print(est.Name(), *seed, *replicate)
+		summary.print(estName, *seed, *replicate)
 	}
 	if tracer != nil {
 		if err := tracer.Err(); err != nil {
@@ -316,7 +353,7 @@ func run(args []string) (err error) {
 		fmt.Printf("telemetry time series written to %s\n", *telemetryOut)
 	}
 	if *manifestOut != "" {
-		if err := manifest.WriteJSON(*manifestOut); err != nil {
+		if err := manifest.writeJSON(*manifestOut); err != nil {
 			return err
 		}
 	}
@@ -324,106 +361,67 @@ func run(args []string) (err error) {
 	// deterministic manifest fields are printed; wall-clock and heap live in
 	// the -manifest file.
 	fmt.Printf("\nrun manifest: fingerprint=%s seed=%d events=%d deliveries=%d sim-duration=%g\n",
-		manifest.ConfigFingerprint, manifest.Seed, manifest.Events, manifest.Deliveries, manifest.SimDuration)
+		manifest.SpecFingerprint, manifest.Seed, manifest.Events, manifest.Deliveries, manifest.SimDuration)
 	return nil
 }
 
-// maxPlacementAttempts bounds how many consecutive seeds the random-topology
-// builder tries before concluding the requested density is unworkable.
-const maxPlacementAttempts = 10
-
-// flagValues carries the numeric flags through validation.
-type flagValues struct {
-	policy, adversary                   string
-	interarrival                        float64
-	packets, capacity                   int
-	meanDelay, tau, threshold           float64
-	targetLoss                          float64
-	hops, gridW, gridH, fieldNodes      int
-	fieldSide, fieldRadius              float64
-	linkLoss, burstLoss, ackLoss        float64
-	burstLen, goodRun                   float64
-	arq                                 bool
-	arqRetries                          int
-	arqTimeout, arqBackoff, sampleEvery float64
+// score rates one run's deliveries per flow with an estimator built for
+// that run, and reports the estimator's name through name.
+func score(compiled *scenario.Compiled, res *tempriv.Result, name *string) (map[tempriv.NodeID]*tempriv.MSE, error) {
+	est, err := compiled.Estimator()
+	if err != nil {
+		return nil, err
+	}
+	*name = est.Name()
+	return tempriv.ScoreAdversaryPerFlow(est, res)
 }
 
-// validateFlags range-checks every numeric flag and checks the adversary
-// name up front, so misuse fails before the simulator, the trace file or the
-// debug server produce any output.
-func validateFlags(v flagValues) error {
-	switch v.adversary {
-	case "baseline", "adaptive", "path-aware":
-	default:
-		return fmt.Errorf("unknown adversary %q", v.adversary)
+// runManifest is the -manifest record of the base seed's run: its spec
+// fingerprint (seed included), what it simulated, and how it performed.
+// PeakHeapBytes is the largest of the sampler's heap readings and one taken
+// as the run ends.
+type runManifest struct {
+	SpecFingerprint string  `json:"spec_fingerprint"`
+	Seed            uint64  `json:"seed"`
+	GoVersion       string  `json:"go_version"`
+	SimDuration     float64 `json:"sim_duration"`
+	Events          uint64  `json:"events"`
+	Deliveries      int     `json:"deliveries"`
+	WallSeconds     float64 `json:"wall_seconds"`
+	EventsPerSec    float64 `json:"events_per_sec"`
+	PeakHeapBytes   uint64  `json:"peak_heap_bytes"`
+}
+
+// writeJSON writes the manifest as indented JSON to path.
+func (m *runManifest) writeJSON(path string) error {
+	b, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return fmt.Errorf("encoding manifest: %w", err)
 	}
-	if !(v.interarrival > 0) {
-		return fmt.Errorf("-interarrival must be > 0, got %v", v.interarrival)
-	}
-	if v.packets < 1 {
-		return fmt.Errorf("-packets must be >= 1, got %d", v.packets)
-	}
-	if v.policy != "no-delay" && !(v.meanDelay > 0) {
-		return fmt.Errorf("-mean-delay must be > 0 for policy %q, got %v", v.policy, v.meanDelay)
-	}
-	if v.capacity < 1 {
-		return fmt.Errorf("-capacity must be >= 1, got %d", v.capacity)
-	}
-	if !(v.tau > 0) {
-		return fmt.Errorf("-tau must be > 0, got %v", v.tau)
-	}
-	if !(v.threshold > 0) || v.threshold >= 1 {
-		return fmt.Errorf("-threshold must be in (0, 1), got %v", v.threshold)
-	}
-	if !(v.targetLoss > 0) || v.targetLoss >= 1 {
-		return fmt.Errorf("-target-loss must be in (0, 1), got %v", v.targetLoss)
-	}
-	if v.hops < 1 {
-		return fmt.Errorf("-hops must be >= 1, got %d", v.hops)
-	}
-	if v.gridW < 2 || v.gridH < 2 {
-		return fmt.Errorf("-grid-w and -grid-h must be >= 2, got %dx%d", v.gridW, v.gridH)
-	}
-	if v.fieldNodes < 2 {
-		return fmt.Errorf("-field-nodes must be >= 2, got %d", v.fieldNodes)
-	}
-	if !(v.fieldSide > 0) || !(v.fieldRadius > 0) {
-		return fmt.Errorf("-field-side and -field-radius must be > 0, got %v and %v", v.fieldSide, v.fieldRadius)
-	}
-	for name, p := range map[string]float64{
-		"-link-loss": v.linkLoss, "-burst-loss": v.burstLoss, "-ack-loss": v.ackLoss,
-	} {
-		if p < 0 || p > 1 {
-			return fmt.Errorf("%s must be in [0, 1], got %v", name, p)
-		}
-	}
-	if v.ackLoss > 0 && !v.arq {
-		return fmt.Errorf("-ack-loss requires -arq (ACKs only exist with ARQ)")
-	}
-	if v.burstLen < 0 || v.goodRun < 0 {
-		return fmt.Errorf("-burst-len and -good-run must be >= 0, got %v and %v", v.burstLen, v.goodRun)
-	}
-	if v.arqRetries < 0 {
-		return fmt.Errorf("-arq-retries must be >= 0, got %d", v.arqRetries)
-	}
-	if v.arqTimeout < 0 {
-		return fmt.Errorf("-arq-timeout must be >= 0, got %v", v.arqTimeout)
-	}
-	if v.arqBackoff != 0 && v.arqBackoff < 1 {
-		return fmt.Errorf("-arq-backoff must be 0 (default) or >= 1, got %v", v.arqBackoff)
-	}
-	if !(v.sampleEvery > 0) {
-		return fmt.Errorf("-sample-every must be > 0, got %v", v.sampleEvery)
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		return fmt.Errorf("writing manifest: %w", err)
 	}
 	return nil
 }
 
-// parseFailures parses -fail's node@time list into failure injections.
-func parseFailures(spec string) ([]tempriv.NodeFailure, error) {
+// heapPeak passes the sampler's samples on and keeps the largest heap
+// reading among them.
+type heapPeak struct {
+	tempriv.TelemetryEmitter
+	peak uint64
+}
+
+func (h *heapPeak) Emit(s tempriv.TelemetrySample) error {
+	h.peak = max(h.peak, s.HeapAllocBytes)
+	return h.TelemetryEmitter.Emit(s)
+}
+
+// parseFailures parses -fail's node@time list into the spec's failures.
+func parseFailures(spec string) ([]scenario.FailureSpec, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	var out []tempriv.NodeFailure
+	var out []scenario.FailureSpec
 	for _, part := range strings.Split(spec, ",") {
 		node, at, ok := strings.Cut(strings.TrimSpace(part), "@")
 		if !ok {
@@ -437,95 +435,9 @@ func parseFailures(spec string) ([]tempriv.NodeFailure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad -fail time in %q: %w", part, err)
 		}
-		out = append(out, tempriv.NodeFailure{Node: tempriv.NodeID(id), At: t})
+		out = append(out, scenario.FailureSpec{Node: int(id), At: t})
 	}
 	return out, nil
-}
-
-func buildTopology(kind string, hops, w, h, fieldNodes int, fieldSide, fieldRadius float64, seed uint64) (*tempriv.Topology, []tempriv.NodeID, error) {
-	switch kind {
-	case "figure1":
-		return tempriv.Figure1Topology()
-	case "line":
-		topo, err := tempriv.NewLineTopology(hops)
-		if err != nil {
-			return nil, nil, err
-		}
-		return topo, topo.Sources(), nil
-	case "grid":
-		topo, err := tempriv.NewGridTopology(w, h)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Use the far corner as the single source.
-		far := tempriv.GridNodeID(w, w-1, h-1)
-		if err := topo.MarkSource(far); err != nil {
-			return nil, nil, err
-		}
-		return topo, topo.Sources(), nil
-	case "random":
-		// Retry a few placements: sparse samples can be disconnected. The
-		// bound keeps a hopeless density (radius far below the connectivity
-		// threshold) from looping forever on ever-new seeds.
-		var topo *tempriv.Topology
-		var err error
-		for attempt := 0; attempt < maxPlacementAttempts; attempt++ {
-			topo, err = tempriv.NewRandomGeometricTopology(fieldNodes, fieldSide, fieldRadius, seed+uint64(attempt))
-			if err == nil {
-				break
-			}
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf(
-				"random field stayed disconnected after %d placements (%d nodes, side %g, radius %g — raise -field-radius or -field-nodes): %w",
-				maxPlacementAttempts, fieldNodes, fieldSide, fieldRadius, err)
-		}
-		// The node farthest from the sink becomes the source.
-		far := tempriv.NodeID(0)
-		best := -1.0
-		for _, id := range topo.Nodes() {
-			p, err := topo.PositionOf(id)
-			if err != nil {
-				return nil, nil, err
-			}
-			if d := p.Distance(tempriv.Position{}); d > best {
-				best, far = d, id
-			}
-		}
-		if err := topo.MarkSource(far); err != nil {
-			return nil, nil, err
-		}
-		return topo, topo.Sources(), nil
-	default:
-		return nil, nil, fmt.Errorf("unknown topology %q", kind)
-	}
-}
-
-func buildAdversary(name string, topo *tempriv.Topology, tau, meanDelay float64, capacity int, threshold float64, policy tempriv.PolicyKind) (tempriv.Estimator, error) {
-	known := meanDelay
-	if policy == tempriv.PolicyForward {
-		known = 0 // the adversary knows there is no buffering delay
-	}
-	switch name {
-	case "baseline":
-		return tempriv.NewBaselineAdversary(tau, known)
-	case "adaptive":
-		if known == 0 {
-			return tempriv.NewBaselineAdversary(tau, 0)
-		}
-		return tempriv.NewAdaptiveAdversary(tau, known, capacity, threshold)
-	case "path-aware":
-		if known == 0 {
-			return tempriv.NewBaselineAdversary(tau, 0)
-		}
-		paths, err := tempriv.FlowPaths(topo)
-		if err != nil {
-			return nil, err
-		}
-		return tempriv.NewPathAwareAdversary(tau, known, capacity, threshold, paths)
-	default:
-		return nil, fmt.Errorf("unknown adversary %q", name)
-	}
 }
 
 func printReport(res *tempriv.Result, sources []tempriv.NodeID, perFlow map[tempriv.NodeID]*tempriv.MSE, advName string) {

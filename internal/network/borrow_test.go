@@ -210,9 +210,8 @@ func TestBorrowedResultAllocatesOnce(t *testing.T) {
 	if err := RunBorrowed(cache, large, use); err != nil {
 		t.Fatal(err)
 	}
-	// As in testing.AllocsPerRun: one P, so the sync.Pools behind the
-	// manifest's JSON fingerprint always serve from the same local pool,
-	// and no collection empties them mid-measurement.
+	// As in testing.AllocsPerRun: one P, so a sync.Pool always serves from
+	// the same local pool, and no collection empties it mid-measurement.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const runs = 5

@@ -14,7 +14,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"time"
 
 	"tempriv/internal/buffer"
 	"tempriv/internal/packet"
@@ -35,21 +34,14 @@ func (r *runner) runResolved(cfg Config, id structure, res *Result) (*Result, er
 	}
 	r.scheduleFailures()
 	r.attachSampler()
-	start := time.Now()
 	if err := r.sched.Run(); err != nil {
 		return nil, fmt.Errorf("network: simulation: %w", err)
 	}
-	wall := time.Since(start).Seconds()
 	if r.tele != nil && r.tele.err != nil {
 		return nil, fmt.Errorf("network: telemetry emitter: %w", r.tele.err)
 	}
 	r.finalize()
-	m, err := r.buildManifest(wall)
-	if err != nil {
-		return nil, err
-	}
 	res = r.result
-	res.Manifest = m
 	// The Result and the config belong to the caller: a kept runner holds
 	// only its structure and pools between runs, never the last run's
 	// deliveries, observers or traffic processes.
@@ -390,12 +382,12 @@ func (c *EngineCache) run(cfg Config, res *Result) (*Result, error) {
 // the same cache refills it in place — on any engine, of any structure —
 // instead of allocating a new one: Deliveries keeps its backing array
 // (re-made only when the run's count bound exceeds its capacity), Flows and
-// Nodes are cleared and refilled with the same stats structs, every other
-// field is zeroed, and the manifest is built afresh. What use sees is
-// byte-identical to Run's result, by the rearm contract. A nil cache runs
-// once, as Run does, and then calls use. A run error is returned without
-// calling use, and the engine and the result it was filling are dropped;
-// otherwise RunBorrowed returns use's error.
+// Nodes are cleared and refilled with the same stats structs, and every
+// other field is zeroed. What use sees is byte-identical to Run's result,
+// by the rearm contract. A nil cache runs once, as Run does, and then calls
+// use. A run error is returned without calling use, and the engine and the
+// result it was filling are dropped; otherwise RunBorrowed returns use's
+// error.
 func RunBorrowed(cache *EngineCache, cfg Config, use func(*Result) error) error {
 	if cache == nil {
 		res, err := Run(cfg)

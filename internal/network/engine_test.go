@@ -19,8 +19,7 @@ import (
 	"tempriv/internal/traffic"
 )
 
-// resultSignature serialises everything observable about a Result except the
-// manifest's wall-clock measurements, which legitimately vary between runs.
+// resultSignature serialises everything observable about a Result.
 func resultSignature(t *testing.T, res *Result) string {
 	t.Helper()
 	sig, err := signature(res)
@@ -32,13 +31,7 @@ func resultSignature(t *testing.T, res *Result) string {
 
 // signature is resultSignature for goroutines other than the test's.
 func signature(res *Result) (string, error) {
-	m := *res.Manifest
-	m.WallSeconds = 0
-	m.EventsPerSec = 0
-	m.PeakHeapBytes = 0
-	stripped := *res
-	stripped.Manifest = &m
-	b, err := json.Marshal(&stripped)
+	b, err := json.Marshal(res)
 	return string(b), err
 }
 

@@ -23,12 +23,15 @@ import (
 
 // engineGolden is one golden config. build returns a fresh config; fired,
 // when set, reports whether the run exercised the path the config is in
-// the table for; want is the hex SHA-256 of the run's goldenDigest.
+// the table for; want is the hex SHA-256 of the run's goldenDigest. config
+// is the fingerprint the engine gave the config when the digests were
+// recorded, which every digest hashes (see goldenManifest).
 type engineGolden struct {
-	name  string
-	build func(t *testing.T) Config
-	fired func(t *testing.T, res *Result) bool
-	want  string
+	name   string
+	config string
+	build  func(t *testing.T) Config
+	fired  func(t *testing.T, res *Result) bool
+	want   string
 }
 
 // goldenGrid is a 4×4 grid sourcing from its far corner 15, whose tree
@@ -63,7 +66,8 @@ func dropped(_ *testing.T, res *Result) bool {
 
 var engineGoldens = []engineGolden{
 	{
-		name: "rcad-rate-control-figure1",
+		name:   "rcad-rate-control-figure1",
+		config: "0ae6e050ee7066e7e58d60bd0425a5c5e0225ce48903c47cf58357b8212c6599",
 		build: func(t *testing.T) Config {
 			cfg := figure1Config(t, PolicyRCAD, 150)
 			cfg.RateControl = &RateControl{TargetLoss: 0.1, Smoothing: 0.3}
@@ -72,7 +76,8 @@ var engineGoldens = []engineGolden{
 		want: "b8a29e6f5d1d0c129f99ed9f188f21c13489c0fc95b1c55a7101abdbd05b6555",
 	},
 	{
-		name: "rcad-rate-control-line",
+		name:   "rcad-rate-control-line",
+		config: "08761c85cefba99f1473eea613db0b0fe52ee067a7af0cedc5d3d6eb1888fbe7",
 		build: func(t *testing.T) Config {
 			cfg := lineConfig(t, 4, PolicyRCAD, 2, 300)
 			cfg.Delay = mustDist(delay.NewExponential(1000))
@@ -83,7 +88,8 @@ var engineGoldens = []engineGolden{
 		want:  "cd19aefbc01c493a56c4e6acb123870d225109faf2c1c45f5440aea1f3c40474",
 	},
 	{
-		name: "rcad-grid-failure-static",
+		name:   "rcad-grid-failure-static",
+		config: "3dc0d050cb9729de293e9f231094a37b9fae844df308d0863f279bf78c77c9ce",
 		build: func(t *testing.T) Config {
 			return goldenGrid(t, PolicyRCAD, 120)
 		},
@@ -91,7 +97,8 @@ var engineGoldens = []engineGolden{
 		want:  "7699da1d47036dd205fe276f72eb34978cf558f5714c332ae8bee8ae65977da9",
 	},
 	{
-		name: "rcad-grid-failure-repair",
+		name:   "rcad-grid-failure-repair",
+		config: "fae840e96d11dd84995c2b1d8b00d028e8975663eeb5e6c4fdce76999110f165",
 		build: func(t *testing.T) Config {
 			cfg := goldenGrid(t, PolicyRCAD, 120)
 			cfg.RouteRepair = true
@@ -101,7 +108,8 @@ var engineGoldens = []engineGolden{
 		want:  "8f38144fb04a194730dcbf19deb3284bac3467fd15ce45ff0d4f37d43e8d625d",
 	},
 	{
-		name: "unlimited-grid-failure-repair",
+		name:   "unlimited-grid-failure-repair",
+		config: "1f0fd9c06c6d4de8d7205e556de1a1e6f5a5cc5dd75437ef5a03eec5d0057ff3",
 		build: func(t *testing.T) Config {
 			cfg := goldenGrid(t, PolicyUnlimited, 120)
 			cfg.RouteRepair = true
@@ -111,7 +119,8 @@ var engineGoldens = []engineGolden{
 		want:  "066d7be89d41754048ac8a7f40e553548e2436d0924e01cec0f2976a737c7674",
 	},
 	{
-		name: "rcad-rate-control-failure-repair-arq",
+		name:   "rcad-rate-control-failure-repair-arq",
+		config: "c590f425d22c7ed283dd95f0a27702e3e5d034c2fa28fa032cc8bd501bc0c08d",
 		build: func(t *testing.T) Config {
 			cfg := goldenGrid(t, PolicyRCAD, 120)
 			cfg.RouteRepair = true
@@ -126,7 +135,8 @@ var engineGoldens = []engineGolden{
 		want: "05920fd7206dfbaba93316a746bdad75111a700b8e7608e40efebb712d062bc6",
 	},
 	{
-		name: "rcad-sealed-figure1",
+		name:   "rcad-sealed-figure1",
+		config: "aa1bcdd1a7fa29ec404251697fc318360acf68025d45c7e71cd27a34e5f30ebb",
 		build: func(t *testing.T) Config {
 			cfg := figure1Config(t, PolicyRCAD, 60)
 			cfg.Seal = true
@@ -135,7 +145,8 @@ var engineGoldens = []engineGolden{
 		want: "ff20635e7df98336281f51b70bb53f200465e7371d5b719ff0822cdedc56e34a",
 	},
 	{
-		name: "rcad-ack-loss-line",
+		name:   "rcad-ack-loss-line",
+		config: "341fd19aaa107118f5d0b46e3471fa194b7bee671188ce74a11fcc2dc3d32808",
 		build: func(t *testing.T) Config {
 			cfg := lineConfig(t, 5, PolicyRCAD, 2, 200)
 			cfg.Channel = &ChannelConfig{AckLossP: 0.3}
@@ -146,7 +157,8 @@ var engineGoldens = []engineGolden{
 		want:  "d9a30569e3f2cb2dff2093f2f6de267d49f3f87107c6ecddb419b9e34cacc90e",
 	},
 	{
-		name: "rcad-burst-loss-line",
+		name:   "rcad-burst-loss-line",
+		config: "8a67819dd93b8891201d83ebadd0079f024d971ff8cc5f0e30f3669e5a451ae9",
 		build: func(t *testing.T) Config {
 			cfg := lineConfig(t, 5, PolicyRCAD, 2, 200)
 			cfg.Channel = &ChannelConfig{LossP: 0.02, Burst: true, BurstLossP: 0.6}
@@ -157,7 +169,8 @@ var engineGoldens = []engineGolden{
 		want:  "d336295e5b82bb6386183a4eb95c378884695e6a86578dd8e9ed8b21a64101fe",
 	},
 	{
-		name: "droptail-figure1",
+		name:   "droptail-figure1",
+		config: "1b7bbd6eebe6534709a49423d3077e70f407024651b4af1293bbbf59966e5c31",
 		build: func(t *testing.T) Config {
 			return figure1Config(t, PolicyDropTail, 150)
 		},
@@ -165,7 +178,8 @@ var engineGoldens = []engineGolden{
 		want:  "d6810be33c23ae0c4c63f0edd304e8a2372946ebd23d6aaced756deda3397b3e",
 	},
 	{
-		name: "rcad-random-victim-pareto",
+		name:   "rcad-random-victim-pareto",
+		config: "5bfd7ef97b70187f1f8757e7d8b64460e4191e3eb4e4f5a5bd810c2e869e6ef0",
 		build: func(t *testing.T) Config {
 			cfg := figure1Config(t, PolicyRCAD, 100)
 			cfg.Delay = mustDist(delay.NewPareto(30, 2.5))
@@ -176,7 +190,8 @@ var engineGoldens = []engineGolden{
 		want:  "a9d31d7f7c8a1c790bb9c0c611ad3b7ca00955a58bbf1cac2ae895f71cc689f0",
 	},
 	{
-		name: "rcad-sampled-figure1",
+		name:   "rcad-sampled-figure1",
+		config: "5f8c2ecb3cff090a42f87e3969157c43b6c6e13381c3cf13698719d21aeb17fe",
 		build: func(t *testing.T) Config {
 			cfg := figure1Config(t, PolicyRCAD, 100)
 			cfg.Telemetry = &telemetry.Config{
@@ -199,12 +214,28 @@ var engineGoldens = []engineGolden{
 	},
 }
 
+// goldenManifest is the provenance record the engine attached to every
+// Result when the digests were recorded, as they hashed it: the config
+// fingerprint, the seed, duration, events and deliveries, and zero for the
+// Go version, wall-clock and heap fields.
+type goldenManifest struct {
+	ConfigFingerprint string  `json:"config_fingerprint"`
+	Seed              int64   `json:"seed"`
+	GoVersion         string  `json:"go_version"`
+	SimDuration       float64 `json:"sim_duration"`
+	Events            int     `json:"events"`
+	Deliveries        int     `json:"deliveries"`
+	WallSeconds       float64 `json:"wall_seconds"`
+	EventsPerSec      float64 `json:"events_per_sec"`
+	PeakHeapBytes     uint64  `json:"peak_heap_bytes"`
+}
+
 // goldenDigest runs cfg with a trace attached and hashes everything
-// deterministic it produced: the result (deliveries, flow and node stats,
-// every counter, and the manifest less its wall-clock, heap and Go-version
-// fields), the trace event log and, when the config samples, the sample
-// series less its heap readings. It returns the result too.
-func goldenDigest(t *testing.T, cfg Config) (string, *Result) {
+// deterministic it produced: the result (deliveries, flow and node stats
+// and every counter) with the goldenManifest of config as its last field,
+// the trace event log and, when the config samples, the sample series less
+// its heap readings. It returns the result too.
+func goldenDigest(t *testing.T, config string, cfg Config) (string, *Result) {
 	t.Helper()
 	events := &trace.Memory{}
 	cfg.Tracer = events
@@ -212,12 +243,22 @@ func goldenDigest(t *testing.T, cfg Config) (string, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := *res.Manifest
-	m.GoVersion = ""
-	stripped := *res
-	stripped.Manifest = &m
+	m, err := json.Marshal(goldenManifest{
+		ConfigFingerprint: config,
+		Seed:              int64(cfg.Seed),
+		SimDuration:       res.Duration,
+		Events:            int(res.Events),
+		Deliveries:        len(res.Deliveries),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := resultSignature(t, res)
 	h := sha256.New()
-	h.Write([]byte(resultSignature(t, &stripped)))
+	h.Write([]byte(sig[:len(sig)-1]))
+	h.Write([]byte(`,"Manifest":`))
+	h.Write(m)
+	h.Write([]byte(`}`))
 	enc := json.NewEncoder(h)
 	if err := enc.Encode(events.Events()); err != nil {
 		t.Fatal(err)
@@ -241,7 +282,7 @@ func goldenDigest(t *testing.T, cfg Config) (string, *Result) {
 func TestEngineGoldens(t *testing.T) {
 	for _, g := range engineGoldens {
 		t.Run(g.name, func(t *testing.T) {
-			got, res := goldenDigest(t, g.build(t))
+			got, res := goldenDigest(t, g.config, g.build(t))
 			if g.fired != nil && !g.fired(t, res) {
 				t.Error("the run did not exercise the path this golden covers")
 			}

@@ -10,7 +10,6 @@ import (
 	"tempriv/internal/adversary"
 	"tempriv/internal/metrics"
 	"tempriv/internal/packet"
-	"tempriv/internal/telemetry"
 )
 
 // Delivery is one packet arrival at the sink: what the adversary can see
@@ -100,10 +99,6 @@ type Result struct {
 	// Reroutes counts parent reassignments applied by route repair across
 	// all injected failures.
 	Reroutes uint64
-	// Manifest records the run's provenance: the canonical-config
-	// fingerprint, seed, Go version and wall-clock performance. Always
-	// populated.
-	Manifest *telemetry.Manifest
 
 	// spareFlows and spareNodes keep the stats structs of a borrowed
 	// result's previous run, for the next run to refill instead of

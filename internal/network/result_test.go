@@ -166,10 +166,8 @@ func TestEngineResultAllocatesOnce(t *testing.T) {
 			}
 		}
 	}
-	// A collection during the measurement empties the sync.Pools that the
-	// manifest's JSON fingerprint draws from, and their refills would count
-	// as run allocations; with the collector left on, the two counts
-	// differed by one or two in about half of all runs.
+	// A collection during the measurement can empty a sync.Pool whose
+	// refills would count as run allocations, so the collector stays off.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocsSmall := testing.AllocsPerRun(5, run(small))
 	allocsLarge := testing.AllocsPerRun(5, run(large))

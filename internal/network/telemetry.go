@@ -1,9 +1,6 @@
 package network
 
 import (
-	"fmt"
-	"runtime"
-
 	"tempriv/internal/packet"
 	"tempriv/internal/sim"
 	"tempriv/internal/telemetry"
@@ -30,7 +27,6 @@ type telemetryState struct {
 
 	lastAt        float64
 	lastDelivered uint64
-	peakHeap      uint64
 	err           error
 }
 
@@ -101,9 +97,6 @@ func (r *runner) sample(now float64) {
 	t.simTime.Set(now)
 	if t.sampleHeap {
 		s.HeapAllocBytes = telemetry.HeapAlloc()
-		if s.HeapAllocBytes > t.peakHeap {
-			t.peakHeap = s.HeapAllocBytes
-		}
 	}
 	if err := t.emitter.Emit(s); err != nil {
 		t.err = err
@@ -153,96 +146,4 @@ func (r *runner) buildSample(now float64) telemetry.Sample {
 		ArrivalRate: rate,
 		Occupancy:   occ,
 	}
-}
-
-// buildManifest assembles the run manifest after finalize.
-func (r *runner) buildManifest(wallSeconds float64) (*telemetry.Manifest, error) {
-	fp, err := telemetry.Fingerprint(canonicalConfig(&r.cfg))
-	if err != nil {
-		return nil, err
-	}
-	peak := uint64(0)
-	if r.tele != nil {
-		peak = r.tele.peakHeap
-	}
-	if final := telemetry.HeapAlloc(); final > peak {
-		peak = final
-	}
-	m := &telemetry.Manifest{
-		ConfigFingerprint: fp,
-		Seed:              int64(r.cfg.Seed),
-		GoVersion:         runtime.Version(),
-		SimDuration:       r.result.Duration,
-		Events:            int(r.result.Events),
-		Deliveries:        len(r.result.Deliveries),
-		WallSeconds:       wallSeconds,
-		PeakHeapBytes:     peak,
-	}
-	if wallSeconds > 0 {
-		m.EventsPerSec = float64(m.Events) / wallSeconds
-	}
-	return m, nil
-}
-
-// canonicalConfig flattens a validated Config into the plain value whose
-// JSON encoding is fingerprinted. Everything that shapes the simulated
-// outcome is included; observers (Tracer, Telemetry) and the seed (a
-// replicate label, recorded separately in the manifest) are not.
-// encoding/json sorts map keys, so the encoding is canonical.
-func canonicalConfig(cfg *Config) map[string]any {
-	topo := map[string]any{
-		"nodes": len(cfg.Topology.Nodes()),
-		"edges": cfg.Topology.Edges(),
-	}
-	sources := make([]map[string]any, len(cfg.Sources))
-	for i, s := range cfg.Sources {
-		sources[i] = map[string]any{
-			"node":    int(s.Node),
-			"process": s.Process.Name(),
-			"rate":    s.Process.Rate(),
-			"count":   s.Count,
-		}
-	}
-	c := map[string]any{
-		"topology":           topo,
-		"sources":            sources,
-		"policy":             cfg.Policy.String(),
-		"capacity":           cfg.Capacity,
-		"victim":             cfg.Victim.Name(),
-		"transmission_delay": cfg.TransmissionDelay,
-		"horizon":            cfg.Horizon,
-		"route_repair":       cfg.RouteRepair,
-		"seal":               cfg.Seal,
-		"custom_policy":      cfg.CustomPolicy != nil,
-	}
-	if cfg.Delay != nil {
-		c["delay"] = map[string]any{"name": cfg.Delay.Name(), "mean": cfg.Delay.Mean()}
-	}
-	if len(cfg.PerNodeDelay) > 0 {
-		per := make(map[string]any, len(cfg.PerNodeDelay))
-		for id, d := range cfg.PerNodeDelay {
-			per[fmt.Sprint(int(id))] = map[string]any{"name": d.Name(), "mean": d.Mean()}
-		}
-		c["per_node_delay"] = per
-	}
-	if cfg.RateControl != nil {
-		c["rate_control"] = map[string]any{
-			"target_loss": cfg.RateControl.TargetLoss,
-			"smoothing":   cfg.RateControl.Smoothing,
-		}
-	}
-	if cfg.Channel != nil {
-		c["channel"] = *cfg.Channel
-	}
-	if cfg.ARQ != nil {
-		c["arq"] = *cfg.ARQ
-	}
-	if len(cfg.NodeFailures) > 0 {
-		fails := make([]map[string]any, len(cfg.NodeFailures))
-		for i, f := range cfg.NodeFailures {
-			fails[i] = map[string]any{"node": int(f.Node), "at": f.At}
-		}
-		c["node_failures"] = fails
-	}
-	return c
 }

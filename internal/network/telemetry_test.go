@@ -10,66 +10,6 @@ import (
 	"tempriv/internal/trace"
 )
 
-func TestManifestAlwaysPopulated(t *testing.T) {
-	res, err := Run(lineConfig(t, 3, PolicyRCAD, 5, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := res.Manifest
-	if m == nil {
-		t.Fatal("run without telemetry must still produce a manifest")
-	}
-	if len(m.ConfigFingerprint) != 64 {
-		t.Fatalf("fingerprint %q is not 64 hex chars", m.ConfigFingerprint)
-	}
-	if m.Seed != 42 {
-		t.Fatalf("manifest seed = %d, want 42", m.Seed)
-	}
-	if m.GoVersion == "" || m.Events == 0 || m.Deliveries == 0 {
-		t.Fatalf("manifest missing fields: %+v", m)
-	}
-	if m.SimDuration != res.Duration || m.Events != int(res.Events) {
-		t.Fatalf("manifest disagrees with result: %+v vs duration %v events %d",
-			m, res.Duration, res.Events)
-	}
-	if m.PeakHeapBytes == 0 {
-		t.Fatal("manifest peak heap must be non-zero")
-	}
-}
-
-func TestConfigFingerprintStableAcrossRuns(t *testing.T) {
-	a, err := Run(lineConfig(t, 3, PolicyRCAD, 5, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(lineConfig(t, 3, PolicyRCAD, 5, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Manifest.ConfigFingerprint != b.Manifest.ConfigFingerprint {
-		t.Fatalf("identical configs fingerprinted differently:\n%s\n%s",
-			a.Manifest.ConfigFingerprint, b.Manifest.ConfigFingerprint)
-	}
-	// The seed is a replicate label, not part of the experiment identity.
-	cfg := lineConfig(t, 3, PolicyRCAD, 5, 40)
-	cfg.Seed = 43
-	c, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Manifest.ConfigFingerprint != a.Manifest.ConfigFingerprint {
-		t.Fatal("changing only the seed must not change the config fingerprint")
-	}
-	// Changing the experiment does change the fingerprint.
-	d, err := Run(lineConfig(t, 3, PolicyDropTail, 5, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Manifest.ConfigFingerprint == a.Manifest.ConfigFingerprint {
-		t.Fatal("different policies fingerprinted identically")
-	}
-}
-
 func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	plain, err := Run(lineConfig(t, 4, PolicyRCAD, 2, 200))
 	if err != nil {
@@ -251,28 +191,5 @@ func TestTelemetryConfigValidation(t *testing.T) {
 	cfg.Telemetry = &telemetry.Config{SampleEvery: 1}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("sampler without emitter accepted")
-	}
-}
-
-func TestSampledHeapFeedsManifestPeak(t *testing.T) {
-	mem := &telemetry.Memory{}
-	cfg := lineConfig(t, 3, PolicyRCAD, 2, 100)
-	cfg.Telemetry = &telemetry.Config{SampleEvery: 5.0, Emitter: mem, SampleHeap: true}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var peak uint64
-	for _, s := range mem.Samples() {
-		if s.HeapAllocBytes == 0 {
-			t.Fatal("SampleHeap set but a sample has no heap reading")
-		}
-		if s.HeapAllocBytes > peak {
-			peak = s.HeapAllocBytes
-		}
-	}
-	if res.Manifest.PeakHeapBytes < peak {
-		t.Fatalf("manifest peak heap %d below sampled peak %d",
-			res.Manifest.PeakHeapBytes, peak)
 	}
 }

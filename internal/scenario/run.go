@@ -9,18 +9,11 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"tempriv/internal/adversary"
-	"tempriv/internal/buffer"
-	"tempriv/internal/delay"
 	"tempriv/internal/experiment"
 	"tempriv/internal/metrics"
 	"tempriv/internal/network"
 	"tempriv/internal/obs"
-	"tempriv/internal/packet"
 	"tempriv/internal/report"
-	"tempriv/internal/routing"
-	"tempriv/internal/topology"
-	"tempriv/internal/traffic"
 )
 
 // ReplicateSink is the engine's streaming seam: per-replicate tables are
@@ -260,61 +253,15 @@ func simExperiment(m *SimulationSpec) experiment.Experiment {
 // runSimulation executes one seed of a simulation scenario and tabulates
 // per-flow delivery, latency and adversary-MSE results.
 func runSimulation(m *SimulationSpec, seed uint64, title string, engines *network.EngineCache) (*report.Table, error) {
-	topo, sources, err := buildTopology(m.Topology)
+	sim, err := Compile(m)
 	if err != nil {
 		return nil, err
 	}
-	proc, err := buildTraffic(m.Traffic)
-	if err != nil {
-		return nil, err
-	}
-	policy, err := network.PolicyByName(m.Policy) // normalize has rejected unknown names
-	if err != nil {
-		return nil, err
-	}
-	cfg := network.Config{
-		Topology:          topo,
-		Policy:            policy,
-		Capacity:          m.Capacity,
-		TransmissionDelay: m.Tau,
-		Seed:              seed,
-		Seal:              m.Seal,
-	}
-	if m.Delay != nil {
-		if m.Delay.Dist == "pareto" {
-			cfg.Delay, err = delay.NewPareto(m.Delay.Mean, m.Delay.Shape)
-		} else {
-			cfg.Delay, err = delay.ByName(m.Delay.Dist, m.Delay.Mean)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("scenario: delay: %w", err)
-		}
-	}
-	cfg.Victim, err = buffer.SelectorByName(m.Victim)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: victim: %w", err)
-	}
-	if c := m.Channel; c != nil {
-		cfg.Channel = &network.ChannelConfig{
-			LossP:        c.LossP,
-			Burst:        c.Burst,
-			BurstLossP:   c.BurstLossP,
-			MeanGoodRun:  c.MeanGoodRun,
-			MeanBurstLen: c.MeanBurstLen,
-			AckLossP:     c.AckLossP,
-		}
-	}
-	if a := m.ARQ; a != nil {
-		cfg.ARQ = &network.ARQConfig{MaxRetries: a.MaxRetries, Timeout: a.Timeout, Backoff: a.Backoff}
-	}
-	for _, s := range sources {
-		cfg.Sources = append(cfg.Sources, network.Source{Node: s, Process: proc, Count: m.Packets})
-	}
-
+	sim.Config.Seed = seed
 	var tab *report.Table
 	var tabErr error
-	err = network.RunBorrowed(engines, cfg, func(res *network.Result) error {
-		tab, tabErr = simulationTable(m, topo, cfg.Policy, title, sources, res)
+	err = network.RunBorrowed(engines, sim.Config, func(res *network.Result) error {
+		tab, tabErr = simulationTable(sim, title, res)
 		return nil
 	})
 	if err != nil {
@@ -325,8 +272,8 @@ func runSimulation(m *SimulationSpec, seed uint64, title string, engines *networ
 
 // simulationTable scores a simulation scenario's result and tabulates it,
 // one row per source flow. It reads res only while it runs.
-func simulationTable(m *SimulationSpec, topo *topology.Topology, policy network.PolicyKind, title string, sources []packet.NodeID, res *network.Result) (*report.Table, error) {
-	est, err := buildAdversary(m, topo, policy)
+func simulationTable(sim *Compiled, title string, res *network.Result) (*report.Table, error) {
+	est, err := sim.Estimator()
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +287,7 @@ func simulationTable(m *SimulationSpec, topo *topology.Topology, policy network.
 		RowHeader: "flow",
 		Columns:   []string{"hops", "created", "delivered", "dropped", "lat-mean", "lat-p95", "adv-MSE"},
 	}
-	for i, s := range sources {
+	for i, s := range sim.Sources {
 		f := res.Flows[s]
 		mse := math.NaN()
 		if mm, ok := perFlow[s]; ok {
@@ -369,76 +316,4 @@ func totalBufferLosses(res *network.Result) uint64 {
 		n += ns.Drops + ns.Preemptions
 	}
 	return n
-}
-
-func buildTopology(t TopologySpec) (*topology.Topology, []packet.NodeID, error) {
-	switch t.Kind {
-	case "figure1":
-		topo, sources, err := topology.Figure1()
-		if err != nil {
-			return nil, nil, fmt.Errorf("scenario: topology: %w", err)
-		}
-		return topo, sources, nil
-	case "line":
-		topo, err := topology.Line(t.Hops)
-		if err != nil {
-			return nil, nil, fmt.Errorf("scenario: topology: %w", err)
-		}
-		return topo, topo.Sources(), nil
-	case "grid":
-		topo, err := topology.Grid(t.Width, t.Height)
-		if err != nil {
-			return nil, nil, fmt.Errorf("scenario: topology: %w", err)
-		}
-		far := topology.GridID(t.Width, t.Width-1, t.Height-1)
-		if err := topo.MarkSource(far); err != nil {
-			return nil, nil, fmt.Errorf("scenario: topology: %w", err)
-		}
-		return topo, topo.Sources(), nil
-	default:
-		return nil, nil, invalidf("topology.kind %q unknown", t.Kind)
-	}
-}
-
-func buildTraffic(t TrafficSpec) (traffic.Process, error) {
-	switch t.Kind {
-	case "periodic":
-		return traffic.NewPeriodic(t.Interval)
-	case "poisson":
-		return traffic.NewPoisson(t.Rate)
-	case "onoff":
-		return traffic.NewOnOff(t.Rate, t.OnMean, t.OffMean)
-	default:
-		return nil, invalidf("traffic.kind %q unknown", t.Kind)
-	}
-}
-
-func buildAdversary(m *SimulationSpec, topo *topology.Topology, policy network.PolicyKind) (adversary.Estimator, error) {
-	known := 0.0
-	if policy != network.PolicyForward && m.Delay != nil {
-		known = m.Delay.Mean
-	}
-	if known == 0 {
-		// Against a non-delaying network every adversary degenerates to the
-		// baseline with zero assumed buffering delay, as in rcadsim.
-		return adversary.NewBaseline(m.Tau, 0)
-	}
-	switch m.Adversary {
-	case "baseline":
-		return adversary.NewBaseline(m.Tau, known)
-	case "adaptive":
-		return adversary.NewAdaptive(m.Tau, known, m.Capacity, m.Threshold)
-	case "path-aware":
-		routes, err := routing.BuildTree(topo)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: routing: %w", err)
-		}
-		paths, err := routes.FlowPaths(topo.Sources())
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		return adversary.NewPathAware(m.Tau, known, m.Capacity, m.Threshold, paths)
-	default:
-		return nil, invalidf("simulation.adversary %q unknown", m.Adversary)
-	}
 }

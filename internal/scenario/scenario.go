@@ -1,17 +1,20 @@
 // Package scenario defines the versioned JSON scenario specification that
-// the serving subsystem (cmd/temprivd, internal/server) and the sweep CLI
-// share: one declarative document describing a simulation study — topology,
-// traffic, buffering policy, link loss/ARQ, adversary and replicate count —
-// that parses strictly, validates fail-closed, canonicalizes to a unique
-// normal form, and fingerprints to the SHA-256 content address the result
-// cache (internal/resultcache) is keyed by.
+// the serving subsystem (cmd/temprivd, internal/server), the sweep CLI and
+// rcadsim share: one declarative document describing a simulation study —
+// topology, traffic, buffering policy, rate control, link loss/ARQ, node
+// failures, adversary and replicate count — that parses strictly,
+// validates fail-closed, canonicalizes to a unique normal form, and
+// fingerprints to the SHA-256 content address the result cache
+// (internal/resultcache) is keyed by.
 //
 // A Spec is either an "experiment" scenario (one registered study from
 // internal/experiment, with its Params) or a "simulation" scenario (one
 // ad-hoc network.Run described field by field). Both kinds execute through
 // Run, so the HTTP server and the CLI share a single execution engine, and
 // equal fingerprints always mean byte-identical result tables (every run is
-// seed-deterministic by construction).
+// seed-deterministic by construction). A simulation spec reaches the engine
+// through Compile alone, which rcadsim calls too: its flags are a front end
+// that maps onto a SimulationSpec.
 package scenario
 
 import (
@@ -22,6 +25,7 @@ import (
 
 	"tempriv/internal/experiment"
 	"tempriv/internal/telemetry"
+	"tempriv/internal/topology"
 )
 
 // CurrentVersion is the only spec version this build understands. Unknown
@@ -42,6 +46,14 @@ const (
 	maxDelayMean     = 1e9
 	maxTau           = 1e6
 	maxARQRetries    = 100
+	// maxFieldNodes caps a random field: placing one costs O(n²) distance
+	// checks, up to maxPlacements times.
+	maxFieldNodes  = 1024
+	maxFieldExtent = 1e6
+	// maxFailures bounds the failure list: with route repair each failure
+	// rebuilds the routing tree.
+	maxFailures    = 64
+	maxFailureTime = 1e12
 )
 
 // ErrInvalid tags every validation failure; errors.Is(err, ErrInvalid)
@@ -126,20 +138,38 @@ type SimulationSpec struct {
 	Channel *ChannelSpec `json:"channel,omitempty"`
 	// ARQ enables link-layer acknowledgement/retransmission (optional).
 	ARQ *ARQSpec `json:"arq,omitempty"`
+	// RateControl turns on §4's per-node delay planner (optional; policy
+	// rcad only).
+	RateControl *RateControlSpec `json:"rate_control,omitempty"`
+	// Failures kill nodes during the run (optional).
+	Failures []FailureSpec `json:"failures,omitempty"`
+	// RouteRepair rebuilds routes around failed nodes and re-homes their
+	// buffers (requires failures).
+	RouteRepair bool `json:"route_repair,omitempty"`
 	// Replicates averages the scenario over N consecutive seeds
 	// (default 1).
 	Replicates int `json:"replicates,omitempty"`
 }
 
-// TopologySpec selects a deterministic deployment.
+// TopologySpec selects a deployment. Node IDs run contiguously from the
+// sink, 0: Figure 1 has 34 nodes, a line hops+1, a grid width·height and a
+// random field nodes+1.
 type TopologySpec struct {
-	// Kind is figure1 | line | grid.
+	// Kind is figure1 | line | grid | random.
 	Kind string `json:"kind"`
 	// Hops is the line length (kind line; default 15).
 	Hops int `json:"hops,omitempty"`
 	// Width and Height size the grid (kind grid; default 10×10).
 	Width  int `json:"width,omitempty"`
 	Height int `json:"height,omitempty"`
+	// Nodes, Side and Radius shape a random geometric field: nodes placed
+	// uniformly on a side×side square, linked within radio radius (kind
+	// random; default 150 nodes, side 10, radius 1.6). The field is placed
+	// from the spec's seed, so every replicate runs on the same field, and
+	// its source is the node farthest from the sink.
+	Nodes  int     `json:"nodes,omitempty"`
+	Side   float64 `json:"side,omitempty"`
+	Radius float64 `json:"radius,omitempty"`
 }
 
 // TrafficSpec selects the packet-creation process.
@@ -192,6 +222,23 @@ type ARQSpec struct {
 	Timeout float64 `json:"timeout,omitempty"`
 	// Backoff is the timeout multiplier (0 = 2; otherwise >= 1).
 	Backoff float64 `json:"backoff,omitempty"`
+}
+
+// RateControlSpec turns on §4's per-node delay planner, mirroring
+// network.RateControl: each RCAD node sets its mean delay so that its
+// Erlang loss stays at the target for the traffic it measures.
+type RateControlSpec struct {
+	// TargetLoss is the Erlang-loss target α, in (0, 1). Required.
+	TargetLoss float64 `json:"target_loss"`
+}
+
+// FailureSpec kills one node at one time, mirroring network.NodeFailure.
+type FailureSpec struct {
+	// Node is the failing node's ID: not the sink, 0, and within the
+	// topology's node count.
+	Node int `json:"node"`
+	// At is the failure's simulated time, >= 0.
+	At float64 `json:"at"`
 }
 
 // Parse decodes data as a Spec, strictly: unknown fields, trailing data,
@@ -431,12 +478,13 @@ func (m *SimulationSpec) normalize() error {
 	if !(m.Threshold > 0) || m.Threshold >= 1 {
 		return invalidf("simulation.threshold %v out of range (0, 1)", m.Threshold)
 	}
-	if m.Channel != nil {
-		c := *m.Channel
-		if err := c.validate(m.ARQ != nil); err != nil {
+	if c := m.Channel; c != nil {
+		if err := c.Validate(); err != nil {
 			return err
 		}
-		m.Channel = &c
+		if c.AckLossP > 0 && m.ARQ == nil {
+			return invalidf("channel.ack_loss_p requires arq")
+		}
 	}
 	if m.ARQ != nil {
 		a := *m.ARQ
@@ -444,6 +492,17 @@ func (m *SimulationSpec) normalize() error {
 			return err
 		}
 		m.ARQ = &a
+	}
+	if rc := m.RateControl; rc != nil {
+		if m.Policy != "rcad" {
+			return invalidf("simulation.rate_control requires policy rcad, got %q", m.Policy)
+		}
+		if err := rc.Validate(); err != nil {
+			return err
+		}
+	}
+	if err := m.validateFailures(); err != nil {
+		return err
 	}
 	if m.Replicates == 0 {
 		m.Replicates = 1
@@ -454,7 +513,44 @@ func (m *SimulationSpec) normalize() error {
 	return nil
 }
 
+// validateFailures checks the failure list against the normalized
+// topology's node IDs, which run contiguously from the sink, so it needs no
+// topology built. A node fails at most once.
+func (m *SimulationSpec) validateFailures() error {
+	if len(m.Failures) == 0 {
+		if m.RouteRepair {
+			return invalidf("simulation.route_repair requires failures")
+		}
+		return nil
+	}
+	if len(m.Failures) > maxFailures {
+		return invalidf("simulation.failures has %d entries (max %d)", len(m.Failures), maxFailures)
+	}
+	nodes := m.Topology.nodeCount()
+	failed := make(map[int]bool, len(m.Failures))
+	for _, f := range m.Failures {
+		switch {
+		case f.Node == 0:
+			return invalidf("simulation.failures: node 0 is the sink")
+		case f.Node < 0 || f.Node >= nodes:
+			return invalidf("simulation.failures: node %d does not exist (topology %s has nodes 0..%d)", f.Node, m.Topology.Kind, nodes-1)
+		case failed[f.Node]:
+			return invalidf("simulation.failures: node %d fails twice", f.Node)
+		case !(f.At >= 0) || f.At > maxFailureTime:
+			return invalidf("simulation.failures: node %d time %v out of range [0, %g]", f.Node, f.At, float64(maxFailureTime))
+		}
+		failed[f.Node] = true
+	}
+	return nil
+}
+
+// Validate reports whether t is a valid topology, without changing it.
+func (t TopologySpec) Validate() error { return t.normalize() }
+
 func (t *TopologySpec) normalize() error {
+	if t.Kind != "random" && (t.Nodes != 0 || t.Side != 0 || t.Radius != 0) {
+		return invalidf("topology nodes/side/radius apply to kind random only")
+	}
 	switch t.Kind {
 	case "figure1":
 		if t.Hops != 0 || t.Width != 0 || t.Height != 0 {
@@ -483,12 +579,50 @@ func (t *TopologySpec) normalize() error {
 		if t.Width < 2 || t.Width > maxGridSide || t.Height < 2 || t.Height > maxGridSide {
 			return invalidf("topology grid %dx%d out of range [2, %d]", t.Width, t.Height, maxGridSide)
 		}
+	case "random":
+		if t.Hops != 0 || t.Width != 0 || t.Height != 0 {
+			return invalidf("topology random takes nodes, side, radius")
+		}
+		if t.Nodes == 0 {
+			t.Nodes = 150
+		}
+		if t.Side == 0 {
+			t.Side = 10
+		}
+		if t.Radius == 0 {
+			t.Radius = 1.6
+		}
+		if t.Nodes < 2 || t.Nodes > maxFieldNodes {
+			return invalidf("topology.nodes %d out of range [2, %d]", t.Nodes, maxFieldNodes)
+		}
+		if !(t.Side > 0) || t.Side > maxFieldExtent || !(t.Radius > 0) || t.Radius > maxFieldExtent {
+			return invalidf("topology side %v and radius %v must be in (0, %g]", t.Side, t.Radius, float64(maxFieldExtent))
+		}
 	case "":
-		return invalidf("topology.kind is required (figure1 | line | grid)")
+		return invalidf("topology.kind is required (figure1 | line | grid | random)")
 	default:
-		return invalidf("topology.kind %q unknown (figure1 | line | grid)", t.Kind)
+		return invalidf("topology.kind %q unknown (figure1 | line | grid | random)", t.Kind)
 	}
 	return nil
+}
+
+// nodeCount returns the normalized topology's node count, the sink
+// included.
+func (t *TopologySpec) nodeCount() int {
+	switch t.Kind {
+	case "figure1":
+		n := 1 + topology.Figure1TrunkLen
+		for _, h := range topology.Figure1HopCounts {
+			n += h - topology.Figure1TrunkLen
+		}
+		return n
+	case "line":
+		return t.Hops + 1
+	case "grid":
+		return t.Width * t.Height
+	default:
+		return t.Nodes + 1
+	}
 }
 
 func (t *TrafficSpec) normalize() error {
@@ -557,28 +691,34 @@ func (d *DelaySpec) normalize() error {
 	return nil
 }
 
-func (c *ChannelSpec) validate(hasARQ bool) error {
+// Validate checks the channel's own fields: probabilities in [0, 1],
+// Gilbert–Elliott run lengths of at least one transmission, burst
+// parameters only with burst, and some loss somewhere. That ack_loss_p
+// needs arq is the simulation's rule.
+func (c ChannelSpec) Validate() error {
 	for name, p := range map[string]float64{
 		"loss_p": c.LossP, "burst_loss_p": c.BurstLossP, "ack_loss_p": c.AckLossP,
 	} {
-		if p < 0 || p > 1 {
+		if !(p >= 0) || p > 1 {
 			return invalidf("channel.%s %v out of range [0, 1]", name, p)
 		}
 	}
-	if c.MeanGoodRun < 0 || c.MeanBurstLen < 0 {
-		return invalidf("channel burst run lengths must be >= 0")
+	for name, run := range map[string]float64{"mean_good_run": c.MeanGoodRun, "mean_burst_len": c.MeanBurstLen} {
+		if run != 0 && !(run >= 1) {
+			return invalidf("channel.%s %v must be 0 (the default) or >= 1 transmission", name, run)
+		}
 	}
 	if (c.MeanGoodRun != 0 || c.MeanBurstLen != 0 || c.BurstLossP != 0) && !c.Burst {
 		return invalidf("channel burst parameters require burst: true")
-	}
-	if c.AckLossP > 0 && !hasARQ {
-		return invalidf("channel.ack_loss_p requires arq")
 	}
 	if !c.Burst && c.LossP == 0 && c.AckLossP == 0 {
 		return invalidf("channel configured with zero loss everywhere; omit it instead")
 	}
 	return nil
 }
+
+// Validate reports whether a is a valid ARQ part, without changing it.
+func (a ARQSpec) Validate() error { return a.normalize() }
 
 func (a *ARQSpec) normalize() error {
 	if a.MaxRetries == 0 {
@@ -587,14 +727,22 @@ func (a *ARQSpec) normalize() error {
 	if a.MaxRetries < 1 || a.MaxRetries > maxARQRetries {
 		return invalidf("arq.max_retries %d out of range [1, %d]", a.MaxRetries, maxARQRetries)
 	}
-	if a.Timeout < 0 || a.Timeout > maxTau {
+	if !(a.Timeout >= 0) || a.Timeout > maxTau {
 		return invalidf("arq.timeout %v out of range [0, %g]", a.Timeout, float64(maxTau))
 	}
 	if a.Backoff == 0 {
 		a.Backoff = 2
 	}
-	if a.Backoff < 1 || a.Backoff > 100 {
+	if !(a.Backoff >= 1) || a.Backoff > 100 {
 		return invalidf("arq.backoff %v out of range [1, 100]", a.Backoff)
+	}
+	return nil
+}
+
+// Validate checks the Erlang-loss target.
+func (r RateControlSpec) Validate() error {
+	if !(r.TargetLoss > 0) || r.TargetLoss >= 1 {
+		return invalidf("rate_control.target_loss %v out of range (0, 1)", r.TargetLoss)
 	}
 	return nil
 }

@@ -5,8 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"tempriv/internal/network"
+	"tempriv/internal/topology"
 )
 
 func validExperimentJSON() []byte {
@@ -137,6 +142,36 @@ func TestParseRejections(t *testing.T) {
 		"poisson no rate":     `{"version":1,"simulation":{"topology":{"kind":"figure1"},"traffic":{"kind":"poisson"}}}`,
 		"periodic with rate":  `{"version":1,"simulation":{"topology":{"kind":"figure1"},"traffic":{"kind":"periodic","rate":3}}}`,
 		"not json":            `hello`,
+		// The engine needs Gilbert–Elliott runs of at least one transmission.
+		"burst shorter than one":    `{"version":1,"simulation":{"topology":{"kind":"figure1"},"channel":{"burst":true,"mean_burst_len":0.5}}}`,
+		"good run shorter than one": `{"version":1,"simulation":{"topology":{"kind":"figure1"},"channel":{"burst":true,"mean_good_run":0.5}}}`,
+		"rate control sans rcad":    `{"version":1,"simulation":{"topology":{"kind":"figure1"},"policy":"delay-droptail","rate_control":{"target_loss":0.1}}}`,
+		"rate control no target":    `{"version":1,"simulation":{"topology":{"kind":"figure1"},"rate_control":{}}}`,
+		"rate control target one":   `{"version":1,"simulation":{"topology":{"kind":"figure1"},"rate_control":{"target_loss":1}}}`,
+		"failure at the sink":       `{"version":1,"simulation":{"topology":{"kind":"line","hops":3},"failures":[{"node":0,"at":10}]}}`,
+		"failure past a line":       `{"version":1,"simulation":{"topology":{"kind":"line","hops":3},"failures":[{"node":4,"at":10}]}}`,
+		"failure past figure1":      `{"version":1,"simulation":{"topology":{"kind":"figure1"},"failures":[{"node":34,"at":10}]}}`,
+		"failure past a grid":       `{"version":1,"simulation":{"topology":{"kind":"grid","width":3,"height":3},"failures":[{"node":9,"at":10}]}}`,
+		"failure past a field":      `{"version":1,"simulation":{"topology":{"kind":"random","nodes":20,"radius":4},"failures":[{"node":21,"at":10}]}}`,
+		"negative failure node":     `{"version":1,"simulation":{"topology":{"kind":"figure1"},"failures":[{"node":-3,"at":10}]}}`,
+		"negative failure time":     `{"version":1,"simulation":{"topology":{"kind":"figure1"},"failures":[{"node":3,"at":-1}]}}`,
+		"failure time too late":     `{"version":1,"simulation":{"topology":{"kind":"figure1"},"failures":[{"node":3,"at":1e13}]}}`,
+		"node failing twice":        `{"version":1,"simulation":{"topology":{"kind":"figure1"},"failures":[{"node":3,"at":10},{"node":3,"at":20}]}}`,
+		"repair sans failures":      `{"version":1,"simulation":{"topology":{"kind":"grid"},"route_repair":true}}`,
+		"field too many nodes":      `{"version":1,"simulation":{"topology":{"kind":"random","nodes":1025}}}`,
+		"field of one node":         `{"version":1,"simulation":{"topology":{"kind":"random","nodes":1}}}`,
+		"field side negative":       `{"version":1,"simulation":{"topology":{"kind":"random","side":-1}}}`,
+		"field side too big":        `{"version":1,"simulation":{"topology":{"kind":"random","side":2e6}}}`,
+		"field radius too big":      `{"version":1,"simulation":{"topology":{"kind":"random","radius":2e6}}}`,
+		"field with hops":           `{"version":1,"simulation":{"topology":{"kind":"random","hops":3}}}`,
+		"line with radius":          `{"version":1,"simulation":{"topology":{"kind":"line","radius":3}}}`,
+		"too many failures": func() string {
+			var failures []string
+			for n := 1; n <= maxFailures+1; n++ {
+				failures = append(failures, fmt.Sprintf(`{"node":%d,"at":%d}`, n, n))
+			}
+			return `{"version":1,"simulation":{"topology":{"kind":"grid"},"failures":[` + strings.Join(failures, ",") + `]}}`
+		}(),
 	}
 	for name, doc := range cases {
 		if _, err := Parse([]byte(doc)); err == nil {
@@ -329,5 +364,90 @@ func TestRunEngineReuseDifferential(t *testing.T) {
 				t.Fatalf("ReplicateWorkers 3 changed result bytes vs the serial run:\n--- parallel ---\n%s\n--- serial ---\n%s", out.TableText, serial.TableText)
 			}
 		})
+	}
+}
+
+// TestNodeCountMatchesTopology: the node count Normalize checks failures
+// against is the built topology's, whose IDs run contiguously from the
+// sink.
+func TestNodeCountMatchesTopology(t *testing.T) {
+	for _, topo := range []TopologySpec{
+		{Kind: "figure1"},
+		{Kind: "line", Hops: 7},
+		{Kind: "grid", Width: 3, Height: 5},
+		{Kind: "random", Nodes: 40, Radius: 4},
+	} {
+		if err := topo.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		built, _, err := topo.build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := built.Nodes()
+		if n := topo.nodeCount(); n != built.NodeCount() || int(ids[len(ids)-1]) != n-1 {
+			t.Errorf("%s: nodeCount %d, built %d nodes up to %v", topo.Kind, n, built.NodeCount(), ids[len(ids)-1])
+		}
+	}
+}
+
+// TestRandomFieldPlacedFromSpecSeed: a random field is placed from the
+// spec's seed, so every replicate of the spec runs on the same field, and
+// a field that stays disconnected is an error naming the cause.
+func TestRandomFieldPlacedFromSpecSeed(t *testing.T) {
+	spec := mustParse(t, `{"version":1,"simulation":{"topology":{"kind":"random","nodes":60,"radius":2.5},"packets":20,"seed":3,"replicates":3}}`)
+	a, err := Compile(spec.Simulation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Compile(spec.Simulation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Config.Topology.Edges(), b.Config.Topology.Edges()) || !reflect.DeepEqual(a.Sources, b.Sources) {
+		t.Fatal("one spec compiled to two fields")
+	}
+	reseeded := *spec.Simulation
+	reseeded.Seed = 4
+	c, err := Compile(&reseeded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(a.Config.Topology.Edges(), c.Config.Topology.Edges()) {
+		t.Fatal("the spec's seed does not place the field")
+	}
+	if _, err := Run(context.Background(), spec, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	sparse := mustParse(t, `{"version":1,"simulation":{"topology":{"kind":"random","nodes":50,"radius":0.01}}}`)
+	if _, err := Compile(sparse.Simulation); !errors.Is(err, topology.ErrDisconnected) {
+		t.Fatalf("sparse field: %v, want topology.ErrDisconnected", err)
+	}
+}
+
+// TestRunNewSpecParts: rate control and a failure with route repair
+// compile into the engine config and run through the service path.
+func TestRunNewSpecParts(t *testing.T) {
+	spec := mustParse(t, `{"version":1,"simulation":{
+		"topology":{"kind":"grid","width":4,"height":4},"capacity":4,"packets":120,
+		"rate_control":{"target_loss":0.1},"failures":[{"node":7,"at":150}],"route_repair":true}}`)
+	sim, err := Compile(spec.Simulation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sim.Config
+	if c.RateControl == nil || c.RateControl.TargetLoss != 0.1 || c.RateControl.Smoothing != rateSmoothing ||
+		len(c.NodeFailures) != 1 || c.NodeFailures[0].Node != 7 || c.NodeFailures[0].At != 150 || !c.RouteRepair {
+		t.Fatalf("compiled config %+v", c)
+	}
+	res, err := network.Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reroutes == 0 {
+		t.Fatal("the failure rerouted nothing")
+	}
+	if _, err := Run(context.Background(), spec, Options{}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,8 +1,8 @@
 // Package telemetry is the simulator's run-observability layer: a
 // thread-safe registry of live metrics (counters, gauges, log-bucketed
 // histograms), a sim-time sampler that turns a running simulation into an
-// append-only time series (see Sample and the emitters), and run manifests
-// that fingerprint what produced a result (see Manifest).
+// append-only time series (see Sample and the emitters), and the
+// canonical-JSON fingerprint that names a configuration (see Fingerprint).
 //
 // The paper's evaluation hinges on time-resolved internals — buffer
 // occupancy over time (§4), end-to-end latency and adversary error (§5) —

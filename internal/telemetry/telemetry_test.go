@@ -438,25 +438,6 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	}
 }
 
-func TestManifestWriteJSON(t *testing.T) {
-	m := &Manifest{ConfigFingerprint: "abc", Seed: 7, GoVersion: "go1.22", Events: 10}
-	path := filepath.Join(t.TempDir(), "manifest.json")
-	if err := m.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Manifest
-	if err := json.Unmarshal(b, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got != *m {
-		t.Fatalf("round trip = %+v, want %+v", got, *m)
-	}
-}
-
 func TestHeapAlloc(t *testing.T) {
 	if HeapAlloc() == 0 {
 		t.Fatal("heap alloc reading must be non-zero in a live process")

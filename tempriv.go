@@ -162,9 +162,6 @@ type (
 	MemoryEmitter = telemetry.Memory
 	// JSONLEmitter streams samples as JSON Lines; Close it to flush.
 	JSONLEmitter = telemetry.JSONL
-	// RunManifest records a run's provenance: config fingerprint, seed,
-	// Go version and wall-clock performance. Every Result carries one.
-	RunManifest = telemetry.Manifest
 )
 
 // Trace event kinds recorded by Config.Tracer.
@@ -225,7 +222,7 @@ func MultiTelemetryEmitter(emitters ...TelemetryEmitter) TelemetryEmitter {
 }
 
 // ConfigFingerprint returns the hex SHA-256 of v's canonical JSON form —
-// the same fingerprinting run manifests use to identify configurations.
+// the same fingerprinting scenario specs use as their content address.
 func ConfigFingerprint(v any) (string, error) { return telemetry.Fingerprint(v) }
 
 // Sink is the node ID of the network sink in every topology.
@@ -389,7 +386,9 @@ func NewBaselineAdversary(tau, meanDelay float64) (Estimator, error) {
 // NewAdaptiveAdversary returns the §5.4 adversary: it measures arrival
 // rates at the sink and switches its per-hop delay estimate to
 // min(1/µ, k/λ_flow) when the Erlang loss formula predicts preemption above
-// threshold (the paper uses 0.1).
+// threshold (the paper uses 0.1). The estimator measures the arrivals of
+// one run, and scoring a second run with it rates that run's arrivals
+// against the first's, so build one per run.
 func NewAdaptiveAdversary(tau, meanDelay float64, bufferSlots int, threshold float64) (Estimator, error) {
 	return adversary.NewAdaptive(tau, meanDelay, bufferSlots, threshold)
 }
@@ -397,7 +396,8 @@ func NewAdaptiveAdversary(tau, meanDelay float64, bufferSlots int, threshold flo
 // NewPathAwareAdversary returns the deployment-knowledge extension of the
 // adaptive adversary: given each flow's routing path it estimates every
 // hop's delay from that node's aggregate traffic. Build paths with
-// FlowPaths.
+// FlowPaths. Like the adaptive adversary it measures the arrivals of one
+// run, so build one per run.
 func NewPathAwareAdversary(tau, meanDelay float64, bufferSlots int, threshold float64, paths map[NodeID][]NodeID) (Estimator, error) {
 	return adversary.NewPathAware(tau, meanDelay, bufferSlots, threshold, paths)
 }
