@@ -79,7 +79,6 @@ func run(args []string) (err error) {
 		interarrivals = fs.String("interarrivals", "", "comma-separated 1/λ sweep (default 2..20)")
 		meanDelay     = fs.Float64("mean-delay", 0, "mean per-hop buffering delay 1/µ (0 = paper default 30)")
 		capacity      = fs.Int("capacity", 0, "buffer slots k (0 = paper default 10)")
-		workers       = fs.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 		replicate     = fs.Int("replicate", 1, "run each experiment under N consecutive seeds and report mean ± 95% CI")
 		repWorkers    = fs.Int("j", 0, "replication worker goroutines (0 = one per CPU; output stays byte-identical to -j 1)")
 		keepChunks    = fs.Bool("keep-chunks", false, "with -resume, keep each experiment's replicate chunks after it completes instead of removing them")
@@ -122,9 +121,6 @@ func run(args []string) (err error) {
 	}
 	if *capacity < 0 {
 		return fmt.Errorf("-capacity must be >= 0, got %d", *capacity)
-	}
-	if *workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
 	var ias []float64
 	if *interarrivals != "" {
@@ -243,10 +239,7 @@ func run(args []string) (err error) {
 			}
 		}
 		if text == nil {
-			runOpts := scenario.Options{
-				ReplicateWorkers: *repWorkers,
-				SweepWorkers:     *workers,
-			}
+			runOpts := scenario.Options{ReplicateWorkers: *repWorkers}
 			var sink *resultstream.Sink
 			if chunks != nil {
 				var err error
@@ -368,8 +361,8 @@ type sweepSummary struct {
 }
 
 func newRunManifest(id string, p tempriv.Params, replicates int, wall float64) (runManifest, error) {
-	// Seed and Workers are execution labels, not configuration: two runs
-	// differing only there fingerprint identically.
+	// Seed is an execution label, not configuration: two runs differing
+	// only there fingerprint identically.
 	fp, err := tempriv.ConfigFingerprint(map[string]any{
 		"experiment":    id,
 		"packets":       p.Packets,

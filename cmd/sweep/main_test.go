@@ -190,7 +190,6 @@ func TestRejectsBadFlagValues(t *testing.T) {
 		{"-exp", "fig2a", "-packets", "-5"},
 		{"-exp", "fig2a", "-mean-delay", "-1"},
 		{"-exp", "fig2a", "-capacity", "-2"},
-		{"-exp", "fig2a", "-workers", "-1"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

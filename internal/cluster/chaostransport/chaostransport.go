@@ -16,16 +16,21 @@
 // the transport synthesizes the error, so the fault is exact and
 // instantaneous). A latency rule sleeps before forwarding. A slow rule
 // forwards the request but drips the response body chunk by chunk with a
-// delay between reads, the way a thin pipe or a wedged peer would.
+// delay between reads, the way a thin pipe or a wedged peer would. Both
+// waits end early, with the context's error, when the request's context
+// ends, as a real slow network would at the client's deadline.
 package chaostransport
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"time"
+
+	"tempriv/internal/clock"
 )
 
 // Mode is a failure mode a Rule injects.
@@ -61,7 +66,7 @@ func (r Rule) key() string { return string(r.Mode) + "=" + r.Match }
 // value is not usable; call New.
 type Transport struct {
 	inner http.RoundTripper
-	sleep func(time.Duration)
+	clock clock.Clock
 
 	mu       sync.Mutex
 	rules    []Rule
@@ -76,15 +81,16 @@ func New(inner http.RoundTripper) *Transport {
 	}
 	return &Transport{
 		inner:    inner,
-		sleep:    time.Sleep,
+		clock:    clock.Real,
 		seen:     make(map[string]int),
 		injected: make(map[string]int),
 	}
 }
 
-// SetSleep replaces the latency sleeper (tests observe delays without
-// waiting them out). Not safe to call concurrently with RoundTrip.
-func (t *Transport) SetSleep(f func(time.Duration)) { t.sleep = f }
+// SetClock replaces the clock injected delays wait on (tests step a
+// manual clock instead of waiting them out). Not safe to call
+// concurrently with RoundTrip.
+func (t *Transport) SetClock(c clock.Clock) { t.clock = c }
 
 // Set installs or replaces the rule for (Mode, Match).
 func (t *Transport) Set(r Rule) {
@@ -158,14 +164,16 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	case ModePartition:
 		return nil, fmt.Errorf("chaostransport: partition: %s is unreachable", req.URL.Host)
 	case ModeLatency:
-		t.sleep(rule.Delay)
+		if err := t.clock.Sleep(req.Context(), rule.Delay); err != nil {
+			return nil, err
+		}
 		return t.inner.RoundTrip(req)
 	case ModeSlow:
 		resp, err := t.inner.RoundTrip(req)
 		if err != nil {
 			return nil, err
 		}
-		resp.Body = &slowBody{inner: resp.Body, delay: rule.Delay, sleep: t.sleep}
+		resp.Body = &slowBody{inner: resp.Body, ctx: req.Context(), delay: rule.Delay, clock: t.clock}
 		return resp, nil
 	default:
 		return nil, fmt.Errorf("chaostransport: unknown mode %q", rule.Mode)
@@ -173,17 +181,21 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // slowBody drips an upstream body slowChunk bytes per read with a sleep
-// between reads.
+// between reads. ctx is the request's: a read ends with its error once it
+// is done.
 type slowBody struct {
 	inner   io.ReadCloser
+	ctx     context.Context
 	delay   time.Duration
-	sleep   func(time.Duration)
+	clock   clock.Clock
 	started bool
 }
 
 func (b *slowBody) Read(p []byte) (int, error) {
 	if b.started {
-		b.sleep(b.delay)
+		if err := b.clock.Sleep(b.ctx, b.delay); err != nil {
+			return 0, err
+		}
 	}
 	b.started = true
 	if len(p) > slowChunk {

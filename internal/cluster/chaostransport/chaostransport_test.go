@@ -1,12 +1,16 @@
 package chaostransport
 
 import (
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"tempriv/internal/clock"
 )
 
 func get(t *testing.T, client *http.Client, url string) (*http.Response, string, error) {
@@ -74,23 +78,42 @@ func TestAfterLetsRequestsThroughFirst(t *testing.T) {
 	}
 }
 
+func newManualClock() *clock.Manual { return clock.NewManual(time.Unix(1_700_000_000, 0)) }
+
 func TestLatencySleepsBeforeForwarding(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "ok")
 	}))
 	defer srv.Close()
+	clk := newManualClock()
 	tr := New(nil)
-	var slept []time.Duration
-	tr.SetSleep(func(d time.Duration) { slept = append(slept, d) })
+	tr.SetClock(clk)
 	host := strings.TrimPrefix(srv.URL, "http://")
 	tr.Set(Rule{Match: host, Mode: ModeLatency, Delay: 250 * time.Millisecond})
 	client := &http.Client{Transport: tr}
 
-	if _, body, err := get(t, client, srv.URL); err != nil || body != "ok" {
-		t.Fatalf("latency rule broke the request: body=%q err=%v", body, err)
+	type result struct {
+		body string
+		err  error
 	}
-	if len(slept) != 1 || slept[0] != 250*time.Millisecond {
-		t.Fatalf("slept %v, want one 250ms sleep", slept)
+	done := make(chan result, 1)
+	go func() {
+		resp, err := client.Get(srv.URL)
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		done <- result{string(body), err}
+	}()
+
+	clk.BlockUntil(1)
+	clk.Advance(250*time.Millisecond - time.Nanosecond)
+	clk.BlockUntil(1) // the latency wait is still armed 1ns before its end
+	clk.Advance(time.Nanosecond)
+	if r := <-done; r.err != nil || r.body != "ok" {
+		t.Fatalf("latency rule broke the request: body=%q err=%v", r.body, r.err)
 	}
 }
 
@@ -100,23 +123,134 @@ func TestSlowDripsBodyInChunks(t *testing.T) {
 		io.WriteString(w, payload)
 	}))
 	defer srv.Close()
+	clk := newManualClock()
 	tr := New(nil)
-	var sleeps int
-	tr.SetSleep(func(time.Duration) { sleeps++ })
+	tr.SetClock(clk)
 	host := strings.TrimPrefix(srv.URL, "http://")
 	tr.Set(Rule{Match: host, Mode: ModeSlow, Delay: 50 * time.Millisecond})
 	client := &http.Client{Transport: tr}
 
-	_, body, err := get(t, client, srv.URL)
+	resp, err := client.Get(srv.URL)
 	if err != nil {
 		t.Fatalf("slow rule broke the request: %v", err)
 	}
-	if body != payload {
+	defer resp.Body.Close()
+
+	// The first chunk comes at once; every later read waits one delay on
+	// the clock first, the read that finds the end included.
+	var body []byte
+	buf := make([]byte, 4*slowChunk)
+	for read := 0; ; read++ {
+		type chunk struct {
+			n   int
+			err error
+		}
+		got := make(chan chunk, 1)
+		go func() {
+			n, err := resp.Body.Read(buf)
+			got <- chunk{n, err}
+		}()
+		if read > 0 {
+			clk.BlockUntil(1)
+			clk.Advance(50 * time.Millisecond)
+		}
+		c := <-got
+		if c.n > slowChunk {
+			t.Fatalf("read %d returned %d bytes, want at most %d", read, c.n, slowChunk)
+		}
+		body = append(body, buf[:c.n]...)
+		if c.err == io.EOF {
+			break
+		}
+		if c.err != nil {
+			t.Fatalf("read %d: %v", read, c.err)
+		}
+	}
+	if string(body) != payload {
 		t.Fatalf("body corrupted: got %d bytes, want %d", len(body), len(payload))
 	}
-	if sleeps < 2 {
-		t.Fatalf("body arrived in %d sleeps, want >= 2 (dripped)", sleeps)
+	if waited := clk.Now().Sub(time.Unix(1_700_000_000, 0)); waited < 2*50*time.Millisecond {
+		t.Fatalf("body arrived after %v of drip, want >= 100ms (a delay before each chunk after the first)", waited)
 	}
+}
+
+// TestInjectedDelaysEndWithTheRequestContext: a latency rule's wait and a
+// slow body's drip end with the request context's error as soon as that
+// context is done, without the clock moving — a client deadline cuts
+// injected latency short, as it would real network latency.
+func TestInjectedDelaysEndWithTheRequestContext(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, strings.Repeat("x", 3*slowChunk))
+	}))
+	defer srv.Close()
+	host := strings.TrimPrefix(srv.URL, "http://")
+	start := time.Unix(1_700_000_000, 0)
+
+	t.Run("latency", func(t *testing.T) {
+		clk := newManualClock()
+		tr := New(nil)
+		tr.SetClock(clk)
+		tr.Set(Rule{Match: host, Mode: ModeLatency, Delay: time.Hour})
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
+		if _, err := tr.RoundTrip(req); !errors.Is(err, context.Canceled) {
+			t.Fatalf("already-canceled request: err = %v, want context.Canceled", err)
+		}
+
+		ctx, cancel = context.WithCancel(context.Background())
+		req, _ = http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
+		done := make(chan error, 1)
+		go func() {
+			resp, err := tr.RoundTrip(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			done <- err
+		}()
+		clk.BlockUntil(1)
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("request canceled mid-latency: err = %v, want context.Canceled", err)
+		}
+		if !clk.Now().Equal(start) {
+			t.Fatal("the clock moved")
+		}
+	})
+
+	t.Run("slow body", func(t *testing.T) {
+		clk := newManualClock()
+		tr := New(nil)
+		tr.SetClock(clk)
+		tr.Set(Rule{Match: host, Mode: ModeSlow, Delay: time.Hour})
+
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		buf := make([]byte, slowChunk)
+		if _, err := resp.Body.Read(buf); err != nil {
+			t.Fatalf("first chunk: %v", err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := resp.Body.Read(buf)
+			done <- err
+		}()
+		clk.BlockUntil(1)
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("body canceled mid-drip: err = %v, want context.Canceled", err)
+		}
+		if !clk.Now().Equal(start) {
+			t.Fatal("the clock moved")
+		}
+	})
 }
 
 func TestParse(t *testing.T) {

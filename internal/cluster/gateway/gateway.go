@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"tempriv/internal/clock"
 	"tempriv/internal/cluster/registry"
 	"tempriv/internal/cluster/ring"
 	"tempriv/internal/jobs"
@@ -62,35 +63,25 @@ type Config struct {
 	RetryAfterMax time.Duration
 	// ReconcileEvery is the Run loop's sweep interval (default 2s).
 	ReconcileEvery time.Duration
-	// Clock is the health tracker's time source (default time.Now);
-	// injectable so tests drive ejection cooldowns deterministically.
-	Clock func() time.Time
+	// Clock is the gateway's time source (nil = clock.Real): health
+	// cooldowns and Retry-After windows, the /events failover wait and
+	// keepalive, and the reconcile loop all read it.
+	Clock clock.Clock
 
-	// Per-worker health scoring and ejection (see health.go). Every
-	// worker request feeds a rolling window of HealthWindow samples
-	// (default 32); a worker whose window error rate reaches
-	// EjectThreshold (default 0.5) across at least EjectMinSamples
-	// samples (default 3) is ejected, then re-admitted via a half-open
-	// probe after EjectCooldown (default 10s).
-	HealthWindow    int
-	EjectThreshold  float64
-	EjectMinSamples int
-	EjectCooldown   time.Duration
-	// EjectHandoffAfter: a route stranded on a worker that has stayed
-	// ejected this long is handed off as if its lease had expired —
-	// the cure for asymmetric partitions, where the worker's heartbeats
-	// still arrive so the lease never dies (default 3×EjectCooldown).
-	EjectHandoffAfter time.Duration
+	// Per-worker health scoring and ejection (see health.go). A worker
+	// whose rolling error rate reaches EjectThreshold (default 0.5) is
+	// ejected, then re-admitted via a half-open probe after EjectCooldown
+	// (default 10s). A route stranded on a worker that has stayed ejected
+	// for three cooldowns (ejectHandoffCooldowns) is handed off as if its
+	// lease had expired — the cure for asymmetric partitions, where the
+	// worker's heartbeats still arrive so the lease never dies.
+	EjectThreshold float64
+	EjectCooldown  time.Duration
 	// ShedFactor bounds outstanding (non-terminal) routes per worker at
 	// advertised-capacity × ShedFactor (default 4). When every candidate
 	// for a submission is saturated, backpressured, or ejected, the
 	// gateway sheds with 503 + Retry-After instead of queueing.
 	ShedFactor float64
-	// EventKeepalive is how often the /events proxy emits a keepalive
-	// line while waiting out a worker failover (default 5s);
-	// FailoverWait bounds that wait (default 60s).
-	EventKeepalive time.Duration
-	FailoverWait   time.Duration
 }
 
 // Gateway fans job traffic out to registered workers.
@@ -104,13 +95,10 @@ type Gateway struct {
 	submitAttempts int
 	retryAfterMax  time.Duration
 	reconcileEvery time.Duration
-	clock          func() time.Time
+	clock          clock.Clock
 
-	health            *healthTracker
-	ejectHandoffAfter time.Duration
-	shedFactor        float64
-	eventKeepalive    time.Duration
-	failoverWait      time.Duration
+	health     *healthTracker
+	shedFactor float64
 
 	mu        sync.Mutex
 	routes    map[string]*route // gateway job ID -> route
@@ -184,24 +172,12 @@ func New(cfg Config) *Gateway {
 	}
 	g.clock = cfg.Clock
 	if g.clock == nil {
-		g.clock = time.Now
+		g.clock = clock.Real
 	}
-	g.health = newHealthTracker(cfg.HealthWindow, cfg.EjectThreshold, cfg.EjectMinSamples, cfg.EjectCooldown, g.clock)
-	g.ejectHandoffAfter = cfg.EjectHandoffAfter
-	if g.ejectHandoffAfter <= 0 {
-		g.ejectHandoffAfter = 3 * g.health.cooldown
-	}
+	g.health = newHealthTracker(cfg.EjectThreshold, cfg.EjectCooldown, g.clock)
 	g.shedFactor = cfg.ShedFactor
 	if g.shedFactor <= 0 {
 		g.shedFactor = 4
-	}
-	g.eventKeepalive = cfg.EventKeepalive
-	if g.eventKeepalive <= 0 {
-		g.eventKeepalive = 5 * time.Second
-	}
-	g.failoverWait = cfg.FailoverWait
-	if g.failoverWait <= 0 {
-		g.failoverWait = 60 * time.Second
 	}
 	if cfg.Telemetry != nil {
 		g.mDispatch = cfg.Telemetry.Counter("tempriv_cluster_dispatch_total")

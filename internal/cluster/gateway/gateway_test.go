@@ -1,8 +1,9 @@
 package gateway
 
 // In-process cluster e2e: real temprivd API servers behind a real
-// gateway, with the registry and health clocks injectable so lease expiry
-// and Retry-After windows run deterministic.
+// gateway, with the registry and the gateway on one manual clock so lease
+// expiry, Retry-After windows and the /events failover wait run
+// deterministic.
 
 import (
 	"context"
@@ -12,11 +13,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tempriv/internal/clock"
 	"tempriv/internal/cluster/peering"
 	"tempriv/internal/cluster/registry"
 	"tempriv/internal/cluster/ring"
@@ -45,24 +46,7 @@ func fingerprintOf(t *testing.T, doc string) string {
 	return fp
 }
 
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{now: time.Unix(1_700_000_000, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-}
+func newManualClock() *clock.Manual { return clock.NewManual(time.Unix(1_700_000_000, 0)) }
 
 // worker is one in-process temprivd API instance.
 type worker struct {
@@ -114,7 +98,7 @@ type cluster struct {
 	ts  *httptest.Server
 	reg *registry.Registry
 	tel *telemetry.Registry
-	clk *fakeClock
+	clk *clock.Manual
 }
 
 func newCluster(t *testing.T, ttl time.Duration) *cluster {
@@ -125,13 +109,13 @@ func newCluster(t *testing.T, ttl time.Duration) *cluster {
 // resilience tests can pin cooldowns, shed factors, and stream timings.
 func newClusterWith(t *testing.T, ttl time.Duration, mut func(*Config)) *cluster {
 	t.Helper()
-	c := &cluster{clk: newFakeClock(), tel: telemetry.NewRegistry()}
-	c.reg = registry.New(registry.Options{LeaseTTL: ttl, Clock: c.clk.Now})
+	c := &cluster{clk: newManualClock(), tel: telemetry.NewRegistry()}
+	c.reg = registry.New(registry.Options{LeaseTTL: ttl, Clock: c.clk})
 	cfg := Config{
 		Registry:  c.reg,
 		Telemetry: c.tel,
 		Tracer:    obs.New(obs.Options{}),
-		Clock:     c.clk.Now,
+		Clock:     c.clk,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -387,7 +371,7 @@ func failOverFromShedOwner(t *testing.T, c *cluster, status int, retryAfter stri
 	}
 }
 
-// checkBackpressureWindow checks on the fake clock that worker id stays
+// checkBackpressureWindow checks on the manual clock that worker id stays
 // backpressured for exactly d from now.
 func checkBackpressureWindow(t *testing.T, c *cluster, id string, d time.Duration) {
 	t.Helper()
@@ -626,4 +610,31 @@ func TestGatewayNoWorkers(t *testing.T) {
 	if status, _ := getBody(t, c.ts.URL+"/readyz"); status != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz with no workers: HTTP %d, want 503", status)
 	}
+}
+
+// TestRunReconcilesOnTheClock: the Run loop sweeps once every
+// ReconcileEvery of the gateway's clock — here the sweep expires a lapsed
+// lease — and returns when its context ends.
+func TestRunReconcilesOnTheClock(t *testing.T) {
+	c := newCluster(t, time.Second)
+	c.register(t, "w1", "http://127.0.0.1:1")
+	epoch := c.reg.Epoch()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { c.gw.Run(ctx); close(done) }()
+
+	for round := 1; round <= 3; round++ {
+		c.clk.BlockUntil(1) // the loop waits for its next sweep
+		c.clk.Advance(c.gw.reconcileEvery)
+	}
+	c.clk.BlockUntil(1)
+	// Only the first sweep found a change: w1's 1s lease had lapsed.
+	if got := c.reg.Epoch(); got != epoch+1 {
+		t.Fatalf("epoch %d after three sweeps, want %d", got, epoch+1)
+	}
+	if got := c.tel.Gauge("tempriv_cluster_workers").Value(); got != 0 {
+		t.Fatalf("tempriv_cluster_workers = %v after the sweep, want 0", got)
+	}
+	cancel()
+	<-done
 }

@@ -3,6 +3,8 @@ package gateway
 import (
 	"sync"
 	"time"
+
+	"tempriv/internal/clock"
 )
 
 // Per-worker health scoring: every worker request the gateway makes
@@ -19,6 +21,15 @@ import (
 // (worker→gateway traffic takes a different path), so its lease never
 // expires and the reconcile loop alone would wait forever. Ejection
 // fires on the gateway's own observations instead.
+
+const (
+	// healthWindow is how many recent outcomes a worker's error rate
+	// covers.
+	healthWindow = 32
+	// ejectMinSamples is the fewest outcomes an ejection may rest on, so
+	// one failed first request does not eject a fresh worker.
+	ejectMinSamples = 3
+)
 
 type healthState int
 
@@ -45,13 +56,13 @@ type workerHealth struct {
 	backoffUntil time.Time
 }
 
-func (wh *workerHealth) push(failed bool, window int) {
-	if len(wh.window) < window {
+func (wh *workerHealth) push(failed bool) {
+	if len(wh.window) < healthWindow {
 		wh.window = append(wh.window, failed)
 		return
 	}
 	wh.window[wh.next] = failed
-	wh.next = (wh.next + 1) % window
+	wh.next = (wh.next + 1) % healthWindow
 }
 
 func (wh *workerHealth) errorRate() float64 {
@@ -74,41 +85,28 @@ func (wh *workerHealth) reset() {
 
 // healthTracker scores every worker the gateway talks to.
 type healthTracker struct {
-	mu         sync.Mutex
-	clock      func() time.Time
-	window     int
-	threshold  float64
-	minSamples int
-	cooldown   time.Duration
-	workers    map[string]*workerHealth
+	mu        sync.Mutex
+	clock     clock.Clock
+	threshold float64
+	cooldown  time.Duration
+	workers   map[string]*workerHealth
 
 	onEject   func(id string)
 	onRestore func(id string)
 }
 
-func newHealthTracker(window int, threshold float64, minSamples int, cooldown time.Duration, clock func() time.Time) *healthTracker {
-	if window <= 0 {
-		window = 32
-	}
+func newHealthTracker(threshold float64, cooldown time.Duration, clk clock.Clock) *healthTracker {
 	if threshold <= 0 || threshold > 1 {
 		threshold = 0.5
-	}
-	if minSamples <= 0 {
-		minSamples = 3
 	}
 	if cooldown <= 0 {
 		cooldown = 10 * time.Second
 	}
-	if clock == nil {
-		clock = time.Now
-	}
 	return &healthTracker{
-		clock:      clock,
-		window:     window,
-		threshold:  threshold,
-		minSamples: minSamples,
-		cooldown:   cooldown,
-		workers:    make(map[string]*workerHealth),
+		clock:     clk,
+		threshold: threshold,
+		cooldown:  cooldown,
+		workers:   make(map[string]*workerHealth),
 	}
 }
 
@@ -127,13 +125,13 @@ func (h *healthTracker) get(id string) *workerHealth {
 func (h *healthTracker) observe(id string, failed bool) {
 	h.mu.Lock()
 	wh := h.get(id)
-	wh.push(failed, h.window)
+	wh.push(failed)
 	var ejected, restored bool
 	switch wh.state {
 	case healthOK:
-		if failed && len(wh.window) >= h.minSamples && wh.errorRate() >= h.threshold {
+		if failed && len(wh.window) >= ejectMinSamples && wh.errorRate() >= h.threshold {
 			wh.state = healthEjected
-			wh.ejectedAt = h.clock()
+			wh.ejectedAt = h.clock.Now()
 			wh.downSince = wh.ejectedAt
 			wh.ejections++
 			ejected = true
@@ -141,7 +139,7 @@ func (h *healthTracker) observe(id string, failed bool) {
 	case healthEjected, healthProbing:
 		if failed {
 			wh.state = healthEjected
-			wh.ejectedAt = h.clock()
+			wh.ejectedAt = h.clock.Now()
 		} else {
 			wh.state = healthOK
 			wh.reset()
@@ -164,7 +162,7 @@ func (h *healthTracker) observe(id string, failed bool) {
 func (h *healthTracker) observeBackpressure(id string, d time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	until := h.clock().Add(d)
+	until := h.clock.Now().Add(d)
 	wh := h.get(id)
 	if until.After(wh.backoffUntil) {
 		wh.backoffUntil = until
@@ -183,7 +181,7 @@ func (h *healthTracker) allow(id string) bool {
 	if !ok {
 		return true
 	}
-	now := h.clock()
+	now := h.clock.Now()
 	switch wh.state {
 	case healthOK:
 		return true
@@ -213,7 +211,7 @@ func (h *healthTracker) backpressured(id string) (time.Duration, bool) {
 	if !ok {
 		return 0, false
 	}
-	remain := wh.backoffUntil.Sub(h.clock())
+	remain := wh.backoffUntil.Sub(h.clock.Now())
 	if remain <= 0 {
 		return 0, false
 	}
@@ -260,7 +258,7 @@ type healthView struct {
 func (h *healthTracker) view() map[string]healthView {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	now := h.clock()
+	now := h.clock.Now()
 	out := make(map[string]healthView, len(h.workers))
 	for id, wh := range h.workers {
 		state := "healthy"

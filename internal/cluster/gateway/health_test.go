@@ -3,27 +3,33 @@ package gateway
 import (
 	"testing"
 	"time"
+
+	"tempriv/internal/clock"
 )
 
-func newTestTracker(clk *fakeClock) *healthTracker {
-	// window 8, threshold 0.5, minSamples 3, cooldown 10s
-	return newHealthTracker(8, 0.5, 3, 10*time.Second, clk.Now)
+// testCooldown is the eject cooldown the health tests step through
+// (temprivgw's -eject-cooldown default).
+const testCooldown = 10 * time.Second
+
+func newTestTracker(clk *clock.Manual) *healthTracker {
+	return newHealthTracker(0.5, testCooldown, clk)
 }
 
 func TestHealthEjectsOnErrorRate(t *testing.T) {
-	clk := newFakeClock()
+	clk := newManualClock()
 	h := newTestTracker(clk)
 	var ejected []string
 	h.onEject = func(id string) { ejected = append(ejected, id) }
 
-	h.observe("w1", true)
-	h.observe("w1", true)
+	for i := 1; i < ejectMinSamples; i++ {
+		h.observe("w1", true)
+	}
 	if !h.allow("w1") {
-		t.Fatal("w1 ejected below minSamples")
+		t.Fatal("w1 ejected below ejectMinSamples")
 	}
 	h.observe("w1", true)
 	if h.allow("w1") {
-		t.Fatal("w1 still allowed after 3/3 failures")
+		t.Fatalf("w1 still allowed after %d/%d failures", ejectMinSamples, ejectMinSamples)
 	}
 	if len(ejected) != 1 || ejected[0] != "w1" {
 		t.Fatalf("onEject calls = %v, want [w1]", ejected)
@@ -34,11 +40,11 @@ func TestHealthEjectsOnErrorRate(t *testing.T) {
 }
 
 func TestHealthHalfOpenProbeRestores(t *testing.T) {
-	clk := newFakeClock()
+	clk := newManualClock()
 	h := newTestTracker(clk)
 	var restored []string
 	h.onRestore = func(id string) { restored = append(restored, id) }
-	for i := 0; i < 3; i++ {
+	for i := 0; i < ejectMinSamples; i++ {
 		h.observe("w1", true)
 	}
 	if h.allow("w1") {
@@ -46,7 +52,11 @@ func TestHealthHalfOpenProbeRestores(t *testing.T) {
 	}
 
 	// Cooldown elapses: exactly one probe is admitted.
-	clk.Advance(10 * time.Second)
+	clk.Advance(testCooldown - time.Nanosecond)
+	if h.allow("w1") {
+		t.Fatal("probe admitted before the cooldown elapsed")
+	}
+	clk.Advance(time.Nanosecond)
 	if !h.allow("w1") {
 		t.Fatal("probe not admitted after cooldown")
 	}
@@ -68,9 +78,9 @@ func TestHealthHalfOpenProbeRestores(t *testing.T) {
 }
 
 func TestHealthFailedProbeKeepsDownSince(t *testing.T) {
-	clk := newFakeClock()
+	clk := newManualClock()
 	h := newTestTracker(clk)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < ejectMinSamples; i++ {
 		h.observe("w1", true)
 	}
 	firstDown, down := h.ejectedSince("w1")
@@ -81,7 +91,7 @@ func TestHealthFailedProbeKeepsDownSince(t *testing.T) {
 	// Probe after cooldown fails: the cooldown refreshes but downSince
 	// must not — otherwise the eject-handoff grace window never elapses
 	// under a persistent partition.
-	clk.Advance(10 * time.Second)
+	clk.Advance(testCooldown)
 	if !h.allow("w1") {
 		t.Fatal("probe not admitted")
 	}
@@ -99,7 +109,7 @@ func TestHealthFailedProbeKeepsDownSince(t *testing.T) {
 }
 
 func TestHealthBackpressureIsNotFailure(t *testing.T) {
-	clk := newFakeClock()
+	clk := newManualClock()
 	h := newTestTracker(clk)
 	for i := 0; i < 10; i++ {
 		h.observe("w1", false)

@@ -161,6 +161,14 @@ func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
 	g.proxyStream(w, r, rt, path)
 }
 
+const (
+	// eventKeepalive is how often the /events proxy writes a keepalive
+	// line while it waits out a worker failover; failoverWait bounds that
+	// wait.
+	eventKeepalive = 5 * time.Second
+	failoverWait   = 60 * time.Second
+)
+
 // handleEvents streams the worker's JSONL event feed, prefixed with any
 // synthetic handoff notes (seq -1) this job accumulated — so a watcher
 // that attached through the gateway sees the crash and the re-dispatch
@@ -168,10 +176,10 @@ func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
 //
 // The stream survives worker failover: when the feed breaks while the
 // job is still non-terminal, the gateway holds the client connection
-// open, emitting {"keepalive":true} lines on the EventKeepalive cadence
-// (the same shape the worker's own idle stream uses), until the
-// reconcile loop rehomes the route — then reconnects to the successor
-// and resumes with its history. The wait is bounded by FailoverWait.
+// open, emitting {"keepalive":true} lines every eventKeepalive (the same
+// shape the worker's own idle stream uses), until the reconcile loop
+// rehomes the route — then reconnects to the successor and resumes with
+// its history. The wait is bounded by failoverWait.
 func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	rt, ok := g.lookup(r.PathValue("id"))
 	if !ok {
@@ -233,13 +241,11 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		// finds the route a new home; the budget spans reconnect attempts
 		// so a stream that keeps breaking cannot hold the client forever.
 		if deadline.IsZero() {
-			deadline = time.Now().Add(g.failoverWait)
+			deadline = g.clock.Now().Add(failoverWait)
 		}
 		for {
-			select {
-			case <-r.Context().Done():
+			if g.clock.Sleep(r.Context(), eventKeepalive) != nil {
 				return
-			case <-time.After(g.eventKeepalive):
 			}
 			if _, werr := io.WriteString(w, "{\"keepalive\":true}\n"); werr != nil {
 				return
@@ -247,7 +253,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if flusher != nil {
 				flusher.Flush()
 			}
-			if time.Now().After(deadline) {
+			if g.clock.Now().After(deadline) {
 				return
 			}
 			g.mu.Lock()

@@ -3,23 +3,28 @@ package gateway
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"tempriv/internal/jobs"
 )
 
+// ejectHandoffCooldowns is how many eject cooldowns a worker must stay
+// ejected before the reconcile loop hands its routes off.
+const ejectHandoffCooldowns = 3
+
 // Run drives the reconcile loop until ctx is canceled: expire leases,
 // hand a dead worker's jobs to its ring successors, and refresh cached
-// states so terminal jobs stop being reconsidered.
+// states so terminal jobs stop being reconsidered. Each sweep starts
+// ReconcileEvery after the previous one ended.
 func (g *Gateway) Run(ctx context.Context) {
-	t := time.NewTicker(g.reconcileEvery)
+	t := g.clock.NewTimer(g.reconcileEvery)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-t.C:
+		case <-t.C():
 			g.ReconcileOnce(ctx)
+			t.Reset(g.reconcileEvery)
 		}
 	}
 }
@@ -78,7 +83,7 @@ func (g *Gateway) ReconcileOnce(ctx context.Context) int {
 // its half-open probes) for at least the eject-handoff grace window.
 func (g *Gateway) ejectedTooLong(workerID string) bool {
 	since, down := g.health.ejectedSince(workerID)
-	return down && g.clock().Sub(since) >= g.ejectHandoffAfter
+	return down && g.clock.Now().Sub(since) >= ejectHandoffCooldowns*g.health.cooldown
 }
 
 // handoff re-dispatches an orphaned route to the ring's current owner for

@@ -155,9 +155,9 @@ func TestEjectionAndShed(t *testing.T) {
 	dead.Close() // registered but unreachable: every request refuses
 	c.register(t, "w1", dead.URL)
 
-	// Three failed dispatches cross the default ejection bar (error rate
-	// 1.0 over minSamples 3).
-	for i := 1; i <= 3; i++ {
+	// ejectMinSamples failed dispatches cross the ejection bar (error
+	// rate 1.0 over the fewest samples an ejection may rest on).
+	for i := 1; i <= ejectMinSamples; i++ {
 		resp, err := http.Post(c.ts.URL+"/v1/jobs", "application/json", strings.NewReader(specDoc(i)))
 		if err != nil {
 			t.Fatal(err)
@@ -209,13 +209,10 @@ func TestEjectionAndShed(t *testing.T) {
 
 // TestEjectedWorkerRoutesHandOff: under an asymmetric partition the
 // worker's lease never expires (its heartbeats still arrive), but once
-// it has stayed ejected past the grace window the reconcile loop rehomes
-// its routes anyway.
+// it has stayed ejected for the grace window, ejectHandoffCooldowns eject
+// cooldowns, the reconcile loop rehomes its routes anyway.
 func TestEjectedWorkerRoutesHandOff(t *testing.T) {
-	c := newClusterWith(t, time.Hour, func(cfg *Config) {
-		cfg.EjectCooldown = 10 * time.Second
-		cfg.EjectHandoffAfter = 30 * time.Second
-	})
+	c := newCluster(t, time.Hour)
 	wa := newWorker(t, "wa", "")
 	wb := newWorker(t, "wb", "")
 	c.register(t, "wa", wa.ts.URL)
@@ -229,9 +226,9 @@ func TestEjectedWorkerRoutesHandOff(t *testing.T) {
 	replicateResult(t, origResult, wb)
 
 	// Partition: the gateway's requests to wa start failing, while wa's
-	// lease (fake registry clock, 1h TTL) stays alive the whole time.
+	// lease (manual clock, 1h TTL) stays alive the whole time.
 	wa.ts.Close()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < ejectMinSamples; i++ {
 		c.gw.health.observe("wa", true)
 	}
 	if _, down := c.gw.health.ejectedSince("wa"); !down {
@@ -239,11 +236,15 @@ func TestEjectedWorkerRoutesHandOff(t *testing.T) {
 	}
 
 	// Inside the grace window nothing moves.
-	if handed := c.gw.ReconcileOnce(context.Background()); handed != 0 {
-		t.Fatalf("route moved after %d handoffs inside grace window", handed)
+	grace := ejectHandoffCooldowns * c.gw.health.cooldown
+	for _, step := range []time.Duration{0, grace - time.Nanosecond} {
+		c.clk.Advance(step)
+		if handed := c.gw.ReconcileOnce(context.Background()); handed != 0 {
+			t.Fatalf("route moved after %d handoffs inside grace window", handed)
+		}
 	}
 
-	c.clk.Advance(31 * time.Second)
+	c.clk.Advance(time.Nanosecond)
 	if handed := c.gw.ReconcileOnce(context.Background()); handed != 1 {
 		t.Fatalf("ReconcileOnce handed off %d routes, want 1", handed)
 	}
@@ -294,15 +295,13 @@ func TestSaturationShed(t *testing.T) {
 }
 
 // TestEventsKeepaliveAcrossFailover: a watcher attached to /events rides
-// out a worker death — keepalive lines while the reconcile loop works,
-// then the handoff note, then the successor's replica-served history to
-// its end.
+// out a worker death — a keepalive line every eventKeepalive while the
+// reconcile loop works, then the handoff note, then the successor's
+// replica-served history to its end. The test steps the manual clock
+// through each keepalive; nothing waits on the wall for them.
 func TestEventsKeepaliveAcrossFailover(t *testing.T) {
-	ttl := time.Minute
-	c := newClusterWith(t, ttl, func(cfg *Config) {
-		cfg.EventKeepalive = 20 * time.Millisecond
-		cfg.FailoverWait = 10 * time.Second
-	})
+	ttl := 20 * time.Second // runs out well inside failoverWait
+	c := newCluster(t, ttl)
 	wa := newWorker(t, "wa", "")
 	wb := newWorker(t, "wb", "")
 	c.register(t, "wa", wa.ts.URL)
@@ -317,69 +316,91 @@ func TestEventsKeepaliveAcrossFailover(t *testing.T) {
 	wa.ts.Close()
 
 	// Attach the watcher while the route still points at the dead owner.
-	resp, err := http.Get(c.ts.URL + "/v1/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("events: HTTP %d", resp.StatusCode)
-	}
-
-	type lineSet struct {
-		keepalives int
-		notes      []string
-		err        error
-	}
-	done := make(chan lineSet, 1)
+	// The proxy sends its headers with its first line, so the watcher
+	// reads on a goroutine of its own while this one steps the clock.
+	lines := make(chan string)
+	stop := make(chan struct{})
+	t.Cleanup(func() { close(stop) })
 	go func() {
-		var out lineSet
+		defer close(lines)
+		resp, err := http.Get(c.ts.URL + "/v1/jobs/" + id + "/events")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("events: HTTP %d", resp.StatusCode)
+			return
+		}
 		sc := bufio.NewScanner(resp.Body)
 		for sc.Scan() {
-			line := sc.Text()
-			if strings.Contains(line, `"keepalive":true`) {
-				out.keepalives++
-				continue
-			}
-			var ev struct {
-				Seq     int    `json:"seq"`
-				Message string `json:"message"`
-			}
-			if json.Unmarshal([]byte(line), &ev) == nil && ev.Seq == -1 {
-				out.notes = append(out.notes, ev.Message)
+			select {
+			case lines <- sc.Text():
+			case <-stop:
+				return
 			}
 		}
-		out.err = sc.Err()
-		done <- out
+		if err := sc.Err(); err != nil {
+			t.Errorf("reading events: %v", err)
+		}
 	}()
+	next := func() (string, bool) {
+		t.Helper()
+		select {
+		case line, ok := <-lines:
+			return line, ok
+		case <-time.After(10 * time.Second):
+			t.Fatal("events stream stalled")
+			return "", false
+		}
+	}
+	keepalive := func(when string) {
+		t.Helper()
+		if line, ok := next(); !ok || !strings.Contains(line, `"keepalive":true`) {
+			t.Fatalf("%s: got line %q (open %v), want a keepalive", when, line, ok)
+		}
+	}
 
-	// Let a few keepalives land, then repair the cluster.
-	time.Sleep(150 * time.Millisecond)
-	c.clk.Advance(2 * ttl)
-	c.register(t, "wb", wb.ts.URL) // heartbeat
+	// The proxy found the owner dead and waits out the failover: one
+	// keepalive per step.
+	c.clk.BlockUntil(1)
+	for i := 1; i <= 2; i++ {
+		c.clk.Advance(eventKeepalive)
+		keepalive(fmt.Sprintf("step %d", i))
+		c.clk.BlockUntil(1)
+	}
+
+	// wa's lease, granted at the start, runs out; wb heartbeats, and the
+	// reconcile loop rehomes the route while the proxy is still waiting.
+	c.clk.Advance(ttl)
+	keepalive("lease expiry")
+	c.clk.BlockUntil(1)
+	c.register(t, "wb", wb.ts.URL)
 	if handed := c.gw.ReconcileOnce(context.Background()); handed != 1 {
 		t.Fatalf("ReconcileOnce handed off %d routes, want 1", handed)
 	}
 
-	select {
-	case out := <-done:
-		if out.err != nil {
-			t.Fatalf("reading events: %v", out.err)
+	// The next keepalive step finds the new home: the handoff note, then
+	// wb's history to the end of the stream.
+	c.clk.Advance(eventKeepalive)
+	keepalive("after handoff")
+	var notes []string
+	for {
+		line, ok := next()
+		if !ok {
+			break
 		}
-		if out.keepalives == 0 {
-			t.Fatal("no keepalive lines during the failover window")
+		var ev struct {
+			Seq     int    `json:"seq"`
+			Message string `json:"message"`
 		}
-		found := false
-		for _, msg := range out.notes {
-			if strings.Contains(msg, "re-dispatched to wb") {
-				found = true
-			}
+		if json.Unmarshal([]byte(line), &ev) == nil && ev.Seq == -1 {
+			notes = append(notes, ev.Message)
 		}
-		if !found {
-			t.Fatalf("no handoff note in stream; notes = %q", out.notes)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("events stream never ended after failover")
+	}
+	if len(notes) != 1 || !strings.Contains(notes[0], "re-dispatched to wb") {
+		t.Fatalf("handoff notes in stream = %q, want one naming wb", notes)
 	}
 	assertReplicaServed(t, gwWait(t, c, id), wb)
 }

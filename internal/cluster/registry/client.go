@@ -14,7 +14,12 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"tempriv/internal/clock"
 )
+
+// retryBackoff is the wait after a failed registration or heartbeat.
+const retryBackoff = time.Second
 
 // ClientOptions configure a lease client.
 type ClientOptions struct {
@@ -24,9 +29,8 @@ type ClientOptions struct {
 	// Interval overrides the heartbeat cadence (default: lease TTL / 3
 	// as granted by the registry, re-read on every heartbeat).
 	Interval time.Duration
-	// RetryBackoff is the delay after a failed registration attempt
-	// (default 1s).
-	RetryBackoff time.Duration
+	// Clock times the heartbeats and the retries (nil = clock.Real).
+	Clock clock.Clock
 	// OnMembers observes every successful response's membership list and
 	// epoch. The worker wires this to its local ring rebuild (the
 	// ownership check in internal/server).
@@ -58,8 +62,8 @@ func NewClient(base string, self Worker, opts ClientOptions) (*Client, error) {
 	if !validWorkerID.MatchString(self.ID) {
 		return nil, fmt.Errorf("registry client: invalid worker id %q", self.ID)
 	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = time.Second
+	if opts.Clock == nil {
+		opts.Clock = clock.Real
 	}
 	hc := opts.HTTPClient
 	if hc == nil {
@@ -121,7 +125,7 @@ func (c *Client) Deregister(ctx context.Context) error {
 }
 
 // Run keeps the worker registered until ctx is canceled, then
-// best-effort deregisters. Registration failures retry on RetryBackoff
+// best-effort deregisters. Registration failures retry every retryBackoff
 // forever — registry unavailability must degrade cluster routing, never
 // worker serving.
 func (c *Client) Run(ctx context.Context) {
@@ -135,7 +139,15 @@ func (c *Client) Run(ctx context.Context) {
 		_ = c.Deregister(dctx)
 		cancel()
 	}
+	timer := c.opts.Clock.NewTimer(0) // the first registration goes at once
+	defer timer.Stop()
 	for {
+		select {
+		case <-ctx.Done():
+			goodbye()
+			return
+		case <-timer.C():
+		}
 		ttl, err := c.register(ctx)
 		var wait time.Duration
 		if err != nil {
@@ -149,7 +161,7 @@ func (c *Client) Run(ctx context.Context) {
 			if c.opts.OnError != nil {
 				c.opts.OnError(err)
 			}
-			wait = c.opts.RetryBackoff
+			wait = retryBackoff
 		} else {
 			registered = true
 			wait = c.opts.Interval
@@ -160,13 +172,6 @@ func (c *Client) Run(ctx context.Context) {
 				wait = time.Second
 			}
 		}
-		timer := time.NewTimer(wait)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			goodbye()
-			return
-		case <-timer.C:
-		}
+		timer.Reset(wait)
 	}
 }

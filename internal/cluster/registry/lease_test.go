@@ -12,15 +12,16 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"tempriv/internal/clock"
 )
 
 func TestLeaseNeverExpiresUnderHeartbeatJitter(t *testing.T) {
 	const ttl = 30 * time.Second
 	for _, seed := range []int64{1, 2, 3, 7, 42, 1337} {
 		rng := rand.New(rand.NewSource(seed))
-		now := time.Unix(1_700_000_000, 0)
-		clock := func() time.Time { return now }
-		r := New(Options{LeaseTTL: ttl, Clock: clock})
+		clk := clock.NewManual(time.Unix(1_700_000_000, 0))
+		r := New(Options{LeaseTTL: ttl, Clock: clk})
 
 		if _, _, err := r.Register(Worker{ID: "w1", URL: "http://w1", Capacity: 2}); err != nil {
 			t.Fatal(err)
@@ -34,11 +35,11 @@ func TestLeaseNeverExpiresUnderHeartbeatJitter(t *testing.T) {
 		// still bounded well inside the remaining lease headroom.
 		for round := 0; round < 500; round++ {
 			gap := ttl/3 + time.Duration(rng.Int63n(int64(ttl/6)))
-			now = now.Add(gap)
+			clk.Advance(gap)
 			if rng.Intn(10) == 0 {
 				// Clock skip: up to another TTL/3. Worst case total gap
 				// is TTL/3 + TTL/6 + TTL/3 = 5/6 TTL — inside the lease.
-				now = now.Add(time.Duration(rng.Int63n(int64(ttl / 3))))
+				clk.Advance(time.Duration(rng.Int63n(int64(ttl / 3))))
 			}
 
 			// The registry may sweep at any moment relative to the
@@ -63,9 +64,8 @@ func TestLeaseNeverExpiresUnderHeartbeatJitter(t *testing.T) {
 
 func TestEpochBumpsOnlyOnMembershipChange(t *testing.T) {
 	const ttl = 30 * time.Second
-	now := time.Unix(1_700_000_000, 0)
-	clock := func() time.Time { return now }
-	r := New(Options{LeaseTTL: ttl, Clock: clock})
+	clk := clock.NewManual(time.Unix(1_700_000_000, 0))
+	r := New(Options{LeaseTTL: ttl, Clock: clk})
 
 	_, e1, err := r.Register(Worker{ID: "w1", URL: "http://w1", Capacity: 2})
 	if err != nil {
@@ -81,7 +81,7 @@ func TestEpochBumpsOnlyOnMembershipChange(t *testing.T) {
 
 	// Steady heartbeats: epoch frozen.
 	for i := 0; i < 10; i++ {
-		now = now.Add(ttl / 3)
+		clk.Advance(ttl / 3)
 		if _, e, err := r.Register(Worker{ID: "w1", URL: "http://w1", Capacity: 2}); err != nil || e != e2 {
 			t.Fatalf("heartbeat bumped epoch to %d (want %d), err=%v", e, e2, err)
 		}
@@ -101,7 +101,7 @@ func TestEpochBumpsOnlyOnMembershipChange(t *testing.T) {
 
 	// Expiry is a real change: silence w1 past the TTL.
 	for i := 0; i < 5; i++ {
-		now = now.Add(ttl / 3)
+		clk.Advance(ttl / 3)
 		if _, _, err := r.Register(Worker{ID: "w2", URL: "http://w2-new", Capacity: 2}); err != nil {
 			t.Fatal(err)
 		}

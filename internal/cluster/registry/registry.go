@@ -26,6 +26,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"tempriv/internal/clock"
 )
 
 // DefaultLeaseTTL is how long a registration stays alive without a
@@ -61,15 +63,15 @@ type Worker struct {
 type Options struct {
 	// LeaseTTL is the heartbeat lease duration (default DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// Clock supplies the registry's notion of now (default time.Now).
+	// Clock supplies the registry's notion of now (nil = clock.Real).
 	// Tests drive lease expiry deterministically through it.
-	Clock func() time.Time
+	Clock clock.Clock
 }
 
 // Registry is the in-memory bulletin board. Safe for concurrent use.
 type Registry struct {
 	ttl   time.Duration
-	clock func() time.Time
+	clock clock.Clock
 
 	mu      sync.Mutex
 	workers map[string]*Worker
@@ -82,7 +84,7 @@ func New(opts Options) *Registry {
 		opts.LeaseTTL = DefaultLeaseTTL
 	}
 	if opts.Clock == nil {
-		opts.Clock = time.Now
+		opts.Clock = clock.Real
 	}
 	return &Registry{
 		ttl:     opts.LeaseTTL,
@@ -109,7 +111,7 @@ func (r *Registry) Register(w Worker) (ttl time.Duration, epoch uint64, err erro
 	if w.Capacity < 1 {
 		w.Capacity = 1
 	}
-	now := r.clock()
+	now := r.clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.sweepLocked(now)
@@ -150,7 +152,7 @@ func (r *Registry) Deregister(id string) bool {
 // Sweep removes workers whose lease has expired and returns them (the
 // gateway's reconciliation loop hands their jobs off to ring successors).
 func (r *Registry) Sweep() []Worker {
-	now := r.clock()
+	now := r.clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.sweepLocked(now)
@@ -174,7 +176,7 @@ func (r *Registry) sweepLocked(now time.Time) []Worker {
 // Alive sweeps expired leases and returns the live membership (sorted by
 // ID) together with the current epoch.
 func (r *Registry) Alive() ([]Worker, uint64) {
-	now := r.clock()
+	now := r.clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.sweepLocked(now)

@@ -6,39 +6,22 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tempriv/internal/clock"
 )
 
-// fakeClock is a mutex-guarded manual clock for lease-expiry tests.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
+func newManualClock() *clock.Manual {
+	return clock.NewManual(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
 }
 
 func w(id, url string, cap int) Worker { return Worker{ID: id, URL: url, Capacity: cap} }
 
 func TestRegisterHeartbeatEpochs(t *testing.T) {
-	clk := newFakeClock()
-	r := New(Options{LeaseTTL: 10 * time.Second, Clock: clk.Now})
+	clk := newManualClock()
+	r := New(Options{LeaseTTL: 10 * time.Second, Clock: clk})
 
 	ttl, epoch, err := r.Register(w("w1", "http://localhost:7181", 4))
 	if err != nil || ttl != 10*time.Second || epoch != 1 {
@@ -93,8 +76,8 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestLeaseExpirySweep(t *testing.T) {
-	clk := newFakeClock()
-	r := New(Options{LeaseTTL: 5 * time.Second, Clock: clk.Now})
+	clk := newManualClock()
+	r := New(Options{LeaseTTL: 5 * time.Second, Clock: clk})
 	r.Register(w("w1", "http://localhost:7181", 1))
 	r.Register(w("w2", "http://localhost:7182", 1))
 	epochBefore := r.Epoch()
@@ -208,10 +191,13 @@ func TestHTTPRegisterRoundTrip(t *testing.T) {
 }
 
 // TestClientHeartbeatLoop runs the worker-side lease client against a
-// real registry server: it must register, heartbeat repeatedly within
-// the TTL, surface membership to OnMembers, and deregister on shutdown.
+// real registry server, both on one manual clock: it must register,
+// heartbeat every TTL/3 so its lease never lapses, surface membership to
+// OnMembers, and deregister on shutdown.
 func TestClientHeartbeatLoop(t *testing.T) {
-	r := New(Options{LeaseTTL: 300 * time.Millisecond})
+	const ttl = 30 * time.Second
+	clk := newManualClock()
+	r := New(Options{LeaseTTL: ttl, Clock: clk})
 	mux := http.NewServeMux()
 	r.Mount(mux)
 	ts := httptest.NewServer(mux)
@@ -220,6 +206,7 @@ func TestClientHeartbeatLoop(t *testing.T) {
 	var beats atomic.Int64
 	var lastMembers atomic.Value
 	c, err := NewClient(ts.URL, w("w1", "http://localhost:7181", 2), ClientOptions{
+		Clock:       clk,
 		OnHeartbeat: func() { beats.Add(1) },
 		OnMembers:   func(ws []Worker, _ uint64) { lastMembers.Store(len(ws)) },
 	})
@@ -230,39 +217,37 @@ func TestClientHeartbeatLoop(t *testing.T) {
 	done := make(chan struct{})
 	go func() { c.Run(ctx); close(done) }()
 
-	// Over one second a 100ms heartbeat cadence (TTL/3) must land several
-	// beats and the worker must stay continuously registered.
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		time.Sleep(50 * time.Millisecond)
-		if alive, _ := r.Alive(); len(alive) != 1 {
-			if beats.Load() > 0 {
-				t.Fatalf("worker fell off the board mid-run (beats=%d)", beats.Load())
-			}
+	// Each step waits until the client has armed its next heartbeat, then
+	// moves the clock to it: over ten steps, three full lease lengths, the
+	// worker beats once per step and never falls off the board.
+	for step := 1; step <= 10; step++ {
+		clk.BlockUntil(1)
+		if got := beats.Load(); got != int64(step) {
+			t.Fatalf("step %d: %d heartbeats, want %d", step, got, step)
 		}
+		if alive, _ := r.Alive(); len(alive) != 1 {
+			t.Fatalf("step %d: worker fell off the board", step)
+		}
+		clk.Advance(ttl / 3)
 	}
-	if beats.Load() < 3 {
-		t.Fatalf("only %d heartbeats in 1s at TTL 300ms", beats.Load())
-	}
+	clk.BlockUntil(1)
 	if got, _ := lastMembers.Load().(int); got != 1 {
 		t.Fatalf("OnMembers saw %d members, want 1", got)
 	}
 
 	cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("client did not stop")
-	}
+	<-done
 	if alive, _ := r.Alive(); len(alive) != 0 {
 		t.Fatalf("worker still on the board after shutdown deregister: %+v", alive)
 	}
 }
 
 // TestClientRetriesThroughOutage: a dead registry makes the client retry
-// (surfacing errors), and a later revival re-registers without restart.
+// every retryBackoff (surfacing errors), and a later revival re-registers
+// without restart.
 func TestClientRetriesThroughOutage(t *testing.T) {
-	r := New(Options{LeaseTTL: 200 * time.Millisecond})
+	clk := newManualClock()
+	r := New(Options{LeaseTTL: 30 * time.Second, Clock: clk})
 	mux := http.NewServeMux()
 	r.Mount(mux)
 	var down atomic.Bool
@@ -278,8 +263,8 @@ func TestClientRetriesThroughOutage(t *testing.T) {
 
 	var errs atomic.Int64
 	c, err := NewClient(ts.URL, w("w1", "http://localhost:7181", 1), ClientOptions{
-		RetryBackoff: 20 * time.Millisecond,
-		OnError:      func(error) { errs.Add(1) },
+		Clock:   clk,
+		OnError: func(error) { errs.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,12 +274,20 @@ func TestClientRetriesThroughOutage(t *testing.T) {
 	done := make(chan struct{})
 	go func() { c.Run(ctx); close(done) }()
 
-	waitFor(t, time.Second, func() bool { return errs.Load() >= 2 })
+	// Two failed attempts, retryBackoff apart, each surfaced.
+	clk.BlockUntil(1)
+	clk.Advance(retryBackoff)
+	clk.BlockUntil(1)
+	if got := errs.Load(); got != 2 {
+		t.Fatalf("%d errors surfaced after two attempts, want 2", got)
+	}
+	// The registry revives while the client waits; its next retry lands.
 	down.Store(false)
-	waitFor(t, time.Second, func() bool {
-		alive, _ := r.Alive()
-		return len(alive) == 1
-	})
+	clk.Advance(retryBackoff)
+	clk.BlockUntil(1)
+	if alive, _ := r.Alive(); len(alive) != 1 {
+		t.Fatalf("client did not re-register after the outage: alive = %+v", alive)
+	}
 	cancel()
 	<-done
 }
@@ -309,16 +302,4 @@ func TestNewClientValidation(t *testing.T) {
 	if _, err := NewClient("http://localhost:7171", w("bad id", "http://x", 1), ClientOptions{}); err == nil {
 		t.Fatal("invalid worker ID accepted")
 	}
-}
-
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("condition never became true")
 }

@@ -44,7 +44,7 @@ func AblVictim(p Params) (*report.Table, error) {
 	for i := range grid {
 		grid[i] = make([]cell, len(selectors))
 	}
-	err = parallelFor(p.Workers, len(sweep)*len(selectors), func(idx int) error {
+	err = parallelFor(len(sweep)*len(selectors), func(idx int) error {
 		i, j := idx/len(selectors), idx%len(selectors)
 		srcs, err := net.periodic(p.Packets, sweep[i])
 		if err != nil {
@@ -117,7 +117,7 @@ func AblDist(p Params) (*report.Table, error) {
 	s1 := net.sources[0]
 	type row struct{ entropy, mse, lat float64 }
 	rows := make([]row, len(names))
-	err = parallelFor(p.Workers, len(names), func(i int) error {
+	err = parallelFor(len(names), func(i int) error {
 		name := names[i]
 		dist, err := delay.ByName(name, p.MeanDelay)
 		if err != nil {
@@ -192,7 +192,7 @@ func AblBuffer(p Params) (*report.Table, error) {
 	s1 := net.sources[0]
 	type row struct{ mse, lat, preempt, maxTrunkOcc float64 }
 	rows := make([]row, len(capacities))
-	err = parallelFor(p.Workers, len(capacities), func(i int) error {
+	err = parallelFor(len(capacities), func(i int) error {
 		q := p
 		q.Capacity = capacities[i]
 		return figure1Run(q, net, network.PolicyRCAD, ia, func(res *network.Result) error {
@@ -255,7 +255,7 @@ func AblMu(p Params) (*report.Table, error) {
 	s1 := net.sources[0]
 	type row struct{ mse, lat, occ, rho float64 }
 	rows := make([]row, len(means))
-	err = parallelFor(p.Workers, len(means), func(i int) error {
+	err = parallelFor(len(means), func(i int) error {
 		q := p
 		q.MeanDelay = means[i]
 		return figure1Run(q, net, network.PolicyUnlimited, ia, func(res *network.Result) error {
@@ -322,7 +322,7 @@ func AblDecomp(p Params) (*report.Table, error) {
 
 	type row struct{ mse, lat, nearSinkOcc, predictedMSE float64 }
 	rows := make([]row, len(schemes))
-	err = parallelFor(p.Workers, len(schemes), func(i int) error {
+	err = parallelFor(len(schemes), func(i int) error {
 		sc := schemes[i]
 		total := 0.0
 		for id := 1; id <= hops; id++ {

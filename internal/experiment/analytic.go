@@ -281,7 +281,7 @@ func Erlang(p Params) (*report.Table, error) {
 
 	type point struct{ drop, preempt, analytic float64 }
 	points := make([]point, len(rhos))
-	err = parallelFor(p.Workers, len(rhos), func(i int) error {
+	err = parallelFor(len(rhos), func(i int) error {
 		rho := rhos[i]
 		lambda := rho / p.MeanDelay
 		_, dropStats, err := singleNodeSim(p.Seed+uint64(i), func(s *sim.Scheduler) (buffer.Policy, error) {

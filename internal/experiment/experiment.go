@@ -43,8 +43,6 @@ type Params struct {
 	// Threshold is the adaptive adversary's Erlang-loss switch point
 	// (paper: 0.1).
 	Threshold float64
-	// Workers bounds sweep parallelism; defaults to GOMAXPROCS.
-	Workers int
 	// Engines optionally pools reusable simulation engines across the
 	// experiment's runs (see network.EngineCache): runs on one topology
 	// with one policy, capacity, victim rule and rate-control design point
@@ -71,7 +69,6 @@ func Defaults() Params {
 		Capacity:      10,
 		Tau:           1,
 		Threshold:     0.1,
-		Workers:       runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -95,9 +92,6 @@ func (p Params) normalized() (Params, error) {
 	}
 	if p.Threshold == 0 {
 		p.Threshold = d.Threshold
-	}
-	if p.Workers <= 0 {
-		p.Workers = d.Workers
 	}
 	if p.Packets < 0 {
 		return p, fmt.Errorf("experiment: negative packet count %d", p.Packets)
@@ -171,9 +165,10 @@ func IDs() []string {
 	return out
 }
 
-// parallelFor runs f(i) for i in [0, n) on up to workers goroutines and
+// parallelFor runs f(i) for i in [0, n) on up to GOMAXPROCS goroutines and
 // returns the first error (by index order) if any.
-func parallelFor(workers, n int, f func(i int) error) error {
+func parallelFor(n int, f func(i int) error) error {
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}

@@ -16,7 +16,6 @@ func testParams() Params {
 	p := Defaults()
 	p.Packets = 400
 	p.Interarrivals = []float64{2, 10, 20}
-	p.Workers = 4
 	return p
 }
 
@@ -96,7 +95,7 @@ func TestParamsNormalization(t *testing.T) {
 
 func TestParallelFor(t *testing.T) {
 	var total atomic.Int64
-	if err := parallelFor(4, 100, func(i int) error {
+	if err := parallelFor(100, func(i int) error {
 		total.Add(int64(i))
 		return nil
 	}); err != nil {
@@ -106,7 +105,7 @@ func TestParallelFor(t *testing.T) {
 		t.Fatalf("sum = %d, want 4950", total.Load())
 	}
 	wantErr := errors.New("boom")
-	err := parallelFor(3, 10, func(i int) error {
+	err := parallelFor(10, func(i int) error {
 		if i == 7 {
 			return wantErr
 		}
@@ -115,11 +114,11 @@ func TestParallelFor(t *testing.T) {
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("error not propagated: %v", err)
 	}
-	// Degenerate worker counts still complete.
-	if err := parallelFor(0, 3, func(int) error { return nil }); err != nil {
+	// Fewer items than workers, or none, still complete.
+	if err := parallelFor(0, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := parallelFor(100, 1, func(int) error { return nil }); err != nil {
+	if err := parallelFor(1, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 }

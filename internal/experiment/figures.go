@@ -52,7 +52,7 @@ func figure1Sweep(p Params, cols figure1Columns) ([]figure1Point, error) {
 	}
 	s1 := net.sources[0]
 	points := make([]figure1Point, len(p.Interarrivals))
-	err = parallelFor(p.Workers, len(p.Interarrivals), func(i int) error {
+	err = parallelFor(len(p.Interarrivals), func(i int) error {
 		pt := &points[i]
 		for c := first; c < len(figure1Cases); c++ {
 			err := figure1Run(p, net, figure1Cases[c], p.Interarrivals[i], func(res *network.Result) error {

@@ -86,7 +86,7 @@ func TestFigureColumnsMatchAllColumnsSweep(t *testing.T) {
 		}},
 	}
 	for _, seed := range []uint64{1, 2, 3} {
-		p, err := Params{Seed: seed, Packets: 60, Interarrivals: []float64{2, 6, 20}, Workers: 2}.normalized()
+		p, err := Params{Seed: seed, Packets: 60, Interarrivals: []float64{2, 6, 20}}.normalized()
 		if err != nil {
 			t.Fatal(err)
 		}

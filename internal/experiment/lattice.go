@@ -31,7 +31,7 @@ func AblLattice(p Params) (*report.Table, error) {
 	s1 := net.sources[0]
 	type row struct{ raw, lattice, recovered float64 }
 	rows := make([]row, len(means))
-	err = parallelFor(p.Workers, len(means), func(i int) error {
+	err = parallelFor(len(means), func(i int) error {
 		q := p
 		q.MeanDelay = means[i]
 		return figure1Run(q, net, network.PolicyUnlimited, ia, func(res *network.Result) error {

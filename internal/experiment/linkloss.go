@@ -31,7 +31,7 @@ func AblLinkLoss(p Params) (*report.Table, error) {
 	}
 	type row struct{ ratio, retxPerPkt, dropPerPkt, mse, lat float64 }
 	rows := make([]row, len(sweep))
-	err = parallelFor(p.Workers, len(sweep), func(i int) error {
+	err = parallelFor(len(sweep), func(i int) error {
 		srcs, err := net.periodic(p.Packets, ia)
 		if err != nil {
 			return err

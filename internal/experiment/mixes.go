@@ -78,7 +78,7 @@ func AblMix(p Params) (*report.Table, error) {
 	s1 := net.sources[0]
 	type row struct{ genieMSE, lat, peakOcc, delivered float64 }
 	rows := make([]row, len(schemes))
-	err = parallelFor(p.Workers, len(schemes), func(i int) error {
+	err = parallelFor(len(schemes), func(i int) error {
 		sc := schemes[i]
 		srcs, err := net.periodic(p.Packets, ia)
 		if err != nil {

@@ -45,6 +45,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tempriv/internal/clock"
 )
 
 // DefaultCapacity is the flight-recorder ring size when Options.Capacity
@@ -66,8 +68,8 @@ type Options struct {
 	// writer should be buffered or fast; a write error disables the sink
 	// for the rest of the process life (the ring keeps working).
 	Sink io.Writer
-	// Now overrides the clock (tests). Defaults to time.Now.
-	Now func() time.Time
+	// Clock stamps span starts and ends (nil = clock.Real).
+	Clock clock.Clock
 }
 
 // Tracer is the flight recorder: it mints traces, retains the most recent
@@ -77,7 +79,7 @@ type Options struct {
 type Tracer struct {
 	mu      sync.Mutex
 	cap     int
-	now     func() time.Time
+	clock   clock.Clock
 	order   []*Trace // start order; order[0] is evicted first
 	byID    map[string]*Trace
 	byJob   map[string]*Trace
@@ -91,12 +93,12 @@ func New(o Options) *Tracer {
 	if o.Capacity <= 0 {
 		o.Capacity = DefaultCapacity
 	}
-	if o.Now == nil {
-		o.Now = time.Now
+	if o.Clock == nil {
+		o.Clock = clock.Real
 	}
 	return &Tracer{
 		cap:   o.Capacity,
-		now:   o.Now,
+		clock: o.Clock,
 		byID:  make(map[string]*Trace),
 		byJob: make(map[string]*Trace),
 		sink:  o.Sink,
@@ -214,7 +216,7 @@ func (s SpanRef) End() {
 		t.mu.Unlock()
 		return
 	}
-	now := t.tracer.clock()
+	now := t.tracer.clock.Now()
 	sp.end = now
 	root := s.idx == 0
 	if root {
@@ -263,16 +265,9 @@ func (t *Trace) startSpan(parent int32, name string) SpanRef {
 	t.spans = append(t.spans, span{
 		name:   name,
 		parent: parent,
-		start:  t.tracer.clock(),
+		start:  t.tracer.clock.Now(),
 	})
 	return SpanRef{t: t, idx: int32(len(t.spans) - 1)}
-}
-
-func (t *Tracer) clock() time.Time {
-	if t == nil || t.now == nil {
-		return time.Now()
-	}
-	return t.now()
 }
 
 // ctxKey carries the current SpanRef through a context.Context. The value
@@ -329,7 +324,7 @@ func (t *Tracer) StartTrace(ctx context.Context, requestedID, rootName string) (
 	if !ValidTraceID(id) {
 		id = t.mintID()
 	}
-	tr := &Trace{tracer: t, id: id, start: t.clock()}
+	tr := &Trace{tracer: t, id: id, start: t.clock.Now()}
 	tr.spans = append(tr.spans, span{name: rootName, parent: -1, start: tr.start})
 
 	t.mu.Lock()

@@ -8,47 +8,31 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tempriv/internal/clock"
 )
 
-// fakeClock is a manually advanced time source.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
+func newManualClock() *clock.Manual {
+	return clock.NewManual(time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC))
 }
 
 func TestTraceTreeStructure(t *testing.T) {
-	clock := newFakeClock()
-	tr := New(Options{Now: clock.Now})
+	clk := newManualClock()
+	tr := New(Options{Clock: clk})
 	ctx, root := tr.StartTrace(context.Background(), "", "job")
 	if !root.Enabled() {
 		t.Fatal("root span disabled on a live tracer")
 	}
 	root.BindJob("job-1")
 
-	clock.Advance(time.Millisecond)
+	clk.Advance(time.Millisecond)
 	ctx2, queue := StartSpan(ctx, "queue")
-	clock.Advance(2 * time.Millisecond)
+	clk.Advance(2 * time.Millisecond)
 	queue.End()
 
 	_, attempt := StartSpan(ctx2, "attempt")
 	attempt.AnnotateInt("attempt", 1)
-	clock.Advance(3 * time.Millisecond)
+	clk.Advance(3 * time.Millisecond)
 	attempt.End()
 	root.End()
 

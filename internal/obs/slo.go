@@ -5,7 +5,18 @@ import (
 	"sync"
 	"time"
 
+	"tempriv/internal/clock"
 	"tempriv/internal/telemetry"
+)
+
+// Every SLO's burn rates cover two trailing windows, kept in buckets a
+// tenth of the fast window wide so the fast burn rate tracks with ~10%
+// time resolution; the bucket ring spans the slow window.
+const (
+	sloFastWindow  = 5 * time.Minute
+	sloSlowWindow  = time.Hour
+	sloBucketWidth = sloFastWindow / 10
+	sloBuckets     = int(sloSlowWindow/sloBucketWidth) + 1
 )
 
 // SLO is one latency objective ("99% of cached results < 50ms") evaluated
@@ -33,21 +44,18 @@ type SLO struct {
 	name      string
 	objective float64
 	threshold time.Duration
-	fast      time.Duration
-	slow      time.Duration
-	now       func() time.Time
+	clock     clock.Clock
 
 	good  *telemetry.Counter
 	bad   *telemetry.Counter
 	bFast *telemetry.Gauge
 	bSlow *telemetry.Gauge
 
-	mu        sync.Mutex
-	bucketDur time.Duration
-	buckets   []sloBucket // ring covering the slow window
+	mu      sync.Mutex
+	buckets [sloBuckets]sloBucket // ring covering the slow window
 }
 
-// sloBucket accumulates one bucketDur-wide interval of observations.
+// sloBucket accumulates one sloBucketWidth-wide interval of observations.
 type sloBucket struct {
 	epoch     int64 // which interval this bucket currently holds
 	good, bad uint64
@@ -63,12 +71,9 @@ type SLOOptions struct {
 	// Threshold is the latency bound an observation must beat to count
 	// as good.
 	Threshold time.Duration
-	// FastWindow and SlowWindow are the two burn-rate windows
-	// (defaults 5m and 1h).
-	FastWindow time.Duration
-	SlowWindow time.Duration
-	// Now overrides the clock (tests).
-	Now func() time.Time
+	// Clock places observations in the burn-rate windows (nil =
+	// clock.Real).
+	Clock clock.Clock
 }
 
 // NewSLO registers an objective's series on reg and returns the live SLO.
@@ -90,37 +95,19 @@ func NewSLO(reg *telemetry.Registry, o SLOOptions) (*SLO, error) {
 	if o.Threshold <= 0 {
 		return nil, fmt.Errorf("obs: SLO %s needs a positive threshold, got %v", o.Name, o.Threshold)
 	}
-	if o.FastWindow <= 0 {
-		o.FastWindow = 5 * time.Minute
+	if o.Clock == nil {
+		o.Clock = clock.Real
 	}
-	if o.SlowWindow <= 0 {
-		o.SlowWindow = time.Hour
-	}
-	if o.SlowWindow < o.FastWindow {
-		return nil, fmt.Errorf("obs: SLO %s slow window %v shorter than fast window %v",
-			o.Name, o.SlowWindow, o.FastWindow)
-	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
-	// Bucket at 1/10th of the fast window so the fast burn rate tracks
-	// with ~10% time resolution; the ring must span the slow window.
-	bucketDur := o.FastWindow / 10
-	n := int(o.SlowWindow/bucketDur) + 1
 	prefix := "tempriv_slo_" + o.Name
 	s := &SLO{
 		name:      o.Name,
 		objective: o.Objective,
 		threshold: o.Threshold,
-		fast:      o.FastWindow,
-		slow:      o.SlowWindow,
-		now:       o.Now,
+		clock:     o.Clock,
 		good:      reg.Counter(prefix + "_good_total"),
 		bad:       reg.Counter(prefix + "_bad_total"),
 		bFast:     reg.Gauge(prefix + "_burn_rate_fast"),
 		bSlow:     reg.Gauge(prefix + "_burn_rate_slow"),
-		bucketDur: bucketDur,
-		buckets:   make([]sloBucket, n),
 	}
 	reg.Gauge(prefix + "_objective").Set(o.Objective)
 	reg.Gauge(prefix + "_threshold_seconds").Set(o.Threshold.Seconds())
@@ -146,7 +133,7 @@ func (s *SLO) Observe(d time.Duration) {
 	} else {
 		s.bad.Inc()
 	}
-	epoch := s.now().UnixNano() / int64(s.bucketDur)
+	epoch := s.epoch()
 	s.mu.Lock()
 	b := &s.buckets[int(epoch%int64(len(s.buckets)))]
 	if b.epoch != epoch {
@@ -162,9 +149,12 @@ func (s *SLO) Observe(d time.Duration) {
 	s.mu.Unlock()
 }
 
+// epoch numbers the sloBucketWidth-wide interval the clock now reads.
+func (s *SLO) epoch() int64 { return s.clock.Now().UnixNano() / int64(sloBucketWidth) }
+
 // windowTotals sums buckets younger than window.
 func (s *SLO) windowTotals(nowEpoch int64, window time.Duration) (good, bad uint64) {
-	span := int64(window / s.bucketDur)
+	span := int64(window / sloBucketWidth)
 	for i := range s.buckets {
 		b := &s.buckets[i]
 		if b.epoch > nowEpoch-span && b.epoch <= nowEpoch {
@@ -193,10 +183,10 @@ func (s *SLO) Sync() {
 	if s == nil {
 		return
 	}
-	nowEpoch := s.now().UnixNano() / int64(s.bucketDur)
+	nowEpoch := s.epoch()
 	s.mu.Lock()
-	fast := s.burn(nowEpoch, s.fast)
-	slow := s.burn(nowEpoch, s.slow)
+	fast := s.burn(nowEpoch, sloFastWindow)
+	slow := s.burn(nowEpoch, sloSlowWindow)
 	s.mu.Unlock()
 	s.bFast.Set(fast)
 	s.bSlow.Set(slow)
@@ -208,10 +198,10 @@ func (s *SLO) BurnRates() (fast, slow float64) {
 	if s == nil {
 		return 0, 0
 	}
-	nowEpoch := s.now().UnixNano() / int64(s.bucketDur)
+	nowEpoch := s.epoch()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.burn(nowEpoch, s.fast), s.burn(nowEpoch, s.slow)
+	return s.burn(nowEpoch, sloFastWindow), s.burn(nowEpoch, sloSlowWindow)
 }
 
 // SLOSet is a group of objectives synced together (the /metrics hook).

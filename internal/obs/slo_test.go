@@ -6,21 +6,20 @@ import (
 	"testing"
 	"time"
 
+	"tempriv/internal/clock"
 	"tempriv/internal/telemetry"
 )
 
 // near absorbs the float error a burn-rate division accumulates.
 func near(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func newTestSLO(t *testing.T, reg *telemetry.Registry, clock *fakeClock) *SLO {
+func newTestSLO(t *testing.T, reg *telemetry.Registry, clk *clock.Manual) *SLO {
 	t.Helper()
 	s, err := NewSLO(reg, SLOOptions{
-		Name:       "cached_result",
-		Objective:  0.99,
-		Threshold:  50 * time.Millisecond,
-		FastWindow: 5 * time.Minute,
-		SlowWindow: time.Hour,
-		Now:        clock.Now,
+		Name:      "cached_result",
+		Objective: 0.99,
+		Threshold: 50 * time.Millisecond,
+		Clock:     clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,8 +29,8 @@ func newTestSLO(t *testing.T, reg *telemetry.Registry, clock *fakeClock) *SLO {
 
 func TestSLOClassifiesAgainstThreshold(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	clock := newFakeClock()
-	s := newTestSLO(t, reg, clock)
+	clk := newManualClock()
+	s := newTestSLO(t, reg, clk)
 	s.Observe(10 * time.Millisecond)
 	s.Observe(50 * time.Millisecond) // exactly at threshold counts as good
 	s.Observe(51 * time.Millisecond)
@@ -45,8 +44,8 @@ func TestSLOClassifiesAgainstThreshold(t *testing.T) {
 
 func TestSLOBurnRates(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	clock := newFakeClock()
-	s := newTestSLO(t, reg, clock)
+	clk := newManualClock()
+	s := newTestSLO(t, reg, clk)
 
 	// 100 observations, 5 bad: bad fraction 0.05, error budget 0.01 →
 	// burn 5.0 on both windows while everything is recent.
@@ -63,7 +62,7 @@ func TestSLOBurnRates(t *testing.T) {
 
 	// 10 minutes later the bad burst has aged out of the 5m fast window
 	// but still counts in the 1h slow window.
-	clock.Advance(10 * time.Minute)
+	clk.Advance(10 * time.Minute)
 	for i := 0; i < 100; i++ {
 		s.Observe(time.Millisecond)
 	}
@@ -77,7 +76,7 @@ func TestSLOBurnRates(t *testing.T) {
 
 	// Two hours later everything has aged out of both windows; an idle
 	// service burns nothing.
-	clock.Advance(2 * time.Hour)
+	clk.Advance(2 * time.Hour)
 	fast, slow = s.BurnRates()
 	if fast != 0 || slow != 0 {
 		t.Fatalf("burn = (%v, %v) after all windows expired, want (0, 0)", fast, slow)
@@ -86,8 +85,8 @@ func TestSLOBurnRates(t *testing.T) {
 
 func TestSLOSyncExportsGauges(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	clock := newFakeClock()
-	s := newTestSLO(t, reg, clock)
+	clk := newManualClock()
+	s := newTestSLO(t, reg, clk)
 	for i := 0; i < 99; i++ {
 		s.Observe(time.Millisecond)
 	}
@@ -123,12 +122,11 @@ func TestSLOSyncExportsGauges(t *testing.T) {
 func TestSLOOptionValidation(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	bad := []SLOOptions{
-		{Objective: 0.99, Threshold: time.Second},                                                           // no name
-		{Name: "Bad-Name", Objective: 0.99, Threshold: time.Second},                                         // name chars
-		{Name: "x", Objective: 0, Threshold: time.Second},                                                   // objective low
-		{Name: "x", Objective: 1, Threshold: time.Second},                                                   // objective high
-		{Name: "x", Objective: 0.9, Threshold: 0},                                                           // no threshold
-		{Name: "x", Objective: 0.9, Threshold: time.Second, FastWindow: time.Hour, SlowWindow: time.Minute}, // inverted windows
+		{Objective: 0.99, Threshold: time.Second},                   // no name
+		{Name: "Bad-Name", Objective: 0.99, Threshold: time.Second}, // name chars
+		{Name: "x", Objective: 0, Threshold: time.Second},           // objective low
+		{Name: "x", Objective: 1, Threshold: time.Second},           // objective high
+		{Name: "x", Objective: 0.9, Threshold: 0},                   // no threshold
 	}
 	for i, o := range bad {
 		if _, err := NewSLO(reg, o); err == nil {
@@ -151,9 +149,8 @@ func TestSLONilHandle(t *testing.T) {
 }
 
 func TestSLONilRegistryStillWorks(t *testing.T) {
-	clock := newFakeClock()
 	s, err := NewSLO(nil, SLOOptions{
-		Name: "x", Objective: 0.5, Threshold: time.Millisecond, Now: clock.Now,
+		Name: "x", Objective: 0.5, Threshold: time.Millisecond, Clock: newManualClock(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package resultcache
 import (
 	"sync"
 	"time"
+
+	"tempriv/internal/clock"
 )
 
 // BreakerState names the circuit breaker's position.
@@ -25,10 +27,8 @@ const (
 // keeps answering — it just stops relying on the disk (compute-always)
 // instead of converting storage errors into request failures.
 type breaker struct {
-	threshold int
-	cooldown  time.Duration
-	clock     func() time.Time
-	onChange  func(from, to BreakerState)
+	clock    clock.Clock
+	onChange func(from, to BreakerState) // nil = no hook
 
 	mu          sync.Mutex
 	state       BreakerState
@@ -36,14 +36,8 @@ type breaker struct {
 	openedAt    time.Time
 }
 
-func newBreaker(threshold int, cooldown time.Duration, clock func() time.Time, onChange func(from, to BreakerState)) *breaker {
-	return &breaker{
-		threshold: threshold,
-		cooldown:  cooldown,
-		clock:     clock,
-		onChange:  onChange,
-		state:     BreakerClosed,
-	}
+func newBreaker(clk clock.Clock, onChange func(from, to BreakerState)) *breaker {
+	return &breaker{clock: clk, onChange: onChange, state: BreakerClosed}
 }
 
 // allow reports whether a disk operation may proceed. In the open state it
@@ -54,7 +48,7 @@ func (b *breaker) allow() bool {
 	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerOpen:
-		if b.clock().Sub(b.openedAt) < b.cooldown {
+		if b.clock.Now().Sub(b.openedAt) < breakerCooldown {
 			return false
 		}
 		b.transitionLocked(BreakerHalfOpen)
@@ -80,8 +74,8 @@ func (b *breaker) failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.consecutive++
-	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.consecutive >= b.threshold) {
-		b.openedAt = b.clock()
+	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.consecutive >= breakerThreshold) {
+		b.openedAt = b.clock.Now()
 		b.transitionLocked(BreakerOpen)
 	}
 }
@@ -91,7 +85,7 @@ func (b *breaker) failure() {
 func (b *breaker) current() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerOpen && b.clock().Sub(b.openedAt) >= b.cooldown {
+	if b.state == BreakerOpen && b.clock.Now().Sub(b.openedAt) >= breakerCooldown {
 		b.transitionLocked(BreakerHalfOpen)
 	}
 	return b.state

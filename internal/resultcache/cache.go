@@ -53,6 +53,7 @@ import (
 	"sync"
 	"time"
 
+	"tempriv/internal/clock"
 	"tempriv/internal/faultfs"
 )
 
@@ -65,11 +66,11 @@ const sumsFile = "sums.json"
 // DefaultMaxBytes bounds the cache payload when Open is given no budget.
 const DefaultMaxBytes = 256 << 20
 
-// Breaker defaults: open after 3 consecutive I/O errors, probe again after
-// 5 seconds.
+// The breaker opens after breakerThreshold consecutive I/O errors and
+// probes the disk again breakerCooldown later.
 const (
-	DefaultBreakerThreshold = 3
-	DefaultBreakerCooldown  = 5 * time.Second
+	breakerThreshold = 3
+	breakerCooldown  = 5 * time.Second
 )
 
 // entryFiles are the artifacts every complete entry holds (sums.json is
@@ -119,7 +120,7 @@ type Hooks struct {
 }
 
 // Config assembles a cache with explicit seams (tests inject a faulty
-// filesystem and a fake clock; production uses Open).
+// filesystem and a manual clock; production uses Open).
 type Config struct {
 	// Dir is the cache root (required).
 	Dir string
@@ -128,12 +129,8 @@ type Config struct {
 	MaxBytes int64
 	// FS is the filesystem seam (nil = the real OS filesystem).
 	FS faultfs.FS
-	// Clock feeds the breaker and recency refresh (nil = time.Now).
-	Clock func() time.Time
-	// BreakerThreshold and BreakerCooldown tune the disk-health breaker
-	// (0 = defaults; a negative threshold disables the breaker).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// Clock feeds the breaker and recency refresh (nil = clock.Real).
+	Clock clock.Clock
 	// Hooks observe health events.
 	Hooks Hooks
 }
@@ -148,7 +145,7 @@ type Cache struct {
 	root     string
 	maxBytes int64
 	fs       faultfs.FS
-	clock    func() time.Time
+	clock    clock.Clock
 	hooks    Hooks
 	brk      *breaker
 
@@ -183,13 +180,7 @@ func OpenConfig(cfg Config) (*Cache, error) {
 		cfg.FS = faultfs.OS{}
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = DefaultBreakerCooldown
+		cfg.Clock = clock.Real
 	}
 	for _, sub := range []string{formatVersion, "tmp", "quarantine"} {
 		if err := cfg.FS.MkdirAll(filepath.Join(cfg.Dir, sub), 0o755); err != nil {
@@ -202,13 +193,7 @@ func OpenConfig(cfg Config) (*Cache, error) {
 		fs:       cfg.FS,
 		clock:    cfg.Clock,
 		hooks:    cfg.Hooks,
-	}
-	if cfg.BreakerThreshold > 0 {
-		c.brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock, func(from, to BreakerState) {
-			if cfg.Hooks.BreakerChange != nil {
-				cfg.Hooks.BreakerChange(from, to)
-			}
-		})
+		brk:      newBreaker(cfg.Clock, cfg.Hooks.BreakerChange),
 	}
 	if c.maxBytes >= 0 {
 		_, total, err := c.scan()
@@ -241,7 +226,7 @@ func (c *Cache) Get(fingerprint string) (*Entry, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	if c.brk != nil && !c.brk.allow() {
+	if !c.brk.allow() {
 		c.count(&c.bypassed)
 		c.count(&c.misses)
 		return nil, false, nil
@@ -290,7 +275,7 @@ func (c *Cache) Get(fingerprint string) (*Entry, bool, error) {
 		*dests[i] = b
 	}
 	c.opOK()
-	now := c.clock()
+	now := c.clock.Now()
 	// Recency refresh is advisory: a failed Chtimes (e.g. read-only FS)
 	// only weakens LRU ordering, never correctness.
 	_ = c.fs.Chtimes(dir, now, now)
@@ -309,7 +294,7 @@ func (c *Cache) Put(e *Entry) error {
 	if err != nil {
 		return err
 	}
-	if c.brk != nil && !c.brk.allow() {
+	if !c.brk.allow() {
 		c.count(&c.bypassed)
 		return nil
 	}
@@ -361,23 +346,16 @@ func (c *Cache) Stats() Stats {
 	entries, bytes, _ := c.scan()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Stats{
+	return Stats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
 		Quarantined: c.quarantined, IOErrors: c.ioErrors, Bypassed: c.bypassed,
-		Breaker: BreakerClosed,
+		Breaker: c.brk.current(),
 		Entries: len(entries), Bytes: bytes,
 	}
-	if c.brk != nil {
-		s.Breaker = c.brk.current()
-	}
-	return s
 }
 
 // BreakerState returns the disk-health breaker's current state.
 func (c *Cache) BreakerState() BreakerState {
-	if c.brk == nil {
-		return BreakerClosed
-	}
 	return c.brk.current()
 }
 
@@ -389,9 +367,7 @@ func (c *Cache) count(field *uint64) {
 
 // opOK feeds a healthy disk operation to the breaker.
 func (c *Cache) opOK() {
-	if c.brk != nil {
-		c.brk.success()
-	}
+	c.brk.success()
 }
 
 // ioError records a failed disk operation: counted, surfaced to the hook,
@@ -401,9 +377,7 @@ func (c *Cache) ioError(err error) {
 	if c.hooks.IOError != nil {
 		c.hooks.IOError(err)
 	}
-	if c.brk != nil {
-		c.brk.failure()
-	}
+	c.brk.failure()
 }
 
 // quarantine moves a corrupt entry aside so it can never be served, and

@@ -4,44 +4,22 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
+	"tempriv/internal/clock"
 	"tempriv/internal/faultfs"
 )
 
-// fakeClock is a manually-advanced clock for breaker cooldown tests.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
+func newManualClock() *clock.Manual { return clock.NewManual(time.Unix(1_700_000_000, 0)) }
 
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Unix(1_700_000_000, 0)}
-}
-
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.now
-}
-
-func (f *fakeClock) Advance(d time.Duration) {
-	f.mu.Lock()
-	f.now = f.now.Add(d)
-	f.mu.Unlock()
-}
-
-func openFaulty(t *testing.T, ff *faultfs.Faulty, clk *fakeClock, hooks Hooks) *Cache {
+func openFaulty(t *testing.T, ff *faultfs.Faulty, clk *clock.Manual, hooks Hooks) *Cache {
 	t.Helper()
 	c, err := OpenConfig(Config{
-		Dir:              t.TempDir(),
-		FS:               ff,
-		Clock:            clk.Now,
-		BreakerThreshold: 3,
-		BreakerCooldown:  5 * time.Second,
-		Hooks:            hooks,
+		Dir:   t.TempDir(),
+		FS:    ff,
+		Clock: clk,
+		Hooks: hooks,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +116,7 @@ func TestMissingPayloadQuarantined(t *testing.T) {
 
 func TestReadErrorsAreMissesNeverErrors(t *testing.T) {
 	ff := faultfs.NewFaulty(faultfs.OS{})
-	clk := newFakeClock()
+	clk := newManualClock()
 	c := openFaulty(t, ff, clk, Hooks{})
 	e := testEntry(4, 32)
 	if err := c.Put(e); err != nil {
@@ -160,7 +138,7 @@ func TestReadErrorsAreMissesNeverErrors(t *testing.T) {
 
 func TestBreakerOpensAndBypassesThenRecovers(t *testing.T) {
 	ff := faultfs.NewFaulty(faultfs.OS{})
-	clk := newFakeClock()
+	clk := newManualClock()
 	var transitions []BreakerState
 	c := openFaulty(t, ff, clk, Hooks{
 		BreakerChange: func(_, to BreakerState) { transitions = append(transitions, to) },
@@ -171,13 +149,16 @@ func TestBreakerOpensAndBypassesThenRecovers(t *testing.T) {
 	}
 
 	ff.Set(faultfs.OpRead, faultfs.Fault{Err: faultfs.ErrIO})
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
+		if got := c.BreakerState(); got != BreakerClosed {
+			t.Fatalf("after %d consecutive I/O errors breaker is %s", i, got)
+		}
 		if _, ok, err := c.Get(e.Fingerprint); err != nil || ok {
 			t.Fatalf("get %d: ok=%v err=%v", i, ok, err)
 		}
 	}
 	if got := c.BreakerState(); got != BreakerOpen {
-		t.Fatalf("after 3 consecutive I/O errors breaker is %s", got)
+		t.Fatalf("after %d consecutive I/O errors breaker is %s", breakerThreshold, got)
 	}
 
 	// Open breaker: operations bypass the disk entirely — even though the
@@ -198,7 +179,11 @@ func TestBreakerOpensAndBypassesThenRecovers(t *testing.T) {
 
 	// Cooldown elapses with the disk still sick: the half-open probe fails
 	// and the breaker re-opens.
-	clk.Advance(6 * time.Second)
+	clk.Advance(breakerCooldown - time.Nanosecond)
+	if got := c.BreakerState(); got != BreakerOpen {
+		t.Fatalf("breaker %s before its cooldown elapsed", got)
+	}
+	clk.Advance(time.Nanosecond)
 	if _, ok, _ := c.Get(e.Fingerprint); ok {
 		t.Fatal("probe served from a sick disk")
 	}
@@ -208,7 +193,7 @@ func TestBreakerOpensAndBypassesThenRecovers(t *testing.T) {
 
 	// Disk heals; after the next cooldown the probe succeeds and closes it.
 	ff.Clear(faultfs.OpRead)
-	clk.Advance(6 * time.Second)
+	clk.Advance(breakerCooldown)
 	if _, ok, err := c.Get(e.Fingerprint); err != nil || !ok {
 		t.Fatalf("healed probe: ok=%v err=%v", ok, err)
 	}
@@ -229,7 +214,7 @@ func TestBreakerOpensAndBypassesThenRecovers(t *testing.T) {
 
 func TestPutENOSPCFeedsBreakerThenBypasses(t *testing.T) {
 	ff := faultfs.NewFaulty(faultfs.OS{})
-	clk := newFakeClock()
+	clk := newManualClock()
 	c := openFaulty(t, ff, clk, Hooks{})
 	ff.Set(faultfs.OpWrite, faultfs.Fault{Err: faultfs.ErrNoSpace})
 	for i := 0; i < 3; i++ {
@@ -251,7 +236,7 @@ func TestPutENOSPCFeedsBreakerThenBypasses(t *testing.T) {
 	}
 	// After healing + cooldown, writes land again.
 	ff.Clear(faultfs.OpWrite)
-	clk.Advance(6 * time.Second)
+	clk.Advance(breakerCooldown)
 	e := testEntry(21, 32)
 	if err := c.Put(e); err != nil {
 		t.Fatal(err)
@@ -263,7 +248,7 @@ func TestPutENOSPCFeedsBreakerThenBypasses(t *testing.T) {
 
 func TestTornWriteNeverServesPartialEntry(t *testing.T) {
 	ff := faultfs.NewFaulty(faultfs.OS{})
-	clk := newFakeClock()
+	clk := newManualClock()
 	c := openFaulty(t, ff, clk, Hooks{})
 	e := testEntry(30, 256)
 	// The first write lands only half its bytes, then the fault clears.
@@ -290,22 +275,5 @@ func TestTornWriteNeverServesPartialEntry(t *testing.T) {
 	got, ok, err = c.Get(e.Fingerprint)
 	if err != nil || !ok || !bytes.Equal(got.TableText, e.TableText) {
 		t.Fatalf("retry after torn write: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestBreakerDisabled(t *testing.T) {
-	ff := faultfs.NewFaulty(faultfs.OS{})
-	c, err := OpenConfig(Config{Dir: t.TempDir(), FS: ff, BreakerThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff.Set(faultfs.OpRead, faultfs.Fault{Err: faultfs.ErrIO})
-	for i := 0; i < 10; i++ {
-		if _, ok, err := c.Get(testFingerprint(1)); err != nil || ok {
-			t.Fatalf("ok=%v err=%v", ok, err)
-		}
-	}
-	if got := c.BreakerState(); got != BreakerClosed {
-		t.Fatalf("disabled breaker reports %s", got)
 	}
 }

@@ -28,6 +28,7 @@ var parseSeeds = []string{
 	`null`,
 	`[1,2,3]`,
 	`{"version":1,"experiment":{"id":"fig2a"},"simulation":{}}`,
+	`{"version":1,"simulation":{"topology":{"kind":"line","hops":2},"traffic":{"kind":"onoff","rate":0.0001,"on_mean":1,"off_mean":1}}}`,
 }
 
 // FuzzParse drives the scenario parser with arbitrary bytes. The contract

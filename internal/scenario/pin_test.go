@@ -29,6 +29,7 @@ var pinnedSeedFingerprints = []string{
 	"",
 	"",
 	"",
+	"",
 }
 
 // TestPinnedSeedFingerprints: FuzzParse's seed corpus parses to the same

@@ -32,10 +32,6 @@ type Options struct {
 	// sequential). The reduction is order-fixed, so the output is
 	// byte-identical for every worker count.
 	ReplicateWorkers int
-	// SweepWorkers bounds each run's internal sweep parallelism
-	// (0 = GOMAXPROCS). Execution-only: it never affects result bytes and
-	// never enters the fingerprint.
-	SweepWorkers int
 	// Sink, when set, streams every replicate's table out of the engine as
 	// it completes and answers resume queries (skip replicates the sink
 	// already holds). Execution-only: equal specs produce byte-identical
@@ -126,9 +122,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 	}
 
 	p := paramsFor(spec)
-	if opts.SweepWorkers > 0 {
-		p.Workers = opts.SweepWorkers
-	}
 	// One cache for the whole scenario: sweep points inside a single
 	// replicate share engines too (the cache's checkout discipline makes it
 	// safe under the sweep's parallelFor workers).

@@ -54,6 +54,11 @@ const (
 	// rebuilds the routing tree.
 	maxFailures    = 64
 	maxFailureTime = 1e12
+	// minBurstPackets bounds an on-off source's expected packets per burst
+	// (rate × on_mean) from below: each packet costs about
+	// 1/(rate × on_mean) burst draws, so at this bound maxPackets packets
+	// stay within about 10⁹ draws.
+	minBurstPackets = 1e-3
 )
 
 // ErrInvalid tags every validation failure; errors.Is(err, ErrInvalid)
@@ -656,6 +661,9 @@ func (t *TrafficSpec) normalize() error {
 		}
 		if !(t.OnMean > 0) || t.OnMean > maxTau || !(t.OffMean > 0) || t.OffMean > maxTau {
 			return invalidf("traffic.on_mean/off_mean must be in (0, %g]", float64(maxTau))
+		}
+		if t.Rate*t.OnMean < minBurstPackets {
+			return invalidf("traffic.rate × on_mean %v below %g packets per burst", t.Rate*t.OnMean, minBurstPackets)
 		}
 	default:
 		return invalidf("traffic.kind %q unknown (periodic | poisson | onoff)", t.Kind)

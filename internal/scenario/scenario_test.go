@@ -141,6 +141,8 @@ func TestParseRejections(t *testing.T) {
 		"pareto bad shape":    `{"version":1,"simulation":{"topology":{"kind":"figure1"},"delay":{"dist":"pareto","shape":0.5}}}`,
 		"poisson no rate":     `{"version":1,"simulation":{"topology":{"kind":"figure1"},"traffic":{"kind":"poisson"}}}`,
 		"periodic with rate":  `{"version":1,"simulation":{"topology":{"kind":"figure1"},"traffic":{"kind":"periodic","rate":3}}}`,
+		// Each packet costs about 1/(rate × on_mean) burst draws.
+		"onoff sparse bursts": `{"version":1,"simulation":{"topology":{"kind":"line","hops":2},"traffic":{"kind":"onoff","rate":0.001,"on_mean":0.5,"off_mean":1}}}`,
 		"not json":            `hello`,
 		// The engine needs Gilbert–Elliott runs of at least one transmission.
 		"burst shorter than one":    `{"version":1,"simulation":{"topology":{"kind":"figure1"},"channel":{"burst":true,"mean_burst_len":0.5}}}`,
@@ -179,6 +181,19 @@ func TestParseRejections(t *testing.T) {
 		} else if !errors.Is(err, ErrInvalid) {
 			t.Errorf("%s: error not tagged ErrInvalid: %v", name, err)
 		}
+	}
+}
+
+// TestOnOffAtTheBurstBound: an on-off source with exactly minBurstPackets
+// packets per burst is accepted, and its run stays cheap.
+func TestOnOffAtTheBurstBound(t *testing.T) {
+	spec, err := Parse([]byte(`{"version":1,"simulation":{"topology":{"kind":"line","hops":2},
+		"traffic":{"kind":"onoff","rate":0.001,"on_mean":1,"off_mean":1},"packets":50}}`))
+	if err != nil {
+		t.Fatalf("spec at the bound rejected: %v", err)
+	}
+	if _, err := Run(context.Background(), spec, Options{}); err != nil {
+		t.Fatal(err)
 	}
 }
 
